@@ -35,10 +35,9 @@ from .bmcodec import (
     subtree_height,
 )
 from .hybrid import (
-    AggregatedGroup,
     HybridConfig,
     HybridPayload,
-    aggregate_blocks,
+    frame_payload,
     hybrid_decode,
     hybrid_encode,
     sweep_parameters,
@@ -53,7 +52,6 @@ __all__ = [
     "V4",
     "V6",
     "AddressBlock",
-    "AggregatedGroup",
     "BitmapRoa",
     "CacheSnapshot",
     "CostModel",
@@ -70,7 +68,6 @@ __all__ = [
     "SyncReport",
     "Vrp",
     "Workload",
-    "aggregate_blocks",
     "apply_roa",
     "compress_minimal",
     "count_nonempty_subtrees",
@@ -80,6 +77,7 @@ __all__ = [
     "excess_prefixes",
     "expand",
     "fetch",
+    "frame_payload",
     "hybrid_decode",
     "hybrid_encode",
     "load_csv",

@@ -13,10 +13,9 @@ import os
 import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import sync, wire
-from .bmcodec import HangingLevels, decode_block, encode_batch, subtree_height, subtree_id_level, SubTreeBlock
+from .bmcodec import HangingLevels, decode_block, encode_batch
 from .hybrid import HybridConfig
 from .levelopt import CostModel, optimize_levels
 from .mlcodec import scatter_degree
@@ -24,6 +23,8 @@ from .prefix import V4, V6, AddressBlock, Prefix, PrefixFormatError, Vrp, expand
 from .workload import Workload, dump_csv, load_csv, synthetic_scattered
 
 _FAMILY_NAMES = {"v4": V4, "v6": V6}
+# schemes that ship minimal blocks, so their snapshots are always recompressed
+_MINIMAL_SCHEMES = ("mroa", "sroa")
 
 
 def _err(msg: str) -> None:
@@ -70,43 +71,17 @@ def _build_config(args) -> HybridConfig:
     return HybridConfig(
         delta_l_threshold=threshold,
         hanging=hanging,
-        aggregate=getattr(args, "scheme", "") == "ahroa",
         expansion_cap=getattr(args, "expansion_cap", 20),
     )
 
 
-def _encode_one(job):
-    """Worker for --jobs: returns (asn, canonical blocks, hybrid payload)."""
-    asn, blocks, cfg, recompress = job
-    snap = sync.CacheSnapshot.build({asn: blocks}, cfg, session_id=0, recompress=recompress)
-    return asn, snap.entries[asn], snap.payloads[asn]
-
-
 def _snapshot(args, workload: Workload, cfg: HybridConfig) -> sync.CacheSnapshot:
-    recompress = getattr(args, "recompress", False) or args.scheme in ("mroa", "sroa")
-    jobs = getattr(args, "jobs", 1)
-    if jobs <= 1:
-        return sync.CacheSnapshot.build(
-            workload,
-            cfg,
-            session_id=getattr(args, "session_id", None),
-            serial=getattr(args, "serial", 1),
-            recompress=recompress,
-        )
-    tasks = [(asn, blocks, cfg, recompress) for asn, blocks in workload.entries.items()]
-    entries = {}
-    payloads = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for asn, blocks, payload in pool.map(_encode_one, tasks, chunksize=64):
-            entries[asn] = blocks
-            payloads[asn] = payload
-    session = getattr(args, "session_id", None)
-    return sync.CacheSnapshot(
-        session_id=session if session is not None else 0,
+    return sync.CacheSnapshot.build(
+        workload,
+        cfg,
+        session_id=getattr(args, "session_id", None),
         serial=getattr(args, "serial", 1),
-        cfg=cfg,
-        entries=entries,
-        payloads=payloads,
+        recompress=getattr(args, "recompress", False) or args.scheme in _MINIMAL_SCHEMES,
     )
 
 
@@ -152,23 +127,6 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _decode_pdu_rows(pdu, cfg: HybridConfig) -> list[Vrp]:
-    if isinstance(pdu, wire.PrefixPdu):
-        return [Vrp(pdu.asn, AddressBlock(pdu.prefix, pdu.max_length))]
-    if isinstance(pdu, (wire.SubTreePdu, wire.SubTreeAggPdu)):
-        pairs = pdu.blocks if isinstance(pdu, wire.SubTreeAggPdu) else ((pdu.subtree_id, pdu.bitmap),)
-        levels = cfg.levels(pdu.family)
-        rows = []
-        for sid, bitmap in pairs:
-            block = SubTreeBlock(
-                pdu.family, sid, bitmap, height=subtree_height(levels, subtree_id_level(sid))
-            )
-            _, prefixes = decode_block(levels, block)
-            rows.extend(Vrp(pdu.asn, AddressBlock(p, p.prefixlen)) for p in prefixes)
-        return rows
-    return []
-
-
 def cmd_decode(args) -> int:
     cfg = _build_config(args)
     with open(args.pdufile, "rb") as fh:
@@ -177,11 +135,14 @@ def cmd_decode(args) -> int:
     pdus = reader.feed(data)
     if reader.pending:
         raise wire.FramingError(f"{reader.pending} trailing bytes are not a whole PDU")
-    rows: list[Vrp] = []
+    rows: set[Vrp] = set()
     for pdu in pdus:
-        rows.extend(_decode_pdu_rows(pdu, cfg))
-    rows = sorted(set(rows))
-    text = dump_csv(rows)
+        if not isinstance(pdu, (wire.PrefixPdu, wire.SubTreePdu, wire.SubTreeAggPdu)):
+            continue  # framing PDUs of a captured response carry no rows
+        asn, blocks, prefixes = sync.decode_payload_pdu(pdu, cfg)
+        rows.update(Vrp(asn, b) for b in blocks)
+        rows.update(Vrp(asn, AddressBlock(p, p.prefixlen)) for p in prefixes)
+    text = dump_csv(sorted(rows))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -312,25 +273,26 @@ def cmd_bench(args) -> int:
     else:
         raise ValueError("bench needs a CSV or --synthetic N")
     cfg = _build_config(args)
+    snaps = {
+        rc: sync.CacheSnapshot.build(workload, cfg, session_id=0, recompress=rc)
+        for rc in (False, True)
+    }
+    blocks = []  # decode input: every bitmap block of the hroa payloads
+    batches: dict[tuple[int, int], set[Prefix]] = {}  # encode input: (asn, family) -> prefixes
+    for payload in snaps[False].payloads.values():
+        for b in payload.bm_blocks:
+            levels = cfg.levels(b.family)
+            blocks.append((levels, b))
+            batches.setdefault((payload.asn, b.family), set()).update(decode_block(levels, b)[1])
 
-    per_family: dict[int, set[Prefix]] = {V4: set(), V6: set()}
-    for asn in workload.asns():
-        for block in workload.entries[asn]:
-            if block.height < cfg.delta_l_threshold:
-                per_family[block.prefix.family] |= expand(block, cfg.expansion_cap)
     encode_total = 0
     t0 = time.perf_counter()
     for _ in range(args.reps):
-        for fam, prefixes in per_family.items():
-            if prefixes:
-                encode_batch(cfg.levels(fam), prefixes)
-                encode_total += len(prefixes)
+        for (_, fam), prefixes in batches.items():
+            encode_batch(cfg.levels(fam), prefixes)
+            encode_total += len(prefixes)
     encode_elapsed = time.perf_counter() - t0
 
-    blocks = []
-    for fam, prefixes in per_family.items():
-        if prefixes:
-            blocks.extend((cfg.levels(fam), b) for b in encode_batch(cfg.levels(fam), prefixes))
     decode_total = 0
     t0 = time.perf_counter()
     for _ in range(args.reps):
@@ -340,11 +302,8 @@ def cmd_bench(args) -> int:
     decode_elapsed = time.perf_counter() - t0
 
     schemes = {}
-    base_args = argparse.Namespace(**vars(args))
     for scheme in sync.SCHEMES:
-        base_args.scheme = scheme
-        snapshot = _snapshot(base_args, workload, _build_config(base_args))
-        pdus = sync.payload_pdus(snapshot, scheme)
+        pdus = sync.payload_pdus(snaps[scheme in _MINIMAL_SCHEMES], scheme)
         schemes[scheme] = {
             "pdu_count": len(pdus),
             "total_bytes": sum(len(wire.serialize(p)) for p in pdus),
@@ -357,7 +316,7 @@ def cmd_bench(args) -> int:
         }
     doc = {
         "reps": args.reps,
-        "prefix_count": sum(len(s) for s in per_family.values()),
+        "prefix_count": sum(len(s) for s in batches.values()),
         "encode_mpps": (encode_total / encode_elapsed / 1e6) if encode_elapsed else None,
         "decode_mpps": (decode_total / decode_elapsed / 1e6) if decode_elapsed else None,
         "schemes": schemes,
@@ -449,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("csv")
     p.add_argument("--scheme", choices=sync.SCHEMES, default="hroa")
     p.add_argument("--out", help="write concatenated PDUs here")
-    p.add_argument("--jobs", type=int, default=1, help="parallel per-AS encoding workers")
     p.add_argument("--recompress", action="store_true",
                    help="re-derive minimal blocks from expanded prefixes")
     _add_cfg_flags(p)
@@ -497,10 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generate a scattered workload of N rows instead of reading CSV")
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     _add_cfg_flags(p)
-    p.set_defaults(func=cmd_bench, scheme="hroa")
+    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("serve", help="serve a snapshot over the sync protocol")
     p.add_argument("csv")
@@ -510,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", help="rate limit, e.g. 10mbps (default unlimited)")
     p.add_argument("--session-id", type=int, default=None)
     p.add_argument("--serial", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--recompress", action="store_true")
     _add_cfg_flags(p)
     p.set_defaults(func=cmd_serve)

@@ -44,7 +44,6 @@ class HybridConfig:
 
     delta_l_threshold: float = DEFAULT_HEIGHT_THRESHOLD
     hanging: Mapping[int, HangingLevels] = field(default_factory=_default_hanging)
-    aggregate: bool = False
     expansion_cap: int = DEFAULT_EXPANSION_CAP
 
     def __post_init__(self) -> None:
@@ -62,76 +61,45 @@ class HybridConfig:
 
 
 @dataclass(frozen=True)
-class AggregatedGroup:
-    """Every bitmap block of one AS and one family, merged for the wire."""
-
-    asn: int
-    family: int
-    blocks: tuple[SubTreeBlock, ...]
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError("empty aggregation group")
-        fams = {b.family for b in self.blocks}
-        if fams != {self.family}:
-            raise ValueError("mixed families in one aggregation group")
-        ids = [b.id for b in self.blocks]
-        if list(sorted(ids)) != ids or len(set(ids)) != len(ids):
-            raise ValueError("group blocks must have ascending unique ids")
-
-
-@dataclass(frozen=True)
 class HybridPayload:
-    """One AS's encoded authorization: maxLength blocks plus bitmap blocks."""
+    """One AS's encoded authorization: maxLength blocks plus bitmap blocks.
+
+    ``blocks`` holds the canonical address blocks the split was made from.
+    """
 
     asn: int
     ml_blocks: tuple[AddressBlock, ...]
     bm_blocks: tuple[SubTreeBlock, ...]
-    aggregated: tuple[AggregatedGroup, ...] | None = None
-
-    @property
-    def unit_count(self) -> int:
-        """Payload PDUs this turns into on the wire."""
-        if self.aggregated is not None:
-            return len(self.ml_blocks) + len(self.aggregated)
-        return len(self.ml_blocks) + len(self.bm_blocks)
-
-    def wire_units(self) -> list:
-        """The units pdu_size understands, in canonical emission order."""
-        units: list = list(self.ml_blocks)
-        if self.aggregated is not None:
-            units.extend(self.aggregated)
-        else:
-            units.extend(self.bm_blocks)
-        return units
+    blocks: tuple[AddressBlock, ...] = ()
 
 
-def aggregate_blocks(blocks: Iterable[SubTreeBlock], asn: int) -> AggregatedGroup:
-    """Merge same-family blocks into one wire group, sorted by id."""
-    blist = sorted(blocks, key=lambda b: b.id)
-    if not blist:
-        raise ValueError("nothing to aggregate")
-    fams = {b.family for b in blist}
-    if len(fams) != 1:
-        raise ValueError("cannot aggregate across families")
-    return AggregatedGroup(asn, fams.pop(), tuple(blist))
+def _compress(prefixes) -> list[AddressBlock]:
+    """Minimal blocks of a prefix set, one family at a time, in canonical order."""
+    by_family: dict[int, list[Prefix]] = {V4: [], V6: []}
+    for p in prefixes:
+        by_family[p.family].append(p)
+    out: list[AddressBlock] = []
+    for fam in (V4, V6):
+        if by_family[fam]:
+            out.extend(compress_minimal(by_family[fam]))
+    return out
 
 
-def _as_blocks(cfg: HybridConfig, items, recompress: bool) -> list[AddressBlock]:
+def _as_blocks(cfg: HybridConfig, items, recompress: bool) -> tuple[AddressBlock, ...]:
     """Normalize the input to canonical address blocks."""
     seq = list(items)
     if not seq:
         raise ValueError("empty authorization set")
     if all(isinstance(x, Prefix) for x in seq):
-        return compress_minimal(seq)
+        return tuple(_compress(seq))
     if not all(isinstance(x, AddressBlock) for x in seq):
         raise TypeError("input must be all prefixes or all address blocks")
     if recompress:
         prefixes: set[Prefix] = set()
         for b in seq:
             prefixes |= expand(b, cfg.expansion_cap)
-        return compress_minimal(prefixes)
-    return sorted(set(seq))
+        return tuple(_compress(prefixes))
+    return tuple(sorted(set(seq)))
 
 
 def hybrid_encode(
@@ -159,15 +127,7 @@ def hybrid_encode(
     for fam in (V4, V6):
         if short[fam]:
             bm.extend(encode_batch(cfg.levels(fam), short[fam]))
-    aggregated = None
-    if cfg.aggregate:
-        groups = [
-            aggregate_blocks([b for b in bm if b.family == fam], asn)
-            for fam in (V4, V6)
-            if any(b.family == fam for b in bm)
-        ]
-        aggregated = tuple(groups)
-    return HybridPayload(asn, tuple(ml), tuple(bm), aggregated)
+    return HybridPayload(asn, tuple(ml), tuple(bm), blocks)
 
 
 def hybrid_decode(cfg: HybridConfig, payload: HybridPayload) -> dict[int, set[Prefix]]:
@@ -180,20 +140,42 @@ def hybrid_decode(cfg: HybridConfig, payload: HybridPayload) -> dict[int, set[Pr
         if flag:
             raise ValueError("withdrawal block inside an authorization payload")
         out |= prefixes
-    if payload.aggregated is not None:
-        agg: set[Prefix] = set()
-        for group in payload.aggregated:
-            for sb in group.blocks:
-                flag, prefixes = decode_block(cfg.levels(sb.family), sb)
-                if flag:
-                    raise ValueError("withdrawal block inside an authorization payload")
-                agg |= prefixes
-        flat = set()
-        for sb in payload.bm_blocks:
-            flat |= decode_block(cfg.levels(sb.family), sb)[1]
-        if agg != flat:
-            raise ValueError("aggregated groups disagree with flat blocks")
     return {payload.asn: out}
+
+
+def prefix_pdus(
+    asn: int, blocks: Iterable[AddressBlock], version: int = wire.DEFAULT_VERSION
+) -> list[wire.RtrPdu]:
+    """One announcing prefix PDU per maxLength block, in canonical block order."""
+    return [
+        wire.PrefixPdu(wire.ANNOUNCE, b.prefix, b.max_length, asn, version=version)
+        for b in sorted(blocks)
+    ]
+
+
+def frame_payload(
+    payload: HybridPayload, aggregate: bool = False, version: int = wire.DEFAULT_VERSION
+) -> list[wire.RtrPdu]:
+    """The payload's wire PDUs: hroa, or ahroa when ``aggregate`` is set.
+
+    maxLength blocks become prefix PDUs either way.  hroa sends each bitmap
+    block as its own sub-tree PDU; ahroa packs them per family, v4 first,
+    ids ascending, into as few aggregated PDUs as the PDU length cap allows.
+    """
+    asn = payload.asn
+    pdus = prefix_pdus(asn, payload.ml_blocks, version)
+    if not aggregate:
+        pdus.extend(
+            wire.SubTreePdu(b.family, b.id, b.bitmap, asn, version=version)
+            for b in payload.bm_blocks
+        )
+        return pdus
+    for fam in (V4, V6):
+        pairs = sorted((b.id, b.bitmap) for b in payload.bm_blocks if b.family == fam)
+        cap = wire.agg_capacity(fam)
+        for at in range(0, len(pairs), cap):
+            pdus.append(wire.SubTreeAggPdu(fam, asn, tuple(pairs[at : at + cap]), version=version))
+    return pdus
 
 
 @dataclass(frozen=True)
@@ -219,17 +201,13 @@ def sweep_parameters(
         }
         for thr in thresholds:
             cfg = HybridConfig(
-                delta_l_threshold=thr,
-                hanging=hanging,
-                aggregate=aggregate,
-                expansion_cap=expansion_cap,
+                delta_l_threshold=thr, hanging=hanging, expansion_cap=expansion_cap
             )
             count = 0
             nbytes = 0
             for asn, items in materialized.items():
-                payload = hybrid_encode(cfg, asn, items)
-                for unit in payload.wire_units():
+                for pdu in frame_payload(hybrid_encode(cfg, asn, items), aggregate):
                     count += 1
-                    nbytes += wire.pdu_size(unit)
+                    nbytes += len(wire.serialize(pdu))
             table[(thr, step)] = SweepCell(count, nbytes)
     return table

@@ -20,8 +20,8 @@ from typing import Iterable, Mapping
 
 from . import wire
 from .bmcodec import SubTreeBlock, subtree_height, subtree_id_level, decode_block
-from .hybrid import AggregatedGroup, HybridConfig, HybridPayload, hybrid_encode
-from .mlcodec import compress_minimal
+from .hybrid import HybridConfig, HybridPayload, frame_payload, hybrid_encode, prefix_pdus
+from .mlcodec import compress_minimal  # noqa: F401  perfbench/tracing.py wraps it at this name
 from .prefix import AddressBlock, Prefix, expand
 from .workload import Workload
 
@@ -33,8 +33,6 @@ SERVE_SCHEMES = ("mroa", "hroa", "ahroa")
 DEFAULT_REFRESH = 3600
 DEFAULT_RETRY = 600
 DEFAULT_EXPIRE = 7200
-
-ANNOUNCE = 1  # flags byte of legacy prefix PDUs
 
 
 class SyncError(Exception):
@@ -88,25 +86,10 @@ class CacheSnapshot:
             session_id = random.getrandbits(16)
         entries: dict[int, tuple[AddressBlock, ...]] = {}
         payloads: dict[int, HybridPayload] = {}
-        agg_cfg = cfg if cfg.aggregate else HybridConfig(
-            delta_l_threshold=cfg.delta_l_threshold,
-            hanging=cfg.hanging,
-            aggregate=True,
-            expansion_cap=cfg.expansion_cap,
-        )
         for asn, items in inputs.items():
-            seq = list(items)
-            if seq and isinstance(seq[0], Prefix):
-                blocks = compress_minimal(seq)
-            else:
-                blocks = sorted(set(seq))
-                if recompress:
-                    prefixes: set[Prefix] = set()
-                    for b in blocks:
-                        prefixes |= expand(b, cfg.expansion_cap)
-                    blocks = compress_minimal(prefixes)
-            entries[asn] = tuple(blocks)
-            payloads[asn] = hybrid_encode(agg_cfg, asn, blocks)
+            payload = hybrid_encode(cfg, asn, items, recompress)
+            entries[asn] = payload.blocks
+            payloads[asn] = payload
         return cls(session_id, serial, cfg, entries, payloads)
 
     def authorized_map(self) -> dict[int, set[Prefix]]:
@@ -122,13 +105,6 @@ class CacheSnapshot:
         return sum(len(v) for v in self.authorized_map().values())
 
 
-def _prefix_pdus(asn: int, blocks: Iterable[AddressBlock], version: int) -> list[wire.RtrPdu]:
-    return [
-        wire.PrefixPdu(ANNOUNCE, b.prefix, b.max_length, asn, version=version)
-        for b in sorted(blocks)
-    ]
-
-
 def payload_pdus(
     snapshot: CacheSnapshot, scheme: str, version: int = wire.DEFAULT_VERSION
 ) -> list[wire.RtrPdu]:
@@ -138,36 +114,18 @@ def payload_pdus(
     pdus: list[wire.RtrPdu] = []
     for asn in sorted(snapshot.entries):
         blocks = snapshot.entries[asn]
-        if scheme == "troa":
-            pdus.extend(_prefix_pdus(asn, blocks, version))
+        if scheme in ("troa", "mroa"):
+            pdus.extend(prefix_pdus(asn, blocks, version))
         elif scheme == "sroa":
             singles = set()
             for b in blocks:
                 singles |= expand(b, snapshot.cfg.expansion_cap)
             pdus.extend(
-                wire.PrefixPdu(ANNOUNCE, p, p.prefixlen, asn, version=version)
+                wire.PrefixPdu(wire.ANNOUNCE, p, p.prefixlen, asn, version=version)
                 for p in sorted(singles)
             )
-        elif scheme == "mroa":
-            pdus.extend(_prefix_pdus(asn, blocks, version))
         else:
-            payload = snapshot.payloads[asn]
-            pdus.extend(_prefix_pdus(asn, payload.ml_blocks, version))
-            if scheme == "hroa":
-                pdus.extend(
-                    wire.SubTreePdu(b.family, b.id, b.bitmap, asn, version=version)
-                    for b in payload.bm_blocks
-                )
-            else:  # ahroa
-                for group in payload.aggregated or ():
-                    pdus.append(
-                        wire.SubTreeAggPdu(
-                            group.family,
-                            asn,
-                            tuple((b.id, b.bitmap) for b in group.blocks),
-                            version=version,
-                        )
-                    )
+            pdus.extend(frame_payload(snapshot.payloads[asn], scheme == "ahroa", version))
     return pdus
 
 
@@ -341,11 +299,15 @@ class RtrServer:
             return
 
     def close(self) -> None:
+        """Stop listening and wait for the accept thread to end."""
         self._closing = True
         try:
-            self._sock.close()
+            # wakes the accept() blocked in the accept thread; close alone does not
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._sock.close()
+        self._accept_thread.join()
 
     def __enter__(self) -> "RtrServer":
         return self
@@ -364,28 +326,27 @@ def serve(
     return RtrServer(snapshot, scheme, endpoint[0], endpoint[1], bandwidth_bps)
 
 
-def _decode_payload_pdu(
-    pdu: wire.RtrPdu,
-    cfg: HybridConfig,
-    out: dict[int, set[Prefix]],
-) -> int:
-    """Fold one payload PDU into the map; returns prefixes added."""
+def decode_payload_pdu(
+    pdu: wire.RtrPdu, cfg: HybridConfig
+) -> tuple[int, tuple[AddressBlock, ...], set[Prefix]]:
+    """One payload PDU's AS, its maxLength blocks and its bitmap-decoded prefixes.
+
+    Raises wire.FramingError on a withdrawal, on a sub-tree block the
+    hanging-level profile cannot decode, and on a PDU that is no payload.
+    """
     if isinstance(pdu, wire.PrefixPdu):
         if not pdu.announce:
-            raise ProtocolError("withdrawal PDU in a reset response")
-        got = expand(AddressBlock(pdu.prefix, pdu.max_length), cfg.expansion_cap)
-        out.setdefault(pdu.asn, set()).update(got)
-        return len(got)
+            raise wire.FramingError("withdrawal PDU in an authorization payload")
+        return pdu.asn, (AddressBlock(pdu.prefix, pdu.max_length),), set()
     if isinstance(pdu, wire.SubTreePdu):
-        pairs = [(pdu.subtree_id, pdu.bitmap)]
-        family, asn = pdu.family, pdu.asn
+        pairs: Iterable[tuple[int, int]] = ((pdu.subtree_id, pdu.bitmap),)
     elif isinstance(pdu, wire.SubTreeAggPdu):
-        pairs = list(pdu.blocks)
-        family, asn = pdu.family, pdu.asn
+        pairs = pdu.blocks
     else:
-        raise ProtocolError(f"unexpected PDU {type(pdu).__name__} in payload")
+        raise wire.FramingError(f"unexpected PDU {type(pdu).__name__} in payload")
+    family = pdu.family
     levels = cfg.levels(family)
-    added = 0
+    out: set[Prefix] = set()
     for sid, bitmap in pairs:
         try:
             block = SubTreeBlock(
@@ -393,12 +354,11 @@ def _decode_payload_pdu(
             )
             flag, prefixes = decode_block(levels, block)
         except ValueError as exc:
-            raise ProtocolError(f"bad sub-tree block: {exc}") from None
+            raise wire.FramingError(f"bad sub-tree block: {exc}") from None
         if flag:
-            raise ProtocolError("withdrawal block in a reset response")
-        out.setdefault(asn, set()).update(prefixes)
-        added += len(prefixes)
-    return added
+            raise wire.FramingError("withdrawal block in an authorization payload")
+        out |= prefixes
+    return pdu.asn, (), out
 
 
 def fetch(
@@ -454,7 +414,14 @@ def fetch(
                         report.skipped_unknown += 1
                         continue
                     report.pdu_count += 1
-                    _decode_payload_pdu(pdu, cfg, out)
+                    try:
+                        asn, blocks, prefixes = decode_payload_pdu(pdu, cfg)
+                    except wire.FramingError as exc:
+                        raise ProtocolError(str(exc)) from None
+                    acc = out.setdefault(asn, set())
+                    acc |= prefixes
+                    for block in blocks:
+                        acc |= expand(block, cfg.expansion_cap)
     finally:
         report.elapsed = time.perf_counter() - t0
     report.decode_count = sum(len(s) for s in out.values())

@@ -45,6 +45,7 @@ PDU_IPV6_SUBTREE_AGG = 15
 
 DEFAULT_VERSION = 1
 MAX_PDU_LEN = 65535
+ANNOUNCE = 1  # flags byte of an announcing prefix PDU
 
 _HDR = struct.Struct(">BBHI")
 
@@ -161,6 +162,11 @@ def _check_u16(value: int, what: str) -> int:
 
 def _id_bytes(family: int) -> int:
     return 4 if family == V4 else 16
+
+
+def agg_capacity(family: int) -> int:
+    """Most (id, bitmap) pairs one aggregated PDU of the family can hold."""
+    return (MAX_PDU_LEN - 12) // (_id_bytes(family) + 4)
 
 
 def serialize(pdu: RtrPdu) -> bytes:
@@ -378,22 +384,3 @@ class PduReader:
         """Bytes buffered but not yet parseable."""
         return len(self._buf)
 
-
-def pdu_size(unit) -> int:
-    """Wire bytes one payload unit costs, without serializing it.
-
-    Accepts an AddressBlock (legacy prefix PDU), a SubTreeBlock, or an
-    AggregatedGroup.
-    """
-    from .prefix import AddressBlock
-    from .bmcodec import SubTreeBlock
-    from .hybrid import AggregatedGroup  # local import breaks the module cycle
-
-    if isinstance(unit, AddressBlock):
-        return 20 if unit.prefix.family == V4 else 32
-    if isinstance(unit, SubTreeBlock):
-        return 20 if unit.family == V4 else 32
-    if isinstance(unit, AggregatedGroup):
-        stride = 8 if unit.family == V4 else 20
-        return 12 + stride * len(unit.blocks)
-    raise TypeError(f"no wire size for {unit!r}")

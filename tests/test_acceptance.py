@@ -21,11 +21,11 @@ from hroa.bmcodec import (
     make_subtree_id,
     stm_decode,
 )
-from hroa.hybrid import HybridConfig, hybrid_decode, hybrid_encode
+from hroa.hybrid import HybridConfig, frame_payload, hybrid_decode, hybrid_encode
 from hroa.levelopt import CostModel, optimize_levels
 from hroa.mlcodec import compress_minimal, scatter_degree
 from hroa.prefix import V4, V6, AddressBlock, Prefix, expand, parse_prefix
-from hroa.sync import CacheSnapshot, fetch, payload_pdus, serve
+from hroa.sync import CacheSnapshot, decode_payload_pdu, fetch, payload_pdus, serve
 from hroa.wire import (
     PduReader,
     PrefixPdu,
@@ -143,11 +143,6 @@ def test_criterion_3_round_trip_properties():
                 delta_l_threshold=rng.choice((0, 1, 2, 3, 4, 6, math.inf)),
                 hanging={family: cfg, other: HangingLevels.default(other)},
             )
-            acfg = HybridConfig(
-                delta_l_threshold=hcfg.delta_l_threshold,
-                hanging=hcfg.hanging,
-                aggregate=True,
-            )
             items = []
             seen = set()
             for _ in range(rng.randint(1, 8)):
@@ -162,8 +157,17 @@ def test_criterion_3_round_trip_properties():
             want: set[Prefix] = set()
             for b in items:
                 want |= expand(b)
-            assert hybrid_decode(hcfg, hybrid_encode(hcfg, 64500, items)) == {64500: want}
-            assert hybrid_decode(acfg, hybrid_encode(acfg, 64500, items)) == {64500: want}
+            payload = hybrid_encode(hcfg, 64500, items)
+            assert hybrid_decode(hcfg, payload) == {64500: want}
+            # aggregated: the payload's ahroa PDUs through the client's decoder
+            got: set[Prefix] = set()
+            for pdu in frame_payload(payload, aggregate=True):
+                asn, blocks, prefixes = decode_payload_pdu(pdu, hcfg)
+                assert asn == 64500
+                got |= prefixes
+                for b in blocks:
+                    got |= expand(b)
+            assert got == want
             hybrid += 1
     elapsed = time.perf_counter() - t0
     ok = plain >= 2 * cases_per_family and hybrid > 0 and elapsed < 60.0

@@ -10,6 +10,7 @@ import pytest
 
 from hroa import cli, sync, wire
 from hroa.cli import _parse_bandwidth, main
+from hroa.prefix import V4, parse_prefix
 from hroa.workload import load_csv
 
 FIG_CSV = """asn,prefix,max_length
@@ -68,18 +69,32 @@ def test_decode_rejects_trailing_garbage(fig_csv, tmp_path, capsys):
     assert code == 2
 
 
-def test_encode_jobs_match_serial(fig_csv, tmp_path, capsys):
-    extra = tmp_path / "multi.csv"
-    extra.write_text(FIG_CSV + "AS64500,10.0.0.0/16,18\nAS64501,2001:db8::/64,\n")
-    one = str(tmp_path / "one.pdus")
-    two = str(tmp_path / "two.pdus")
-    code, out1 = _run(capsys, ["encode", str(extra), "--out", one])
-    assert code == 0
-    code, out2 = _run(capsys, ["encode", str(extra), "--jobs", "2", "--out", two])
-    assert code == 0
-    assert json.loads(out1) == json.loads(out2)
-    with open(one, "rb") as a, open(two, "rb") as b:
-        assert a.read() == b.read()
+@pytest.mark.parametrize(
+    "pdu",
+    [
+        wire.SubTreePdu(V4, 1878001, 55, 7497),  # bitmap bit 0: a withdrawal
+        wire.SubTreePdu(V4, (1 << 3) | 5, 2, 7497),  # id at level 3, not in the profile
+        wire.PrefixPdu(0, parse_prefix("10.0.0.0/8"), 8, 64500),  # flags 0: a withdrawal
+    ],
+    ids=["subtree-withdrawal", "level-not-in-profile", "prefix-withdrawal"],
+)
+def test_decode_rejects_invalid_payload(pdu, tmp_path, capsys):
+    pdufile = tmp_path / "bad.pdus"
+    pdufile.write_bytes(wire.serialize(pdu))
+    code, out = _run(capsys, ["decode", str(pdufile)])
+    assert code == 2
+    assert out == ""
+
+
+def test_encode_dual_stack_as_with_recompress(tmp_path, capsys):
+    path = tmp_path / "dual.csv"
+    path.write_text("AS64500,192.0.2.0/24,\nAS64500,2001:db8::/32,\n")
+    for scheme in ("mroa", "sroa", "hroa"):
+        code, out = _run(capsys, ["encode", str(path), "--scheme", scheme, "--recompress"])
+        assert code == 0, scheme
+        doc = json.loads(out)
+        assert doc["per_family"]["v4"]["pdu_count"] == 1
+        assert doc["per_family"]["v6"]["pdu_count"] == 1
 
 
 def test_encode_delta_l_and_levels_flags(fig_csv, capsys):

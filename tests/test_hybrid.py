@@ -5,16 +5,17 @@ import pytest
 
 from hroa.bmcodec import HangingLevels, SubTreeBlock
 from hroa.hybrid import (
-    AggregatedGroup,
     HybridConfig,
     HybridPayload,
     SweepCell,
-    aggregate_blocks,
+    frame_payload,
     hybrid_decode,
     hybrid_encode,
     sweep_parameters,
 )
 from hroa.prefix import V4, V6, AddressBlock, Prefix, expand, parse_prefix
+from hroa.sync import CacheSnapshot, decode_payload_pdu, payload_pdus
+from hroa.wire import MAX_PDU_LEN, SubTreeAggPdu, SubTreePdu, agg_capacity, serialize
 
 FIG_PREFIXES = [
     parse_prefix("202.127.16.0/20"),
@@ -45,7 +46,7 @@ def test_worked_example_single_block():
     payload = hybrid_encode(HybridConfig(), 7497, FIG_PREFIXES)
     assert payload.ml_blocks == ()
     assert payload.bm_blocks == (SubTreeBlock(V4, 1878001, 54, height=5),)
-    assert payload.unit_count == 1
+    assert len(frame_payload(payload)) == len(frame_payload(payload, aggregate=True)) == 1
     assert hybrid_decode(HybridConfig(), payload) == {7497: set(FIG_PREFIXES)}
 
 
@@ -124,44 +125,53 @@ def test_mixed_input_types_rejected():
         hybrid_encode(HybridConfig(), 64500, [])
 
 
+def _decode_pdus(pdus, cfg):
+    """{asn: prefixes} of payload PDUs, through the sync client's decoder."""
+    out = {}
+    for pdu in pdus:
+        asn, blocks, prefixes = decode_payload_pdu(pdu, cfg)
+        acc = out.setdefault(asn, set())
+        acc |= prefixes
+        for b in blocks:
+            acc |= expand(b, cfg.expansion_cap)
+    return out
+
+
 def test_aggregation_groups_per_family():
-    cfg = HybridConfig(aggregate=True)
+    cfg = HybridConfig()
     items = [
         _blk("10.0.0.0/24"),
         _blk("10.32.0.0/24"),
         _blk("2001:db8::/64"),
     ]
     payload = hybrid_encode(cfg, 64500, items)
-    assert payload.aggregated is not None
-    fams = [g.family for g in payload.aggregated]
-    assert fams == [V4, V6]
-    v4_group = payload.aggregated[0]
-    assert [b.id for b in v4_group.blocks] == sorted(b.id for b in v4_group.blocks)
-    assert payload.unit_count == 2
     assert len(payload.bm_blocks) == 3
-    assert hybrid_decode(cfg, payload) == {
+    pdus = frame_payload(payload, aggregate=True)
+    assert [type(p) for p in pdus] == [SubTreeAggPdu, SubTreeAggPdu]
+    assert [p.family for p in pdus] == [V4, V6]
+    v4_ids = [sid for sid, _ in pdus[0].blocks]
+    assert len(v4_ids) == 2 and v4_ids == sorted(v4_ids)
+    assert [type(p) for p in frame_payload(payload)] == [SubTreePdu] * 3
+    assert _decode_pdus(pdus, cfg) == {
         64500: {parse_prefix("10.0.0.0/24"), parse_prefix("10.32.0.0/24"), parse_prefix("2001:db8::/64")}
     }
 
 
-def test_decode_rejects_withdrawals_and_disagreement():
+def test_aggregation_sorts_and_splits_at_the_length_cap():
+    # blocks given out of order, and more v6 sub-trees than one PDU holds
+    v6 = [SubTreeBlock(V6, sid, 2, height=5) for sid in range(agg_capacity(V6) + 1, 0, -1)]
+    v4 = [SubTreeBlock(V4, 9, 2, height=3), SubTreeBlock(V4, 3, 2, height=3)]
+    pdus = frame_payload(HybridPayload(64500, (), tuple(v6 + v4)), aggregate=True)
+    assert [(p.family, len(p.blocks)) for p in pdus] == [(V4, 2), (V6, agg_capacity(V6)), (V6, 1)]
+    ids = [sid for p in pdus for sid, _ in p.blocks]
+    assert ids == [3, 9] + list(range(1, agg_capacity(V6) + 2))
+    assert all(len(serialize(p)) <= MAX_PDU_LEN for p in pdus)
+
+
+def test_decode_rejects_withdrawals():
     wd = SubTreeBlock(V4, 1878001, 55, height=5)
     with pytest.raises(ValueError):
         hybrid_decode(HybridConfig(), HybridPayload(7497, (), (wd,)))
-    ann = SubTreeBlock(V4, 1878001, 54, height=5)
-    other = SubTreeBlock(V4, 1878002, 2, height=5)
-    bad = HybridPayload(7497, (), (ann,), (AggregatedGroup(7497, V4, (other,)),))
-    with pytest.raises(ValueError):
-        hybrid_decode(HybridConfig(), bad)
-
-
-def test_aggregate_blocks_validation():
-    with pytest.raises(ValueError):
-        aggregate_blocks([], 64500)
-    with pytest.raises(ValueError):
-        aggregate_blocks(
-            [SubTreeBlock(V4, 9, 2, height=5), SubTreeBlock(V6, 9, 2, height=5)], 64500
-        )
 
 
 def _random_blocks(rng, count):
@@ -179,7 +189,6 @@ def _random_blocks(rng, count):
 def test_random_round_trip_across_thresholds(threshold):
     rng = random.Random(int(threshold) if threshold != math.inf else 99)
     cfg = HybridConfig(delta_l_threshold=threshold)
-    agg = HybridConfig(delta_l_threshold=threshold, aggregate=True)
     for _ in range(60):
         blocks = _random_blocks(rng, rng.randint(1, 25))
         want = set()
@@ -187,9 +196,9 @@ def test_random_round_trip_across_thresholds(threshold):
             want |= expand(b)
         payload = hybrid_encode(cfg, 64500, blocks)
         assert hybrid_decode(cfg, payload) == {64500: want}
-        payload2 = hybrid_encode(agg, 64500, blocks)
-        assert hybrid_decode(agg, payload2) == {64500: want}
-        assert payload2.unit_count <= payload.unit_count
+        aggregated = frame_payload(payload, aggregate=True)
+        assert _decode_pdus(aggregated, cfg) == {64500: want}
+        assert len(aggregated) <= len(frame_payload(payload))
 
 
 def test_sweep_grid_shape_and_consistency():
@@ -205,3 +214,16 @@ def test_sweep_grid_shape_and_consistency():
     assert grid[(3, 5)].pdu_count == 2
     agg = sweep_parameters(inputs, [math.inf], [5], aggregate=True)
     assert agg[(math.inf, 5)].pdu_count <= grid[(math.inf, 5)].pdu_count
+
+
+@pytest.mark.parametrize("aggregate", [False, True])
+def test_sweep_cell_matches_served_pdus(aggregate):
+    inputs = {
+        7497: FIG_PREFIXES,
+        64500: [_blk("10.0.0.0/8", 16), _blk("192.0.2.0/24", 25), _blk("2001:db8::/64")],
+        64501: [_blk("198.51.100.0/24"), _blk("203.0.113.0/24")],
+    }
+    grid = sweep_parameters(inputs, [3], [5], aggregate=aggregate)
+    snap = CacheSnapshot.build(inputs, session_id=1)
+    pdus = payload_pdus(snap, "ahroa" if aggregate else "hroa")
+    assert grid[(3, 5)] == SweepCell(len(pdus), sum(len(serialize(p)) for p in pdus))

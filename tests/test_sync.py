@@ -1,12 +1,15 @@
+import gc
 import math
 import socket
+import threading
 import time
+import weakref
 
 import pytest
 
 from hroa import wire
 from hroa.hybrid import HybridConfig
-from hroa.prefix import AddressBlock, parse_prefix
+from hroa.prefix import V4, AddressBlock, Prefix, parse_prefix
 from hroa.sync import (
     CacheErrorReport,
     CacheSnapshot,
@@ -43,6 +46,27 @@ def test_snapshot_canonicalizes_prefix_input():
     )
     assert snap.authorized_map() == {7497: set(FIG_INPUT[7497])}
     assert snap.vrp_total() == 4
+
+
+def test_snapshot_recompresses_dual_stack_as():
+    # one AS with rows of both families: each family is compressed on its own
+    inputs = {
+        64500: [
+            AddressBlock(parse_prefix("192.0.2.0/24"), 24),
+            AddressBlock(parse_prefix("192.0.2.0/25"), 25),
+            AddressBlock(parse_prefix("192.0.2.128/25"), 25),
+            AddressBlock(parse_prefix("2001:db8::/64"), 66),
+        ]
+    }
+    snap = _snapshot(inputs, recompress=True)
+    assert snap.entries[64500] == (
+        AddressBlock(parse_prefix("192.0.2.0/24"), 25),
+        AddressBlock(parse_prefix("2001:db8::/64"), 66),
+    )
+    assert snap.authorized_map() == _snapshot(inputs).authorized_map()
+    with serve(snap, "mroa") as server:
+        got, report = fetch(server.endpoint)
+    assert got == snap.authorized_map() and report.pdu_count == 2
 
 
 def test_payload_pdu_counts_per_scheme():
@@ -105,6 +129,42 @@ def test_loopback_fetch_synthetic_scattered():
     assert counts["mroa"] == 300
     assert counts["hroa"] < counts["mroa"]
     assert counts["ahroa"] < counts["hroa"]
+
+
+def test_aggregated_group_over_the_length_cap_is_split():
+    # 8,191 /24s in distinct level-20 sub-trees: one pair more than a
+    # single v4 aggregated PDU holds
+    count = wire.agg_capacity(V4) + 1
+    inputs = {64500: [Prefix(V4, (10 << 24) + (i << 12), 24) for i in range(count)]}
+    snap = CacheSnapshot.build(inputs, session_id=3)
+    pdus = payload_pdus(snap, "ahroa")
+    assert [len(p.blocks) for p in pdus] == [count - 1, 1]
+    with serve(snap, "ahroa") as server:
+        got, report = fetch(server.endpoint)
+    assert got == {64500: set(inputs[64500])}
+    assert report.pdu_count == 2
+
+
+def test_close_ends_accept_thread_and_frees_server():
+    snap = _snapshot()
+    baseline = threading.active_count()
+    accept_threads = []
+    refs = []
+    for _ in range(5):
+        server = RtrServer(snap, "hroa")
+        fetch(server.endpoint)
+        server.close()
+        accept_threads.append(server._accept_thread)
+        refs.append(weakref.ref(server))
+        del server
+    assert not any(t.is_alive() for t in accept_threads)
+    deadline = time.monotonic() + 5
+    while threading.active_count() > baseline and time.monotonic() < deadline:
+        time.sleep(0.01)  # connection threads end once they see the client hang up
+    # threads of earlier tests may end meanwhile, so the count can only drop
+    assert threading.active_count() <= baseline
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_custom_config_round_trip():

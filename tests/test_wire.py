@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hroa import wire
-from hroa.bmcodec import SubTreeBlock
-from hroa.hybrid import AggregatedGroup
 from hroa.prefix import V4, V6, AddressBlock, Prefix, parse_prefix
 from hroa.wire import (
     CacheResponse,
@@ -21,8 +19,8 @@ from hroa.wire import (
     SubTreePdu,
     TruncatedPdu,
     UnknownPdu,
+    agg_capacity,
     deserialize,
-    pdu_size,
     serialize,
 )
 
@@ -249,17 +247,20 @@ def test_arbitrary_bytes_never_crash(data):
         pass
 
 
-def test_pdu_size_matches_serializer():
+def test_payload_pdu_sizes():
     ab4 = AddressBlock(parse_prefix("10.0.0.0/16"), 20)
     ab6 = AddressBlock(parse_prefix("2001:db8::/32"), 40)
-    assert pdu_size(ab4) == 20 == len(serialize(PrefixPdu(1, ab4.prefix, 20, 1)))
-    assert pdu_size(ab6) == 32 == len(serialize(PrefixPdu(1, ab6.prefix, 40, 1)))
-    sb = SubTreeBlock(V4, 1878001, 54, height=5)
-    assert pdu_size(sb) == 20
-    sb6 = SubTreeBlock(V6, 1, 2, height=5)
-    assert pdu_size(sb6) == 32
-    group = AggregatedGroup(7497, V4, (SubTreeBlock(V4, 9, 2, height=3), sb))
-    raw = serialize(SubTreeAggPdu(V4, 7497, tuple((b.id, b.bitmap) for b in group.blocks)))
-    assert pdu_size(group) == len(raw) == 12 + 8 * 2
-    with pytest.raises(TypeError):
-        pdu_size(42)
+    assert len(serialize(PrefixPdu(1, ab4.prefix, 20, 1))) == 20
+    assert len(serialize(PrefixPdu(1, ab6.prefix, 40, 1))) == 32
+    assert len(serialize(SubTreePdu(V4, 1878001, 54, 1))) == 20
+    assert len(serialize(SubTreePdu(V6, 1, 2, 1))) == 32
+    raw = serialize(SubTreeAggPdu(V4, 7497, ((9, 2), (1878001, 54))))
+    assert len(raw) == 12 + 8 * 2
+    # a full aggregate fits the length cap; one pair more does not
+    for fam, stride in ((V4, 8), (V6, 20)):
+        cap = agg_capacity(fam)
+        pairs = tuple((sid, 2) for sid in range(1, cap + 2))
+        assert len(serialize(SubTreeAggPdu(fam, 1, pairs[:cap]))) == 12 + stride * cap
+        with pytest.raises(FramingError):
+            serialize(SubTreeAggPdu(fam, 1, pairs))
+    assert (agg_capacity(V4), agg_capacity(V6)) == (8190, 3276)
