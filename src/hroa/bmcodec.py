@@ -24,7 +24,11 @@ from typing import Iterable, Iterator
 
 from .prefix import V4, V6, WIDTH, FamilyMismatchError, Prefix
 
-DEFAULT_GAP_CAP = 6
+# Gap cap of the in-memory codec.  The wire bitmap bounds sub-trees to
+# wire.MAX_SUBTREE_HEIGHT (5) levels, checked where a profile is chosen for
+# the wire; acceptance criterion 3's random profiles round-trip height-6
+# sub-trees without serializing them, so the codec itself allows 6.
+MAX_GAP = 6
 
 _DEFAULT_LEVELS = {
     V4: tuple(range(0, 32, 5)),   # 0,5,...,30; terminal sub-tree height 3
@@ -37,12 +41,12 @@ class HangingLevels:
     """A strictly ascending level profile starting at 0.
 
     Gaps between consecutive levels (and the terminal gap to width+1) are
-    capped so bitmaps stay bounded: a gap of h means 2^h-bit bitmaps.
+    capped at ``MAX_GAP`` so bitmaps stay bounded: a gap of h means
+    2^h-bit bitmaps.
     """
 
     family: int
     levels: tuple[int, ...]
-    gap_cap: int = field(default=DEFAULT_GAP_CAP, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in WIDTH:
@@ -52,15 +56,10 @@ class HangingLevels:
             raise ValueError("profile must start at level 0")
         if any(b <= a for a, b in zip(lv, lv[1:])):
             raise ValueError("levels must be strictly ascending")
-        width = WIDTH[self.family]
-        if lv[-1] > width - 1:
-            raise ValueError(f"last level {lv[-1]} exceeds {width - 1}")
-        gaps = [b - a for a, b in zip(lv, lv[1:])]
-        gaps.append(width + 1 - lv[-1])
-        if max(gaps) > self.gap_cap:
-            raise ValueError(
-                f"level gap {max(gaps)} exceeds cap {self.gap_cap}"
-            )
+        if lv[-1] > self.width - 1:
+            raise ValueError(f"last level {lv[-1]} exceeds {self.width - 1}")
+        if self.max_height > MAX_GAP:
+            raise ValueError(f"v{self.family} level gap {self.max_height} exceeds cap {MAX_GAP}")
 
     @classmethod
     def default(cls, family: int) -> "HangingLevels":
@@ -71,21 +70,22 @@ class HangingLevels:
         """Profile 0, step, 2*step, ... below the family width."""
         if step < 1:
             raise ValueError("step must be >= 1")
-        levels = tuple(range(0, WIDTH[family], step))
-        terminal = WIDTH[family] + 1 - levels[-1]
-        return cls(family, levels, gap_cap=max(step, terminal, DEFAULT_GAP_CAP))
+        return cls(family, tuple(range(0, WIDTH[family], step)))
 
     @classmethod
     def explicit(cls, family: int, levels: Iterable[int]) -> "HangingLevels":
-        """User-supplied profile; the gap cap widens to fit what was given."""
-        lv = tuple(sorted(set(levels) | {0}))
-        width = WIDTH[family]
-        gaps = [b - a for a, b in zip(lv, lv[1:])] + [width + 1 - lv[-1]]
-        return cls(family, lv, gap_cap=max(max(gaps), DEFAULT_GAP_CAP))
+        """User-supplied profile: sorted, deduplicated, level 0 added."""
+        return cls(family, tuple(sorted(set(levels) | {0})))
 
     @property
     def width(self) -> int:
         return WIDTH[self.family]
+
+    @property
+    def max_height(self) -> int:
+        """Height of the tallest sub-tree: the widest gap, terminal one included."""
+        bounds = (*self.levels, self.width + 1)
+        return max(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def nearest_hanging_level(cfg: HangingLevels, prefixlen: int) -> int:

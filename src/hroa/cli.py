@@ -16,10 +16,12 @@ import time
 
 from . import sync, wire
 from .bmcodec import HangingLevels, decode_block, encode_batch
-from .hybrid import HybridConfig
+from .hybrid import DEFAULT_HEIGHT_THRESHOLD, HybridConfig, check_wire_fit
 from .levelopt import CostModel, optimize_levels
 from .mlcodec import scatter_degree
-from .prefix import V4, V6, AddressBlock, Prefix, PrefixFormatError, Vrp, expand
+from .prefix import (
+    DEFAULT_EXPANSION_CAP, V4, V6, WIDTH, AddressBlock, Prefix, PrefixFormatError, Vrp, expand
+)
 from .workload import Workload, dump_csv, load_csv, synthetic_scattered
 
 _FAMILY_NAMES = {"v4": V4, "v6": V6}
@@ -29,6 +31,15 @@ _MINIMAL_SCHEMES = ("mroa", "sroa")
 
 def _err(msg: str) -> None:
     print(f"hroa: {msg}", file=sys.stderr)
+
+
+def _write(args, text: str) -> None:
+    """Write the command's output to --out, or to stdout without it."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _parse_levels_arg(values: list[str] | None) -> dict[int, HangingLevels]:
@@ -48,30 +59,24 @@ def _parse_levels_arg(values: list[str] | None) -> dict[int, HangingLevels]:
         if not levels:
             raise ValueError(f"--levels {value!r}: empty")
         for family in (V4, V6):
-            width = 32 if family == V4 else 128
-            fit = [x for x in levels if x <= width - 1]
+            fit = [x for x in levels if x < WIDTH[family]]
             hanging[family] = HangingLevels.explicit(family, fit)
     return hanging
 
 
 def _build_config(args) -> HybridConfig:
-    if getattr(args, "level_multiple", None):
-        if getattr(args, "levels", None):
+    if args.level_multiple:
+        if args.levels:
             raise ValueError("--levels and --level-multiple are mutually exclusive")
-        hanging = {
-            V4: HangingLevels.multiples_of(args.level_multiple, V4),
-            V6: HangingLevels.multiples_of(args.level_multiple, V6),
-        }
+        hanging = {fam: HangingLevels.multiples_of(args.level_multiple, fam) for fam in (V4, V6)}
     else:
-        hanging = _parse_levels_arg(getattr(args, "levels", None))
-    thr_text = getattr(args, "delta_l", None)
-    threshold = 3.0 if thr_text is None else (math.inf if thr_text == "inf" else float(thr_text))
+        hanging = _parse_levels_arg(args.levels)
+    check_wire_fit(hanging)
+    threshold = math.inf if args.delta_l == "inf" else float(args.delta_l)
     if threshold != math.inf and threshold != int(threshold):
         raise ValueError("--delta-l must be an integer or inf")
     return HybridConfig(
-        delta_l_threshold=threshold,
-        hanging=hanging,
-        expansion_cap=getattr(args, "expansion_cap", 20),
+        delta_l_threshold=threshold, hanging=hanging, expansion_cap=args.expansion_cap
     )
 
 
@@ -142,12 +147,7 @@ def cmd_decode(args) -> int:
         asn, blocks, prefixes = sync.decode_payload_pdu(pdu, cfg)
         rows.update(Vrp(asn, b) for b in blocks)
         rows.update(Vrp(asn, AddressBlock(p, p.prefixlen)) for p in prefixes)
-    text = dump_csv(sorted(rows))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, dump_csv(sorted(rows)))
     return 0
 
 
@@ -184,12 +184,7 @@ def cmd_stats(args) -> int:
             for k, v in sorted(groups.items())
         },
     }
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -226,19 +221,14 @@ def cmd_sweep(args) -> int:
         "best_by_count": best_count,
         "best": best_count if args.optimize == "count" else best_bytes,
     }
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0
 
 
 def cmd_optimize_levels(args) -> int:
     workload = load_csv(args.csv)
     family = _FAMILY_NAMES[args.family]
-    threshold = math.inf if args.all_blocks else float(args.delta_l or 3)
+    threshold = math.inf if args.all_blocks else float(args.delta_l)
     prefixes: set[Prefix] = set()
     for vrp in workload.vrps():
         block = vrp.block
@@ -249,12 +239,12 @@ def cmd_optimize_levels(args) -> int:
     if not prefixes:
         raise ValueError(f"no {args.family} prefixes below the threshold")
     model = CostModel(per_block_overhead_bytes=args.overhead_bytes)
-    profile, cost = optimize_levels(prefixes, model, h_max=args.h_max)
+    levels, cost = optimize_levels(prefixes, model)
     doc = {
         "family": args.family,
-        "levels": list(profile.levels),
+        "levels": list(levels),
         "cost_bytes": cost,
-        "h_max": args.h_max,
+        "h_max": wire.MAX_SUBTREE_HEIGHT,
         "prefix_count": len(prefixes),
     }
     text = json.dumps(doc, sort_keys=True)
@@ -322,12 +312,7 @@ def cmd_bench(args) -> int:
         "schemes": schemes,
         "reduction_vs_mroa": reductions,
     }
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -391,10 +376,11 @@ def _add_cfg_flags(p: argparse.ArgumentParser) -> None:
                    help="hanging levels: comma list or profile JSON (repeatable)")
     p.add_argument("--level-multiple", type=int, metavar="M",
                    help="hanging levels at multiples of M")
-    p.add_argument("--delta-l", metavar="T",
-                   help="block height threshold for the maxLength path (int or inf, default 3)")
-    p.add_argument("--expansion-cap", type=int, default=20,
-                   help="largest block height expand() accepts (default 20)")
+    p.add_argument("--delta-l", metavar="T", default=str(DEFAULT_HEIGHT_THRESHOLD),
+                   help="block height threshold for the maxLength path "
+                   "(int or inf, default %(default)s)")
+    p.add_argument("--expansion-cap", type=int, default=DEFAULT_EXPANSION_CAP,
+                   help="largest block height expand() accepts (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,21 +417,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("csv")
     p.add_argument("--thresholds", default="0,1,2,3,4,5",
                    help="comma list, inf allowed (default 0,1,2,3,4,5)")
-    p.add_argument("--multiples", default="3,4,5,6", help="comma list (default 3,4,5,6)")
+    p.add_argument("--multiples", default="3,4,5", help="comma list (default 3,4,5)")
     p.add_argument("--optimize", choices=("bytes", "count"), default="bytes")
     p.add_argument("--aggregate", action="store_true")
-    p.add_argument("--expansion-cap", type=int, default=20)
+    p.add_argument("--expansion-cap", type=int, default=DEFAULT_EXPANSION_CAP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("optimize-levels", help="fit a hanging-level profile to a workload")
     p.add_argument("csv")
     p.add_argument("--family", choices=("v4", "v6"), default="v4")
-    p.add_argument("--h-max", type=int, default=6)
-    p.add_argument("--delta-l", help="only optimize blocks below this height (default 3)")
+    p.add_argument("--delta-l", default=str(DEFAULT_HEIGHT_THRESHOLD),
+                   help="only optimize blocks below this height (default %(default)s)")
     p.add_argument("--all-blocks", action="store_true", help="optimize over every block")
-    p.add_argument("--overhead-bytes", type=int, default=12)
-    p.add_argument("--expansion-cap", type=int, default=20)
+    p.add_argument("--overhead-bytes", type=int, default=CostModel.per_block_overhead_bytes)
+    p.add_argument("--expansion-cap", type=int, default=DEFAULT_EXPANSION_CAP)
     p.add_argument("--out", help="write the profile JSON here (usable via --levels)")
     p.set_defaults(func=cmd_optimize_levels)
 

@@ -33,6 +33,17 @@ def _default_hanging() -> dict[int, HangingLevels]:
     return {V4: HangingLevels.default(V4), V6: HangingLevels.default(V6)}
 
 
+def check_wire_fit(hanging: Mapping[int, HangingLevels]) -> None:
+    """Raise ValueError unless every profile's sub-trees fit the wire bitmap."""
+    for fam in (V4, V6):
+        height = hanging[fam].max_height
+        if height > wire.MAX_SUBTREE_HEIGHT:
+            raise ValueError(
+                f"v{fam} profile has a sub-tree of height {height}; "
+                f"the wire bitmap holds at most {wire.MAX_SUBTREE_HEIGHT} levels"
+            )
+
+
 @dataclass(frozen=True)
 class HybridConfig:
     """Knobs for the hybrid split.
@@ -195,10 +206,8 @@ def sweep_parameters(
     table: dict[tuple[float, int], SweepCell] = {}
     materialized = {asn: list(items) for asn, items in inputs.items()}
     for step in level_multiples:
-        hanging = {
-            V4: HangingLevels.multiples_of(step, V4),
-            V6: HangingLevels.multiples_of(step, V6),
-        }
+        hanging = {fam: HangingLevels.multiples_of(step, fam) for fam in (V4, V6)}
+        check_wire_fit(hanging)
         for thr in thresholds:
             cfg = HybridConfig(
                 delta_l_threshold=thr, hanging=hanging, expansion_cap=expansion_cap

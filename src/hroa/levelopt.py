@@ -12,29 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .prefix import V4, V6, WIDTH, FamilyMismatchError, Prefix
-from .bmcodec import DEFAULT_GAP_CAP, HangingLevels, encode_batch
+from . import wire
+from .prefix import WIDTH, FamilyMismatchError, Prefix
+from .bmcodec import HangingLevels, encode_batch
 
 
 @dataclass(frozen=True)
 class CostModel:
     """Bytes one block costs: fixed overhead + identifier + bitmap.
 
-    The defaults mirror the unaggregated wire layout (8-byte header plus
-    4-byte AS number around the id/bitmap pair), with the bitmap priced at
-    its packed width instead of the wire's fixed 4 bytes.
+    The overhead defaults to the unaggregated wire layout's header plus AS
+    number, and the identifier is priced at its wire width; the bitmap is
+    priced at its packed width instead of the wire's fixed 4 bytes.
     """
 
-    per_block_overhead_bytes: int = 12
-    id_bytes_v4: int = 4
-    id_bytes_v6: int = 16
-
-    def id_bytes(self, family: int) -> int:
-        if family == V4:
-            return self.id_bytes_v4
-        if family == V6:
-            return self.id_bytes_v6
-        raise ValueError(f"bad family {family!r}")
+    per_block_overhead_bytes: int = wire.PAYLOAD_OVERHEAD
 
     def bitmap_bytes(self, height: int) -> int:
         if height < 1:
@@ -42,7 +34,8 @@ class CostModel:
         return ((1 << height) + 7) // 8
 
     def block_size(self, family: int, height: int) -> int:
-        return self.per_block_overhead_bytes + self.id_bytes(family) + self.bitmap_bytes(height)
+        id_bytes = wire.LAYOUT[family].addr_bytes
+        return self.per_block_overhead_bytes + id_bytes + self.bitmap_bytes(height)
 
 
 def count_nonempty_subtrees(workload: Iterable[Prefix], level: int, bound: int) -> int:
@@ -83,15 +76,16 @@ def _num_table(pairs: Sequence[tuple[int, int]], width: int) -> list[list[int]]:
 def optimize_levels(
     workload: Iterable[Prefix],
     model: CostModel | None = None,
-    h_max: int = DEFAULT_GAP_CAP,
+    h_max: int = wire.MAX_SUBTREE_HEIGHT,
     width: int | None = None,
-) -> tuple[HangingLevels, int]:
-    """Cheapest hanging-level profile for a workload under a cost model.
+) -> tuple[tuple[int, ...], int]:
+    """Cheapest hanging levels for a workload under a cost model: (levels, cost).
 
     Every gap between cuts, and the terminal gap to width+1, stays within
-    ``h_max``.  Ties break toward fewer cuts, then the lexicographically
-    smallest profile.  ``width`` below the family width restricts the
-    universe to shallow tries for constrained studies.
+    ``h_max``, which defaults to the tallest sub-tree the wire can carry.
+    Ties break toward fewer cuts, then the lexicographically smallest
+    profile.  ``width`` below the family width restricts the universe to
+    shallow tries for constrained studies.
     """
     model = model or CostModel()
     if h_max < 1:
@@ -141,13 +135,7 @@ def optimize_levels(
     if not finals:
         raise ValueError(f"no profile satisfies h_max={h_max} at width {width}")
     total, _, levels = min(finals)
-    if width == WIDTH[family]:
-        profile = HangingLevels(family, levels, gap_cap=h_max)
-    else:
-        # Toy-width profiles: validity is relative to the reduced universe,
-        # so only the explicit constructor's widened cap fits.
-        profile = HangingLevels.explicit(family, levels)
-    return profile, total
+    return levels, total
 
 
 def simulate_profile_cost(

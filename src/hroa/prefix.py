@@ -110,10 +110,6 @@ def parse_prefix(text: str, strict: bool = True) -> Prefix:
     return Prefix(family, int(net.network_address), net.prefixlen)
 
 
-def format_prefix(prefix: Prefix) -> str:
-    return str(prefix)
-
-
 def covers(outer: Prefix, inner: Prefix) -> bool:
     """True when inner lies in outer's sub-tree (reflexive)."""
     if outer.family != inner.family:
@@ -162,8 +158,3 @@ def expand(block: AddressBlock, cap: int = DEFAULT_EXPANSION_CAP) -> set[Prefix]
         out.update(nxt)
         frontier = nxt
     return out
-
-
-def sorted_prefixes(prefixes) -> list[Prefix]:
-    """Canonical (family, bits, prefixlen) ordering."""
-    return sorted(prefixes)

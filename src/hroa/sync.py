@@ -15,7 +15,7 @@ import random
 import socket
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 from . import wire
@@ -217,17 +217,12 @@ class RtrServer:
         self._sock.bind((host, port))
         self._sock.listen(16)
         self._closing = False
-        self._threads: list[threading.Thread] = []
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
 
     @property
     def endpoint(self) -> tuple[str, int]:
         return self._sock.getsockname()[:2]
-
-    @property
-    def port(self) -> int:
-        return self.endpoint[1]
 
     @property
     def response_bytes(self) -> int:
@@ -239,9 +234,7 @@ class RtrServer:
                 conn, peer = self._sock.accept()
             except OSError:
                 return
-            t = threading.Thread(target=self._serve_conn, args=(conn, peer), daemon=True)
-            t.start()
-            self._threads.append(t)
+            threading.Thread(target=self._serve_conn, args=(conn, peer), daemon=True).start()
 
     def _send(self, conn: socket.socket, blob: bytes) -> None:
         if self._bucket is None:

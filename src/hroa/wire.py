@@ -20,9 +20,11 @@ Fixed layouts handled here (lengths in bytes):
     type 14  v4 sub-tree agg   12+8k   asn, then k (id4, bitmap4) pairs
     type 15  v6 sub-tree agg   12+20k  asn, then k (id16, bitmap4) pairs
 
-Sub-tree PDUs carry announce/withdraw in bitmap bit 0; there is no flags
-byte.  Unrecognized types pass through as ``UnknownPdu`` holding the raw
-bytes so a stream survives foreign PDUs untouched.
+Types 4/6 and 12-15 take their codes and lengths from ``LAYOUT``.  Sub-tree
+PDUs carry announce/withdraw in bitmap bit 0, with no flags byte; a height-h
+sub-tree needs 2^h bits, so the 32-bit bitmap caps sub-trees at
+``MAX_SUBTREE_HEIGHT`` levels.  Unrecognized types pass through as
+``UnknownPdu`` holding the raw bytes so a stream survives foreign PDUs.
 """
 
 from __future__ import annotations
@@ -34,20 +36,55 @@ from .prefix import V4, V6, Prefix
 
 PDU_RESET_QUERY = 2
 PDU_CACHE_RESPONSE = 3
-PDU_IPV4_PREFIX = 4
-PDU_IPV6_PREFIX = 6
 PDU_END_OF_DATA = 7
 PDU_ERROR_REPORT = 10
-PDU_IPV4_SUBTREE = 12
-PDU_IPV6_SUBTREE = 13
-PDU_IPV4_SUBTREE_AGG = 14
-PDU_IPV6_SUBTREE_AGG = 15
 
 DEFAULT_VERSION = 1
 MAX_PDU_LEN = 65535
 ANNOUNCE = 1  # flags byte of an announcing prefix PDU
 
 _HDR = struct.Struct(">BBHI")
+HEADER_BYTES = _HDR.size
+ASN_BYTES = 4
+BITMAP_BITS = 32
+BITMAP_BYTES = BITMAP_BITS // 8
+MAX_SUBTREE_HEIGHT = BITMAP_BITS.bit_length() - 1  # height h needs 2^h bits: 5
+# what a sub-tree PDU or an aggregate spends besides its (id, bitmap) pairs
+PAYLOAD_OVERHEAD = HEADER_BYTES + ASN_BYTES
+
+
+class Layout:
+    """The wire facts of one address family."""
+
+    __slots__ = ("family", "addr_bytes", "prefix_type", "subtree_type", "agg_type",
+                 "prefix_len", "pair_bytes", "subtree_len")
+
+    def __init__(self, family: int, addr_bytes: int, prefix_type: int, subtree_type: int,
+                 agg_type: int):
+        self.family = family
+        self.addr_bytes = addr_bytes  # prefix address in types 4/6, sub-tree id in 12-15
+        self.prefix_type, self.subtree_type, self.agg_type = prefix_type, subtree_type, agg_type
+        self.prefix_len = HEADER_BYTES + 4 + addr_bytes + ASN_BYTES  # 4: flags, len, maxlen, 0
+        self.pair_bytes = addr_bytes + BITMAP_BYTES  # one (id, bitmap) pair
+        self.subtree_len = self.agg_len(1)
+
+    def agg_len(self, pairs: int) -> int:
+        return PAYLOAD_OVERHEAD + self.pair_bytes * pairs
+
+
+LAYOUT = {
+    V4: Layout(V4, addr_bytes=4, prefix_type=4, subtree_type=12, agg_type=14),
+    V6: Layout(V6, addr_bytes=16, prefix_type=6, subtree_type=13, agg_type=15),
+}
+_PREFIX_TYPES = {lay.prefix_type: lay for lay in LAYOUT.values()}
+_SUBTREE_TYPES = {lay.subtree_type: lay for lay in LAYOUT.values()}
+_AGG_TYPES = {lay.agg_type: lay for lay in LAYOUT.values()}
+# every type whose PDUs have one length; error reports and aggregates vary
+_FIXED_LEN = {
+    PDU_RESET_QUERY: HEADER_BYTES, PDU_CACHE_RESPONSE: HEADER_BYTES, PDU_END_OF_DATA: 24,
+    **{lay.prefix_type: lay.prefix_len for lay in LAYOUT.values()},
+    **{lay.subtree_type: lay.subtree_len for lay in LAYOUT.values()},
+}
 
 
 class FramingError(ValueError):
@@ -160,36 +197,29 @@ def _check_u16(value: int, what: str) -> int:
     return value
 
 
-def _id_bytes(family: int) -> int:
-    return 4 if family == V4 else 16
-
-
 def agg_capacity(family: int) -> int:
     """Most (id, bitmap) pairs one aggregated PDU of the family can hold."""
-    return (MAX_PDU_LEN - 12) // (_id_bytes(family) + 4)
+    return (MAX_PDU_LEN - PAYLOAD_OVERHEAD) // LAYOUT[family].pair_bytes
 
 
 def serialize(pdu: RtrPdu) -> bytes:
     """Wire bytes for one PDU."""
     if isinstance(pdu, ResetQuery):
-        return _HDR.pack(pdu.version, PDU_RESET_QUERY, 0, 8)
+        return _HDR.pack(pdu.version, PDU_RESET_QUERY, 0, HEADER_BYTES)
 
     if isinstance(pdu, CacheResponse):
         return _HDR.pack(
-            pdu.version, PDU_CACHE_RESPONSE, _check_u16(pdu.session_id, "session"), 8
+            pdu.version, PDU_CACHE_RESPONSE, _check_u16(pdu.session_id, "session"), HEADER_BYTES
         )
 
     if isinstance(pdu, PrefixPdu):
-        fam = pdu.prefix.family
-        ptype = PDU_IPV4_PREFIX if fam == V4 else PDU_IPV6_PREFIX
-        alen = 4 if fam == V4 else 16
-        total = 8 + 4 + alen + 4
+        lay = LAYOUT[pdu.prefix.family]
         if not pdu.prefix.prefixlen <= pdu.max_length <= pdu.prefix.width:
             raise FramingError(f"max_length {pdu.max_length} out of range")
         return (
-            _HDR.pack(pdu.version, ptype, 0, total)
+            _HDR.pack(pdu.version, lay.prefix_type, 0, lay.prefix_len)
             + struct.pack(">BBBB", pdu.flags, pdu.prefix.prefixlen, pdu.max_length, 0)
-            + pdu.prefix.bits.to_bytes(alen, "big")
+            + pdu.prefix.bits.to_bytes(lay.addr_bytes, "big")
             + struct.pack(">I", _check_u32(pdu.asn, "asn"))
         )
 
@@ -218,33 +248,31 @@ def serialize(pdu: RtrPdu) -> bytes:
         )
 
     if isinstance(pdu, SubTreePdu):
-        ptype = PDU_IPV4_SUBTREE if pdu.family == V4 else PDU_IPV6_SUBTREE
-        ilen = _id_bytes(pdu.family)
-        if not 1 <= pdu.subtree_id < 1 << (8 * ilen):
+        lay = LAYOUT[pdu.family]
+        if not 1 <= pdu.subtree_id < 1 << (8 * lay.addr_bytes):
             raise FramingError(f"sub-tree id {pdu.subtree_id} out of range")
         _check_u32(pdu.bitmap, "bitmap")
         return (
-            _HDR.pack(pdu.version, ptype, 0, 8 + ilen + 8)
-            + pdu.subtree_id.to_bytes(ilen, "big")
+            _HDR.pack(pdu.version, lay.subtree_type, 0, lay.subtree_len)
+            + pdu.subtree_id.to_bytes(lay.addr_bytes, "big")
             + struct.pack(">II", pdu.bitmap, _check_u32(pdu.asn, "asn"))
         )
 
     if isinstance(pdu, SubTreeAggPdu):
-        ptype = PDU_IPV4_SUBTREE_AGG if pdu.family == V4 else PDU_IPV6_SUBTREE_AGG
-        ilen = _id_bytes(pdu.family)
+        lay = LAYOUT[pdu.family]
         if not pdu.blocks:
             raise FramingError("aggregated PDU with no blocks")
-        total = 12 + (ilen + 4) * len(pdu.blocks)
+        total = lay.agg_len(len(pdu.blocks))
         if total > MAX_PDU_LEN:
             raise FramingError(f"aggregated PDU of {total} bytes exceeds cap")
         parts = [
-            _HDR.pack(pdu.version, ptype, 0, total),
+            _HDR.pack(pdu.version, lay.agg_type, 0, total),
             struct.pack(">I", _check_u32(pdu.asn, "asn")),
         ]
         for sid, bitmap in pdu.blocks:
-            if not 1 <= sid < 1 << (8 * ilen):
+            if not 1 <= sid < 1 << (8 * lay.addr_bytes):
                 raise FramingError(f"sub-tree id {sid} out of range")
-            parts.append(sid.to_bytes(ilen, "big"))
+            parts.append(sid.to_bytes(lay.addr_bytes, "big"))
             parts.append(struct.pack(">I", _check_u32(bitmap, "bitmap")))
         return b"".join(parts)
 
@@ -254,13 +282,13 @@ def serialize(pdu: RtrPdu) -> bytes:
     raise TypeError(f"not a PDU: {pdu!r}")
 
 
-def _parse_prefix_pdu(version: int, family: int, body: bytes) -> PrefixPdu:
-    alen = 4 if family == V4 else 16
+def _parse_prefix_pdu(version: int, lay: Layout, body: bytes) -> PrefixPdu:
+    alen = lay.addr_bytes
     flags, plen, maxlen, zero = struct.unpack_from(">BBBB", body, 0)
     bits = int.from_bytes(body[4 : 4 + alen], "big")
     (asn,) = struct.unpack_from(">I", body, 4 + alen)
     try:
-        prefix = Prefix(family, bits, plen)
+        prefix = Prefix(lay.family, bits, plen)
         if not plen <= maxlen <= prefix.width:
             raise ValueError(f"max_length {maxlen} out of range")
     except ValueError as exc:
@@ -275,39 +303,55 @@ def deserialize(buf: bytes | bytearray | memoryview, offset: int = 0) -> tuple[R
     FramingError when the bytes cannot be valid.
     """
     view = memoryview(buf)[offset:]
-    if len(view) < 8:
-        raise TruncatedPdu(8)
+    if len(view) < HEADER_BYTES:
+        raise TruncatedPdu(HEADER_BYTES)
     version, ptype, field16, length = _HDR.unpack_from(view, 0)
-    if length < 8:
+    if length < HEADER_BYTES:
         raise FramingError(f"PDU length {length} below header size")
     if length > MAX_PDU_LEN:
         raise FramingError(f"PDU length {length} exceeds cap")
     if len(view) < length:
         raise TruncatedPdu(length)
-    body = bytes(view[8:length])
+    want = _FIXED_LEN.get(ptype)
+    if want is not None and length != want:
+        raise FramingError(f"type {ptype} PDU must be {want} bytes, got {length}")
+    body = bytes(view[HEADER_BYTES:length])
 
-    def need(n: int) -> None:
-        if length != n:
-            raise FramingError(f"type {ptype} PDU must be {n} bytes, got {length}")
+    lay = _PREFIX_TYPES.get(ptype)
+    if lay is not None:
+        return _parse_prefix_pdu(version, lay, body), length
+
+    lay = _SUBTREE_TYPES.get(ptype)
+    if lay is not None:
+        ilen = lay.addr_bytes
+        sid = int.from_bytes(body[:ilen], "big")
+        bitmap, asn = struct.unpack_from(">II", body, ilen)
+        if sid < 1:
+            raise FramingError("zero sub-tree id")
+        return SubTreePdu(lay.family, sid, bitmap, asn, version=version), length
+
+    lay = _AGG_TYPES.get(ptype)
+    if lay is not None:
+        ilen, stride = lay.addr_bytes, lay.pair_bytes
+        if length < lay.agg_len(1) or (length - PAYLOAD_OVERHEAD) % stride:
+            raise FramingError(f"bad aggregated PDU length {length}")
+        (asn,) = struct.unpack_from(">I", body, 0)
+        blocks = []
+        for at in range(ASN_BYTES, len(body), stride):
+            sid = int.from_bytes(body[at : at + ilen], "big")
+            (bitmap,) = struct.unpack_from(">I", body, at + ilen)
+            if sid < 1:
+                raise FramingError("zero sub-tree id in aggregate")
+            blocks.append((sid, bitmap))
+        return SubTreeAggPdu(lay.family, asn, tuple(blocks), version=version), length
 
     if ptype == PDU_RESET_QUERY:
-        need(8)
         return ResetQuery(version=version), length
 
     if ptype == PDU_CACHE_RESPONSE:
-        need(8)
         return CacheResponse(field16, version=version), length
 
-    if ptype == PDU_IPV4_PREFIX:
-        need(20)
-        return _parse_prefix_pdu(version, V4, body), length
-
-    if ptype == PDU_IPV6_PREFIX:
-        need(32)
-        return _parse_prefix_pdu(version, V6, body), length
-
     if ptype == PDU_END_OF_DATA:
-        need(24)
         serial, refresh, retry, expire = struct.unpack(">IIII", body)
         return EndOfData(field16, serial, refresh, retry, expire, version=version), length
 
@@ -326,32 +370,6 @@ def deserialize(buf: bytes | bytearray | memoryview, offset: int = 0) -> tuple[R
         except UnicodeDecodeError as exc:
             raise FramingError(f"error text not utf-8: {exc}") from None
         return ErrorReport(field16, echoed, text, version=version), length
-
-    if ptype in (PDU_IPV4_SUBTREE, PDU_IPV6_SUBTREE):
-        family = V4 if ptype == PDU_IPV4_SUBTREE else V6
-        ilen = _id_bytes(family)
-        need(8 + ilen + 8)
-        sid = int.from_bytes(body[:ilen], "big")
-        bitmap, asn = struct.unpack_from(">II", body, ilen)
-        if sid < 1:
-            raise FramingError("zero sub-tree id")
-        return SubTreePdu(family, sid, bitmap, asn, version=version), length
-
-    if ptype in (PDU_IPV4_SUBTREE_AGG, PDU_IPV6_SUBTREE_AGG):
-        family = V4 if ptype == PDU_IPV4_SUBTREE_AGG else V6
-        ilen = _id_bytes(family)
-        stride = ilen + 4
-        if length < 12 + stride or (length - 12) % stride:
-            raise FramingError(f"bad aggregated PDU length {length}")
-        (asn,) = struct.unpack_from(">I", body, 0)
-        blocks = []
-        for at in range(4, len(body), stride):
-            sid = int.from_bytes(body[at : at + ilen], "big")
-            (bitmap,) = struct.unpack_from(">I", body, at + ilen)
-            if sid < 1:
-                raise FramingError("zero sub-tree id in aggregate")
-            blocks.append((sid, bitmap))
-        return SubTreeAggPdu(family, asn, tuple(blocks), version=version), length
 
     return UnknownPdu(version, ptype, bytes(view[:length])), length
 

@@ -58,11 +58,17 @@ class Workload:
 
     entries: dict[int, list[AddressBlock]] = field(default_factory=dict)
     source: str = ""
+    # each AS's blocks as a set beside its list, so add() tests membership in O(1)
+    _seen: dict[int, set[AddressBlock]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._seen = {asn: set(blocks) for asn, blocks in self.entries.items()}
 
     def add(self, vrp: Vrp) -> None:
-        bucket = self.entries.setdefault(vrp.asn, [])
-        if vrp.block not in bucket:
-            bucket.append(vrp.block)
+        seen = self._seen.setdefault(vrp.asn, set())
+        if vrp.block not in seen:
+            seen.add(vrp.block)
+            self.entries.setdefault(vrp.asn, []).append(vrp.block)
 
     def asns(self) -> list[int]:
         return sorted(self.entries)
@@ -82,9 +88,7 @@ class Workload:
         return out
 
     def without_as0(self) -> "Workload":
-        w = Workload(source=self.source)
-        w.entries = {a: list(v) for a, v in self.entries.items() if a != 0}
-        return w
+        return Workload({a: list(v) for a, v in self.entries.items() if a != 0}, self.source)
 
 
 def load_csv(path_or_file, source: str = "") -> Workload:

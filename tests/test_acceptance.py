@@ -208,9 +208,9 @@ def test_criterion_4_oracle_equivalence():
             prefixes.add(Prefix(V4, rng.getrandbits(n) << (32 - n) if n else 0, n))
         pairs = [(p.bits >> (32 - width), p.prefixlen) for p in prefixes]
         want_cost, want_levels = oracle_optimize(pairs, width, model, V4, h_max)
-        profile, got_cost = optimize_levels(prefixes, model, h_max=h_max, width=width)
+        levels, got_cost = optimize_levels(prefixes, model, h_max=h_max, width=width)
         assert got_cost == want_cost
-        assert profile.levels == want_levels
+        assert levels == want_levels
     elapsed = time.perf_counter() - t0
     _report(
         4,

@@ -49,15 +49,24 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         HangingLevels(V4, (0, 32))
     with pytest.raises(ValueError):
-        HangingLevels(V4, (0, 8, 16))  # gap 8 over the default cap
-    HangingLevels(V4, (0, 8, 16, 22, 28), gap_cap=8)
+        HangingLevels(V4, (0, 8, 16))  # gap 8 over the cap
 
 
-def test_explicit_profile_widens_cap():
-    cfg = HangingLevels.explicit(V4, [20, 23])
-    assert cfg.levels == (0, 20, 23)
-    assert cfg.gap_cap == 20
-    assert subtree_height(cfg, 23) == 10
+def test_explicit_profile_rejects_wide_gaps():
+    cfg = HangingLevels.explicit(V4, [28, 5, 10, 15, 20, 23, 5])
+    assert cfg.levels == (0, 5, 10, 15, 20, 23, 28)
+    assert cfg.max_height == 5
+    with pytest.raises(ValueError, match="v4 level gap 20 exceeds cap 6"):
+        HangingLevels.explicit(V4, [20, 23])
+    with pytest.raises(ValueError, match="v6 level gap 7"):
+        HangingLevels.multiples_of(7, V6)
+
+
+def test_max_height_counts_the_terminal_gap():
+    assert HangingLevels.default(V4).max_height == 5
+    assert HangingLevels.default(V6).max_height == 5
+    assert HangingLevels(V4, (0, 3, 6, 9, 12, 15, 18, 21, 24, 27)).max_height == 6
+    assert HangingLevels.multiples_of(1, V6).max_height == 2
 
 
 def test_multiples_profile():

@@ -107,9 +107,13 @@ def test_encode_delta_l_and_levels_flags(fig_csv, capsys):
     code, out = _run(capsys, ["encode", fig_csv, "--delta-l", "inf", "--level-multiple", "4"])
     assert code == 0
     assert json.loads(out)["pdu_count"] == 1
-    code, out = _run(capsys, ["encode", fig_csv, "--levels", "20,23"])
+    # inline levels serve both families, so a usable list reaches the v6 width
+    inline = ",".join(str(x) for x in [23, *range(0, 128, 5)])
+    code, out = _run(capsys, ["encode", fig_csv, "--levels", inline])
     assert code == 0
     assert json.loads(out)["pdu_count"] == 1
+    code, _ = _run(capsys, ["encode", fig_csv, "--levels", "20,23"])
+    assert code == 1
     code, _ = _run(capsys, ["encode", fig_csv, "--levels", "20", "--level-multiple", "4"])
     assert code == 1
     code, _ = _run(capsys, ["encode", fig_csv, "--delta-l", "2.5"])
@@ -173,13 +177,57 @@ def test_optimize_levels_profile_round_trip(fig_csv, tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["levels"] == [0, 2, 8, 14, 20, 23, 27]
+    assert doc["levels"] == [0, 5, 10, 15, 20, 23, 28]
     assert doc["cost_bytes"] == 17
     assert doc["family"] == "v4"
+    assert doc["h_max"] == wire.MAX_SUBTREE_HEIGHT
     # the written profile feeds straight back into encode
     code, out = _run(capsys, ["encode", fig_csv, "--levels", profile])
     assert code == 0
     assert json.loads(out)["pdu_count"] == 1
+
+
+def test_optimized_profile_serializes_any_input(tmp_path, capsys):
+    path = tmp_path / "slash8.csv"
+    path.write_text("AS1,10.0.0.0/8,13\n")
+    profile = str(tmp_path / "profile.json")
+    code, _ = _run(capsys, ["optimize-levels", str(path), "--all-blocks", "--out", profile])
+    assert code == 0
+    code, out = _run(capsys, ["encode", str(path), "--levels", profile, "--delta-l", "inf"])
+    assert code == 0
+    assert json.loads(out)["pdu_count"] == 3
+
+
+def test_sweep_default_grid_fits_the_wire(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text("AS1,202.127.16.0/23,\n")
+    code, out = _run(capsys, ["sweep", str(path)])
+    assert code == 0
+    assert {c["multiple"] for c in json.loads(out)["cells"]} == {3, 4, 5}
+
+
+@pytest.mark.parametrize(
+    "csv_text, flags, message",
+    [
+        (
+            "AS1,202.127.16.0/23,\n",
+            ["--level-multiple", "6"],
+            "v4 profile has a sub-tree of height 6; the wire bitmap holds at most 5 levels",
+        ),
+        (
+            FIG_CSV + "AS7497,2001:db8::/48,\n",
+            ["--levels", "20,23"],
+            "v4 level gap 20 exceeds cap 6",
+        ),
+    ],
+    ids=["multiple-6", "inline-levels-dual-stack"],
+)
+def test_encode_rejects_profiles_the_wire_cannot_carry(tmp_path, capsys, csv_text, flags, message):
+    path = tmp_path / "in.csv"
+    path.write_text(csv_text)
+    code = main(["encode", str(path), *flags])
+    assert code == 1
+    assert capsys.readouterr().err == f"hroa: {message}\n"
 
 
 def test_optimize_levels_rejects_empty_selection(tmp_path, capsys):

@@ -227,3 +227,11 @@ def test_sweep_cell_matches_served_pdus(aggregate):
     snap = CacheSnapshot.build(inputs, session_id=1)
     pdus = payload_pdus(snap, "ahroa" if aggregate else "hroa")
     assert grid[(3, 5)] == SweepCell(len(pdus), sum(len(serialize(p)) for p in pdus))
+
+
+def test_sweep_rejects_multiples_the_wire_cannot_carry():
+    inputs = {1: [_blk("202.127.16.0/23")]}
+    grid = sweep_parameters(inputs, [0, 3, math.inf], [3, 4, 5])
+    assert grid[(math.inf, 5)] == SweepCell(1, 20)
+    with pytest.raises(ValueError, match="v4 profile has a sub-tree of height 6; .* at most 5"):
+        sweep_parameters(inputs, [3], [6])

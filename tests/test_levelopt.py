@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hroa import wire
 from hroa.bmcodec import HangingLevels
 from hroa.levelopt import (
     CostModel,
@@ -64,29 +65,35 @@ def test_count_matches_oracle():
 
 def test_root_only_workload():
     # one /0 pays only for its own segment [0, j): 17 bytes for any j <= 3.
-    # fewest cuts that still reach level 27 with gap <= 6 and a first gap
-    # of at most 3 is six, and the first gap must then be exactly 3
-    profile, cost = optimize_levels([parse_prefix("0.0.0.0/0")])
-    assert profile.levels == (0, 3, 9, 15, 21, 27)
+    # fewest cuts that still reach level 28 with gap <= 5 and a first gap
+    # of at most 3 is seven, and the first gap must then be exactly 3
+    levels, cost = optimize_levels([parse_prefix("0.0.0.0/0")])
+    assert levels == (0, 3, 8, 13, 18, 23, 28)
     assert cost == 17
+    profile = HangingLevels(V4, levels)
     assert simulate_profile_cost([parse_prefix("0.0.0.0/0")], profile) == 17
 
 
 def test_worked_example_profile():
     # the segment [20, 23) swallows all four prefixes into one sub-tree;
     # everything else is free, so the DP pads with minimal lex-min cuts
-    profile, cost = optimize_levels(FIG_PREFIXES)
-    assert profile.levels == (0, 2, 8, 14, 20, 23, 27)
+    levels, cost = optimize_levels(FIG_PREFIXES)
+    assert levels == (0, 5, 10, 15, 20, 23, 28)
     assert cost == 17
-    assert simulate_profile_cost(FIG_PREFIXES, profile) == cost
+    assert simulate_profile_cost(FIG_PREFIXES, HangingLevels(V4, levels)) == cost
+
+
+def test_default_h_max_is_the_wire_bound():
+    for prefixes in (FIG_PREFIXES, [parse_prefix("0.0.0.0/0")], [parse_prefix("::/0")]):
+        levels, _ = optimize_levels(prefixes)
+        profile = HangingLevels(prefixes[0].family, levels)
+        assert profile.max_height == wire.MAX_SUBTREE_HEIGHT
 
 
 def test_profile_respects_h_max():
     for h_max in (2, 3, 6):
-        profile, _ = optimize_levels(FIG_PREFIXES, h_max=h_max)
-        gaps = [b - a for a, b in zip(profile.levels, profile.levels[1:])]
-        gaps.append(33 - profile.levels[-1])
-        assert max(gaps) <= h_max
+        levels, _ = optimize_levels(FIG_PREFIXES, h_max=h_max)
+        assert HangingLevels(V4, levels).max_height <= h_max
     with pytest.raises(ValueError):
         optimize_levels(FIG_PREFIXES, h_max=1)  # terminal gap is at least 2
     with pytest.raises(ValueError):
@@ -99,8 +106,8 @@ def test_optimum_beats_fixed_grids():
     while len(prefixes) < 60:
         n = rng.randint(8, 32)
         prefixes.add(Prefix(V4, rng.getrandbits(n) << (32 - n), n))
-    profile, cost = optimize_levels(prefixes)
-    assert simulate_profile_cost(prefixes, profile) == cost
+    levels, cost = optimize_levels(prefixes)
+    assert simulate_profile_cost(prefixes, HangingLevels(V4, levels)) == cost
     for step in (4, 5, 6):
         grid = HangingLevels.multiples_of(step, V4)
         assert cost <= simulate_profile_cost(prefixes, grid)
@@ -120,9 +127,9 @@ def test_matches_exhaustive_oracle_small_width():
         h_max = rng.randint(2, 6)
         pairs = [(p.bits >> (32 - width), p.prefixlen) for p in prefixes]
         want_cost, want_levels = oracle_optimize(pairs, width, model, V4, h_max)
-        profile, got_cost = optimize_levels(prefixes, model, h_max=h_max, width=width)
+        levels, got_cost = optimize_levels(prefixes, model, h_max=h_max, width=width)
         assert got_cost == want_cost, (trial, width, h_max)
-        assert profile.levels == want_levels, (trial, width, h_max)
+        assert levels == want_levels, (trial, width, h_max)
 
 
 def test_v6_pays_wider_identifiers():
@@ -130,10 +137,9 @@ def test_v6_pays_wider_identifiers():
     # v6 block costs 12 more bytes of identifier
     v4 = [parse_prefix("10.0.0.0/16"), parse_prefix("10.1.0.0/16")]
     v6 = [parse_prefix("2001::/16"), parse_prefix("2002::/16")]
-    p4, c4 = optimize_levels(v4, width=20)
-    p6, c6 = optimize_levels(v6, width=20)
-    assert p6.family == V6
-    assert p6.levels == p4.levels
+    l4, c4 = optimize_levels(v4, width=20)
+    l6, c6 = optimize_levels(v6, width=20)
+    assert l6 == l4
     assert c6 == c4 + 12
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hroa import wire
-from hroa.prefix import V4, V6, AddressBlock, Prefix, parse_prefix
+from hroa.bmcodec import HangingLevels, encode_batch, subtree_height
+from hroa.prefix import V4, V6, AddressBlock, Prefix, expand, parse_prefix
 from hroa.wire import (
     CacheResponse,
     EndOfData,
@@ -264,3 +265,47 @@ def test_payload_pdu_sizes():
         with pytest.raises(FramingError):
             serialize(SubTreeAggPdu(fam, 1, pairs))
     assert (agg_capacity(V4), agg_capacity(V6)) == (8190, 3276)
+
+
+def test_layout_lengths_match_serialized_pdus():
+    assert wire.MAX_SUBTREE_HEIGHT == 5 and 1 << wire.MAX_SUBTREE_HEIGHT == wire.BITMAP_BITS
+    for fam, prefix in ((V4, "10.0.0.0/16"), (V6, "2001:db8::/32")):
+        lay = wire.LAYOUT[fam]
+        p = parse_prefix(prefix)
+        cap = agg_capacity(fam)
+        cases = [
+            (PrefixPdu(1, p, p.prefixlen, 1), lay.prefix_type, lay.prefix_len),
+            (SubTreePdu(fam, 9, 2, 1), lay.subtree_type, lay.subtree_len),
+            (SubTreeAggPdu(fam, 1, ((9, 2),)), lay.agg_type, lay.agg_len(1)),
+            (
+                SubTreeAggPdu(fam, 1, tuple((sid, 2) for sid in range(1, cap + 1))),
+                lay.agg_type,
+                lay.agg_len(cap),
+            ),
+        ]
+        for pdu, ptype, length in cases:
+            raw = serialize(pdu)
+            assert (raw[1], len(raw)) == (ptype, length)
+            assert int.from_bytes(raw[4:8], "big") == length
+            assert deserialize(raw) == (pdu, length)
+        assert lay.agg_len(cap) <= wire.MAX_PDU_LEN < lay.agg_len(cap + 1)
+    assert wire.PAYLOAD_OVERHEAD == wire.LAYOUT[V4].subtree_len - wire.LAYOUT[V4].pair_bytes
+
+
+@pytest.mark.parametrize("family", [V4, V6])
+@pytest.mark.parametrize("step", [1, 2, 3, 4, 5])
+def test_complete_subtree_at_every_level_serializes(step, family):
+    profile = HangingLevels.multiples_of(step, family)
+    assert profile.max_height <= wire.MAX_SUBTREE_HEIGHT
+    width = profile.width
+    for level in profile.levels:
+        height = subtree_height(profile, level)
+        root = Prefix(family, ((1 << level) - 1) << (width - level), level)
+        (block,) = encode_batch(profile, expand(AddressBlock(root, level + height - 1)))
+        assert block.bitmap == (1 << (1 << height)) - 2  # every node bit set
+        for pdu in (
+            SubTreePdu(family, block.id, block.bitmap, 1),
+            SubTreeAggPdu(family, 1, ((block.id, block.bitmap),)),
+        ):
+            raw = serialize(pdu)
+            assert deserialize(raw) == (pdu, len(raw))
