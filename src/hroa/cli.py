@@ -12,17 +12,16 @@ import math
 import os
 import signal
 import sys
-import time
 
 from . import sync, wire
-from .bmcodec import HangingLevels, decode_block, encode_batch
+from .bmcodec import HangingLevels
 from .hybrid import DEFAULT_HEIGHT_THRESHOLD, HybridConfig, check_wire_fit
-from .levelopt import CostModel, optimize_levels
+from .levelopt import optimize_levels
 from .mlcodec import scatter_degree
 from .prefix import (
-    DEFAULT_EXPANSION_CAP, V4, V6, WIDTH, AddressBlock, Prefix, PrefixFormatError, Vrp, expand
+    V4, V6, WIDTH, AddressBlock, ExpansionCapError, Prefix, PrefixFormatError, Vrp, expand
 )
-from .workload import Workload, dump_csv, load_csv, synthetic_scattered
+from .workload import Workload, dump_csv, load_csv
 
 _FAMILY_NAMES = {"v4": V4, "v6": V6}
 # schemes that ship minimal blocks, so their snapshots are always recompressed
@@ -64,7 +63,8 @@ def _parse_levels_arg(values: list[str] | None) -> dict[int, HangingLevels]:
     return hanging
 
 
-def _build_config(args) -> HybridConfig:
+def _build_profile(args) -> dict[int, HangingLevels]:
+    """The hanging-level profile that --levels or --level-multiple selects."""
     if args.level_multiple:
         if args.levels:
             raise ValueError("--levels and --level-multiple are mutually exclusive")
@@ -72,12 +72,16 @@ def _build_config(args) -> HybridConfig:
     else:
         hanging = _parse_levels_arg(args.levels)
     check_wire_fit(hanging)
+    return hanging
+
+
+def _build_config(args) -> HybridConfig:
+    """The profile plus the --delta-l split, for the commands that encode."""
+    hanging = _build_profile(args)
     threshold = math.inf if args.delta_l == "inf" else float(args.delta_l)
     if threshold != math.inf and threshold != int(threshold):
         raise ValueError("--delta-l must be an integer or inf")
-    return HybridConfig(
-        delta_l_threshold=threshold, hanging=hanging, expansion_cap=args.expansion_cap
-    )
+    return HybridConfig(delta_l_threshold=threshold, hanging=hanging)
 
 
 def _snapshot(args, workload: Workload, cfg: HybridConfig) -> sync.CacheSnapshot:
@@ -86,7 +90,7 @@ def _snapshot(args, workload: Workload, cfg: HybridConfig) -> sync.CacheSnapshot
         cfg,
         session_id=getattr(args, "session_id", None),
         serial=getattr(args, "serial", 1),
-        recompress=getattr(args, "recompress", False) or args.scheme in _MINIMAL_SCHEMES,
+        recompress=args.recompress or args.scheme in _MINIMAL_SCHEMES,
     )
 
 
@@ -133,7 +137,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    cfg = _build_config(args)
+    cfg = HybridConfig(hanging=_build_profile(args))
     with open(args.pdufile, "rb") as fh:
         data = fh.read()
     reader = wire.PduReader()
@@ -153,7 +157,6 @@ def cmd_decode(args) -> int:
 
 def cmd_stats(args) -> int:
     workload = load_csv(args.csv)
-    cfg = _build_config(args)
     hist: dict[str, dict[int, int]] = {"v4": {}, "v6": {}}
     for vrp in workload.vrps():
         fam = "v4" if vrp.block.prefix.family == V4 else "v6"
@@ -162,7 +165,7 @@ def cmd_stats(args) -> int:
     per_as = {}
     groups: dict[int, list[float]] = {}
     for asn in scoped.asns():
-        prefixes = scoped.prefixes_for(asn, cfg.expansion_cap)
+        prefixes = scoped.prefixes_for(asn)
         sd = float(scatter_degree(prefixes))
         per_as[str(asn)] = {"prefix_count": len(prefixes), "scatter_degree": sd}
         groups.setdefault(len(prefixes), []).append(sd)
@@ -199,7 +202,6 @@ def cmd_sweep(args) -> int:
         thresholds,
         multiples,
         aggregate=args.aggregate,
-        expansion_cap=args.expansion_cap,
     )
     cells = [
         {
@@ -228,18 +230,17 @@ def cmd_sweep(args) -> int:
 def cmd_optimize_levels(args) -> int:
     workload = load_csv(args.csv)
     family = _FAMILY_NAMES[args.family]
-    threshold = math.inf if args.all_blocks else float(args.delta_l)
+    threshold = float(args.delta_l)
     prefixes: set[Prefix] = set()
     for vrp in workload.vrps():
         block = vrp.block
         if block.prefix.family != family:
             continue
         if block.height < threshold:
-            prefixes |= expand(block, args.expansion_cap)
+            prefixes |= expand(block)
     if not prefixes:
         raise ValueError(f"no {args.family} prefixes below the threshold")
-    model = CostModel(per_block_overhead_bytes=args.overhead_bytes)
-    levels, cost = optimize_levels(prefixes, model)
+    levels, cost = optimize_levels(prefixes)
     doc = {
         "family": args.family,
         "levels": list(levels),
@@ -253,73 +254,6 @@ def cmd_optimize_levels(args) -> int:
             fh.write(text + "\n")
     print(text)
     return 0
-
-
-def cmd_bench(args) -> int:
-    if args.synthetic:
-        workload = synthetic_scattered(args.synthetic, seed=args.seed)
-    elif args.csv:
-        workload = load_csv(args.csv)
-    else:
-        raise ValueError("bench needs a CSV or --synthetic N")
-    cfg = _build_config(args)
-    snaps = {
-        rc: sync.CacheSnapshot.build(workload, cfg, session_id=0, recompress=rc)
-        for rc in (False, True)
-    }
-    blocks = []  # decode input: every bitmap block of the hroa payloads
-    batches: dict[tuple[int, int], set[Prefix]] = {}  # encode input: (asn, family) -> prefixes
-    for payload in snaps[False].payloads.values():
-        for b in payload.bm_blocks:
-            levels = cfg.levels(b.family)
-            blocks.append((levels, b))
-            batches.setdefault((payload.asn, b.family), set()).update(decode_block(levels, b)[1])
-
-    encode_total = 0
-    t0 = time.perf_counter()
-    for _ in range(args.reps):
-        for (_, fam), prefixes in batches.items():
-            encode_batch(cfg.levels(fam), prefixes)
-            encode_total += len(prefixes)
-    encode_elapsed = time.perf_counter() - t0
-
-    decode_total = 0
-    t0 = time.perf_counter()
-    for _ in range(args.reps):
-        for levels, block in blocks:
-            _, got = decode_block(levels, block)
-            decode_total += len(got)
-    decode_elapsed = time.perf_counter() - t0
-
-    schemes = {}
-    for scheme in sync.SCHEMES:
-        pdus = sync.payload_pdus(snaps[scheme in _MINIMAL_SCHEMES], scheme)
-        schemes[scheme] = {
-            "pdu_count": len(pdus),
-            "total_bytes": sum(len(wire.serialize(p)) for p in pdus),
-        }
-    reductions = {}
-    for scheme in ("hroa", "ahroa"):
-        reductions[scheme] = {
-            "pdu_count_pct": _pct(schemes["mroa"]["pdu_count"], schemes[scheme]["pdu_count"]),
-            "bytes_pct": _pct(schemes["mroa"]["total_bytes"], schemes[scheme]["total_bytes"]),
-        }
-    doc = {
-        "reps": args.reps,
-        "prefix_count": sum(len(s) for s in batches.values()),
-        "encode_mpps": (encode_total / encode_elapsed / 1e6) if encode_elapsed else None,
-        "decode_mpps": (decode_total / decode_elapsed / 1e6) if decode_elapsed else None,
-        "schemes": schemes,
-        "reduction_vs_mroa": reductions,
-    }
-    _write(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return 0
-
-
-def _pct(base: int, new: int) -> float | None:
-    if base == 0:
-        return None
-    return round(100.0 * (base - new) / base, 2)
 
 
 def _parse_bandwidth(text: str | None) -> float | None:
@@ -357,7 +291,7 @@ def cmd_fetch(args) -> int:
     host, _, port = args.endpoint.rpartition(":")
     if not host or not port.isdigit():
         raise ValueError("endpoint must be host:port")
-    cfg = _build_config(args)
+    cfg = HybridConfig(hanging=_build_profile(args))
     got, report = sync.fetch((host, int(port)), cfg, timeout=args.timeout)
     if args.out:
         rows = [
@@ -371,16 +305,18 @@ def cmd_fetch(args) -> int:
     return 0
 
 
-def _add_cfg_flags(p: argparse.ArgumentParser) -> None:
+def _add_profile_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--levels", action="append", metavar="LIST|FILE",
                    help="hanging levels: comma list or profile JSON (repeatable)")
     p.add_argument("--level-multiple", type=int, metavar="M",
                    help="hanging levels at multiples of M")
+
+
+def _add_cfg_flags(p: argparse.ArgumentParser) -> None:
+    _add_profile_flags(p)
     p.add_argument("--delta-l", metavar="T", default=str(DEFAULT_HEIGHT_THRESHOLD),
                    help="block height threshold for the maxLength path "
                    "(int or inf, default %(default)s)")
-    p.add_argument("--expansion-cap", type=int, default=DEFAULT_EXPANSION_CAP,
-                   help="largest block height expand() accepts (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode a PDU file back to CSV rows")
     p.add_argument("pdufile")
     p.add_argument("--out")
-    _add_cfg_flags(p)
+    _add_profile_flags(p)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("stats", help="scatter-degree and block-height statistics")
@@ -410,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-as0", action="store_true",
                    help="include AS0 rows in scatter-degree figures")
     p.add_argument("--out")
-    _add_cfg_flags(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("sweep", help="grid-sweep threshold and level multiple")
@@ -420,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiples", default="3,4,5", help="comma list (default 3,4,5)")
     p.add_argument("--optimize", choices=("bytes", "count"), default="bytes")
     p.add_argument("--aggregate", action="store_true")
-    p.add_argument("--expansion-cap", type=int, default=DEFAULT_EXPANSION_CAP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
@@ -428,22 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("csv")
     p.add_argument("--family", choices=("v4", "v6"), default="v4")
     p.add_argument("--delta-l", default=str(DEFAULT_HEIGHT_THRESHOLD),
-                   help="only optimize blocks below this height (default %(default)s)")
-    p.add_argument("--all-blocks", action="store_true", help="optimize over every block")
-    p.add_argument("--overhead-bytes", type=int, default=CostModel.per_block_overhead_bytes)
-    p.add_argument("--expansion-cap", type=int, default=DEFAULT_EXPANSION_CAP)
+                   help="only optimize blocks below this height "
+                   "(int or inf for every block, default %(default)s)")
     p.add_argument("--out", help="write the profile JSON here (usable via --levels)")
     p.set_defaults(func=cmd_optimize_levels)
-
-    p = sub.add_parser("bench", help="encode/decode throughput and scheme sizes")
-    p.add_argument("csv", nargs="?")
-    p.add_argument("--synthetic", type=int, metavar="N",
-                   help="generate a scattered workload of N rows instead of reading CSV")
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    _add_cfg_flags(p)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("serve", help="serve a snapshot over the sync protocol")
     p.add_argument("csv")
@@ -461,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("endpoint", help="host:port")
     p.add_argument("--timeout", type=float, default=30.0)
     p.add_argument("--out", help="write decoded rows as CSV here")
-    _add_cfg_flags(p)
+    _add_profile_flags(p)
     p.set_defaults(func=cmd_fetch)
 
     return parser
@@ -474,8 +396,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
-    except PrefixFormatError as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout closed early (``hroa encode ... | head``); point it at devnull
+        # so the interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (PrefixFormatError, ExpansionCapError) as exc:
         _err(str(exc))
         return 2
     except wire.FramingError as exc:

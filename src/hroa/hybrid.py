@@ -49,19 +49,18 @@ class HybridConfig:
     """Knobs for the hybrid split.
 
     ``delta_l_threshold`` may be ``math.inf`` (pure bitmap); finite values
-    must stay within the expansion cap since sub-threshold blocks get
-    expanded.
+    must stay within ``DEFAULT_EXPANSION_CAP`` since sub-threshold blocks
+    get expanded.
     """
 
     delta_l_threshold: float = DEFAULT_HEIGHT_THRESHOLD
     hanging: Mapping[int, HangingLevels] = field(default_factory=_default_hanging)
-    expansion_cap: int = DEFAULT_EXPANSION_CAP
 
     def __post_init__(self) -> None:
         if self.delta_l_threshold < 0:
             raise ValueError("threshold must be >= 0")
         if math.isfinite(self.delta_l_threshold):
-            if self.delta_l_threshold > self.expansion_cap:
+            if self.delta_l_threshold > DEFAULT_EXPANSION_CAP:
                 raise ValueError("threshold exceeds the expansion cap")
         for fam in (V4, V6):
             if fam not in self.hanging:
@@ -108,7 +107,7 @@ def _as_blocks(cfg: HybridConfig, items, recompress: bool) -> tuple[AddressBlock
     if recompress:
         prefixes: set[Prefix] = set()
         for b in seq:
-            prefixes |= expand(b, cfg.expansion_cap)
+            prefixes |= expand(b)
         return tuple(_compress(prefixes))
     return tuple(sorted(set(seq)))
 
@@ -133,7 +132,7 @@ def hybrid_encode(
         if b.height >= cfg.delta_l_threshold:
             ml.append(b)
         else:
-            short[b.prefix.family] |= expand(b, cfg.expansion_cap)
+            short[b.prefix.family] |= expand(b)
     bm: list[SubTreeBlock] = []
     for fam in (V4, V6):
         if short[fam]:
@@ -145,7 +144,7 @@ def hybrid_decode(cfg: HybridConfig, payload: HybridPayload) -> dict[int, set[Pr
     """Rebuild {asn: prefixes} from a payload.  Inverse of hybrid_encode."""
     out: set[Prefix] = set()
     for b in payload.ml_blocks:
-        out |= expand(b, cfg.expansion_cap)
+        out |= expand(b)
     for sb in payload.bm_blocks:
         flag, prefixes = decode_block(cfg.levels(sb.family), sb)
         if flag:
@@ -154,19 +153,12 @@ def hybrid_decode(cfg: HybridConfig, payload: HybridPayload) -> dict[int, set[Pr
     return {payload.asn: out}
 
 
-def prefix_pdus(
-    asn: int, blocks: Iterable[AddressBlock], version: int = wire.DEFAULT_VERSION
-) -> list[wire.RtrPdu]:
+def prefix_pdus(asn: int, blocks: Iterable[AddressBlock]) -> list[wire.RtrPdu]:
     """One announcing prefix PDU per maxLength block, in canonical block order."""
-    return [
-        wire.PrefixPdu(wire.ANNOUNCE, b.prefix, b.max_length, asn, version=version)
-        for b in sorted(blocks)
-    ]
+    return [wire.PrefixPdu(wire.ANNOUNCE, b.prefix, b.max_length, asn) for b in sorted(blocks)]
 
 
-def frame_payload(
-    payload: HybridPayload, aggregate: bool = False, version: int = wire.DEFAULT_VERSION
-) -> list[wire.RtrPdu]:
+def frame_payload(payload: HybridPayload, aggregate: bool = False) -> list[wire.RtrPdu]:
     """The payload's wire PDUs: hroa, or ahroa when ``aggregate`` is set.
 
     maxLength blocks become prefix PDUs either way.  hroa sends each bitmap
@@ -174,18 +166,15 @@ def frame_payload(
     ids ascending, into as few aggregated PDUs as the PDU length cap allows.
     """
     asn = payload.asn
-    pdus = prefix_pdus(asn, payload.ml_blocks, version)
+    pdus = prefix_pdus(asn, payload.ml_blocks)
     if not aggregate:
-        pdus.extend(
-            wire.SubTreePdu(b.family, b.id, b.bitmap, asn, version=version)
-            for b in payload.bm_blocks
-        )
+        pdus.extend(wire.SubTreePdu(b.family, b.id, b.bitmap, asn) for b in payload.bm_blocks)
         return pdus
     for fam in (V4, V6):
         pairs = sorted((b.id, b.bitmap) for b in payload.bm_blocks if b.family == fam)
         cap = wire.agg_capacity(fam)
         for at in range(0, len(pairs), cap):
-            pdus.append(wire.SubTreeAggPdu(fam, asn, tuple(pairs[at : at + cap]), version=version))
+            pdus.append(wire.SubTreeAggPdu(fam, asn, tuple(pairs[at : at + cap])))
     return pdus
 
 
@@ -200,7 +189,6 @@ def sweep_parameters(
     thresholds: Iterable[float],
     level_multiples: Iterable[int],
     aggregate: bool = False,
-    expansion_cap: int = DEFAULT_EXPANSION_CAP,
 ) -> dict[tuple[float, int], SweepCell]:
     """Total PDU count and bytes for every (threshold, level multiple) pair."""
     table: dict[tuple[float, int], SweepCell] = {}
@@ -209,9 +197,7 @@ def sweep_parameters(
         hanging = {fam: HangingLevels.multiples_of(step, fam) for fam in (V4, V6)}
         check_wire_fit(hanging)
         for thr in thresholds:
-            cfg = HybridConfig(
-                delta_l_threshold=thr, hanging=hanging, expansion_cap=expansion_cap
-            )
+            cfg = HybridConfig(delta_l_threshold=thr, hanging=hanging)
             count = 0
             nbytes = 0
             for asn, items in materialized.items():

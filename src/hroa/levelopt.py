@@ -21,12 +21,10 @@ from .bmcodec import HangingLevels, encode_batch
 class CostModel:
     """Bytes one block costs: fixed overhead + identifier + bitmap.
 
-    The overhead defaults to the unaggregated wire layout's header plus AS
-    number, and the identifier is priced at its wire width; the bitmap is
-    priced at its packed width instead of the wire's fixed 4 bytes.
+    The overhead is the unaggregated wire layout's header plus AS number,
+    and the identifier is priced at its wire width; the bitmap is priced at
+    its packed width instead of the wire's fixed 4 bytes.
     """
-
-    per_block_overhead_bytes: int = wire.PAYLOAD_OVERHEAD
 
     def bitmap_bytes(self, height: int) -> int:
         if height < 1:
@@ -35,7 +33,7 @@ class CostModel:
 
     def block_size(self, family: int, height: int) -> int:
         id_bytes = wire.LAYOUT[family].addr_bytes
-        return self.per_block_overhead_bytes + id_bytes + self.bitmap_bytes(height)
+        return wire.PAYLOAD_OVERHEAD + id_bytes + self.bitmap_bytes(height)
 
 
 def count_nonempty_subtrees(workload: Iterable[Prefix], level: int, bound: int) -> int:

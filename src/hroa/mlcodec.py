@@ -18,7 +18,6 @@ from .prefix import (
     FamilyMismatchError,
     Prefix,
     expand,
-    DEFAULT_EXPANSION_CAP,
 )
 
 _Node = tuple[int, int]  # (bits, prefixlen), bits full-width
@@ -127,10 +126,6 @@ def scatter_degree(prefixes: Iterable[Prefix]) -> Fraction:
     return Fraction(len(compress_minimal(pset)), len(pset))
 
 
-def excess_prefixes(
-    block: AddressBlock,
-    authorized: Iterable[Prefix],
-    cap: int = DEFAULT_EXPANSION_CAP,
-) -> int:
+def excess_prefixes(block: AddressBlock, authorized: Iterable[Prefix]) -> int:
     """How many prefixes the block would authorize beyond the given set."""
-    return len(expand(block, cap) - set(authorized))
+    return len(expand(block) - set(authorized))

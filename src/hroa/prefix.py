@@ -16,8 +16,8 @@ V4 = 4
 V6 = 6
 WIDTH = {V4: 32, V6: 128}
 
-# expand() refuses blocks taller than this unless the caller raises the cap;
-# a height-h block materializes 2^(h+1) - 1 prefixes.
+# expand() refuses blocks taller than this: a height-h block materializes
+# 2^(h+1) - 1 prefixes, so one height-24 block would be 2^25 - 1 objects.
 DEFAULT_EXPANSION_CAP = 20
 
 
@@ -30,7 +30,7 @@ class FamilyMismatchError(ValueError):
 
 
 class ExpansionCapError(ValueError):
-    """A block is taller than the configured expansion cap."""
+    """A block is taller than the expansion cap."""
 
 
 @dataclass(frozen=True, slots=True, order=True)

@@ -97,7 +97,7 @@ class CacheSnapshot:
         for asn, blocks in self.entries.items():
             acc: set[Prefix] = set()
             for b in blocks:
-                acc |= expand(b, self.cfg.expansion_cap)
+                acc |= expand(b)
             out[asn] = acc
         return out
 
@@ -105,9 +105,7 @@ class CacheSnapshot:
         return sum(len(v) for v in self.authorized_map().values())
 
 
-def payload_pdus(
-    snapshot: CacheSnapshot, scheme: str, version: int = wire.DEFAULT_VERSION
-) -> list[wire.RtrPdu]:
+def payload_pdus(snapshot: CacheSnapshot, scheme: str) -> list[wire.RtrPdu]:
     """Every payload PDU of the snapshot under one scheme, canonical order."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -115,17 +113,16 @@ def payload_pdus(
     for asn in sorted(snapshot.entries):
         blocks = snapshot.entries[asn]
         if scheme in ("troa", "mroa"):
-            pdus.extend(prefix_pdus(asn, blocks, version))
+            pdus.extend(prefix_pdus(asn, blocks))
         elif scheme == "sroa":
             singles = set()
             for b in blocks:
-                singles |= expand(b, snapshot.cfg.expansion_cap)
+                singles |= expand(b)
             pdus.extend(
-                wire.PrefixPdu(wire.ANNOUNCE, p, p.prefixlen, asn, version=version)
-                for p in sorted(singles)
+                wire.PrefixPdu(wire.ANNOUNCE, p, p.prefixlen, asn) for p in sorted(singles)
             )
         else:
-            pdus.extend(frame_payload(snapshot.payloads[asn], scheme == "ahroa", version))
+            pdus.extend(frame_payload(snapshot.payloads[asn], scheme == "ahroa"))
     return pdus
 
 
@@ -183,20 +180,16 @@ class RtrServer:
         host: str = "127.0.0.1",
         port: int = 0,
         bandwidth_bps: float | None = None,
-        version: int = wire.DEFAULT_VERSION,
     ):
         if scheme not in SERVE_SCHEMES:
             raise ValueError(f"serve scheme must be one of {SERVE_SCHEMES}")
         self.snapshot = snapshot
         self.scheme = scheme
-        self.version = version
         # bandwidth is bits/sec to match how links are quoted
         self._bucket = TokenBucket(bandwidth_bps / 8) if bandwidth_bps else None
-        pdus = payload_pdus(snapshot, scheme, version)
+        pdus = payload_pdus(snapshot, scheme)
         self.payload_pdu_count = len(pdus)
-        blob = bytearray(
-            wire.serialize(wire.CacheResponse(snapshot.session_id, version=version))
-        )
+        blob = bytearray(wire.serialize(wire.CacheResponse(snapshot.session_id)))
         for pdu in pdus:
             blob.extend(wire.serialize(pdu))
         blob.extend(
@@ -207,7 +200,6 @@ class RtrServer:
                     DEFAULT_REFRESH,
                     DEFAULT_RETRY,
                     DEFAULT_EXPIRE,
-                    version=version,
                 )
             )
         )
@@ -258,11 +250,7 @@ class RtrServer:
                     try:
                         pdus = reader.feed(data)
                     except wire.FramingError as exc:
-                        conn.sendall(
-                            wire.serialize(
-                                wire.ErrorReport(0, text=str(exc), version=self.version)
-                            )
-                        )
+                        conn.sendall(wire.serialize(wire.ErrorReport(0, text=str(exc))))
                         return
                     for pdu in pdus:
                         if isinstance(pdu, wire.ResetQuery):
@@ -283,7 +271,6 @@ class RtrServer:
                                         0,
                                         echoed=wire.serialize(pdu),
                                         text="only reset query is supported",
-                                        version=self.version,
                                     )
                                 )
                             )
@@ -373,7 +360,10 @@ def fetch(
     t0 = time.perf_counter()
     try:
         with conn:
-            conn.sendall(wire.serialize(wire.ResetQuery()))
+            try:
+                conn.sendall(wire.serialize(wire.ResetQuery()))
+            except OSError as exc:
+                raise TransportError(f"send: {exc}") from None
             while not done:
                 try:
                     data = conn.recv(65536)
@@ -414,7 +404,7 @@ def fetch(
                     acc = out.setdefault(asn, set())
                     acc |= prefixes
                     for block in blocks:
-                        acc |= expand(block, cfg.expansion_cap)
+                        acc |= expand(block)
     finally:
         report.elapsed = time.perf_counter() - t0
     report.decode_count = sum(len(s) for s in out.values())

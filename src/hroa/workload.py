@@ -22,7 +22,6 @@ from .prefix import (
     Vrp,
     expand,
     parse_prefix,
-    DEFAULT_EXPANSION_CAP,
 )
 
 
@@ -81,10 +80,10 @@ class Workload:
     def vrp_count(self) -> int:
         return sum(len(v) for v in self.entries.values())
 
-    def prefixes_for(self, asn: int, cap: int = DEFAULT_EXPANSION_CAP) -> set[Prefix]:
+    def prefixes_for(self, asn: int) -> set[Prefix]:
         out: set[Prefix] = set()
         for block in self.entries[asn]:
-            out |= expand(block, cap)
+            out |= expand(block)
         return out
 
     def without_as0(self) -> "Workload":

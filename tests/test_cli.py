@@ -1,10 +1,14 @@
+import argparse
 import io
 import json
+import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,24 @@ AS7497,202.127.16.0/21,
 AS7497,202.127.16.0/22,
 AS7497,202.127.20.0/22,
 """
+
+# an AS0 row (RFC 7607) whose block is taller than the expansion cap
+TALL_CSV = "0,10.0.0.0/8,32\n"
+TALL_ERR = "hroa: block height 24 exceeds expansion cap 20\n"
+
+# every command and the options it accepts; a new flag has to be added here
+OPTION_SURFACE = {
+    "encode": ["--scheme", "--out", "--recompress", "--levels", "--level-multiple", "--delta-l"],
+    "decode": ["--out", "--levels", "--level-multiple"],
+    "stats": ["--include-as0", "--out"],
+    "sweep": ["--thresholds", "--multiples", "--optimize", "--aggregate", "--out"],
+    "optimize-levels": ["--family", "--delta-l", "--out"],
+    "serve": [
+        "--scheme", "--host", "--port", "--bandwidth", "--session-id", "--serial",
+        "--recompress", "--levels", "--level-multiple", "--delta-l",
+    ],
+    "fetch": ["--timeout", "--out", "--levels", "--level-multiple"],
+}
 
 
 @pytest.fixture
@@ -173,7 +195,7 @@ def test_sweep_output(fig_csv, capsys):
 def test_optimize_levels_profile_round_trip(fig_csv, tmp_path, capsys):
     profile = str(tmp_path / "profile.json")
     code, out = _run(
-        capsys, ["optimize-levels", fig_csv, "--all-blocks", "--out", profile]
+        capsys, ["optimize-levels", fig_csv, "--delta-l", "inf", "--out", profile]
     )
     assert code == 0
     doc = json.loads(out)
@@ -191,7 +213,9 @@ def test_optimized_profile_serializes_any_input(tmp_path, capsys):
     path = tmp_path / "slash8.csv"
     path.write_text("AS1,10.0.0.0/8,13\n")
     profile = str(tmp_path / "profile.json")
-    code, _ = _run(capsys, ["optimize-levels", str(path), "--all-blocks", "--out", profile])
+    code, _ = _run(
+        capsys, ["optimize-levels", str(path), "--delta-l", "inf", "--out", profile]
+    )
     assert code == 0
     code, out = _run(capsys, ["encode", str(path), "--levels", profile, "--delta-l", "inf"])
     assert code == 0
@@ -237,25 +261,6 @@ def test_optimize_levels_rejects_empty_selection(tmp_path, capsys):
     assert code == 1
 
 
-def test_bench_synthetic(capsys):
-    code, out = _run(capsys, ["bench", "--synthetic", "64", "--reps", "2"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["prefix_count"] == 64
-    assert doc["encode_mpps"] > 0
-    assert doc["decode_mpps"] > 0
-    assert doc["schemes"]["mroa"]["pdu_count"] == 64
-    assert doc["schemes"]["hroa"]["pdu_count"] < 64
-    assert doc["reduction_vs_mroa"]["hroa"]["pdu_count_pct"] > 0
-    assert doc["reduction_vs_mroa"]["ahroa"]["bytes_pct"] >= doc[
-        "reduction_vs_mroa"
-    ]["hroa"]["bytes_pct"]
-
-
-def test_bench_requires_input(capsys):
-    assert main(["bench"]) == 1
-
-
 def test_fetch_against_live_server(fig_csv, tmp_path, capsys):
     workload = load_csv(fig_csv)
     snap = sync.CacheSnapshot.build(workload, session_id=5)
@@ -274,6 +279,30 @@ def test_fetch_against_live_server(fig_csv, tmp_path, capsys):
         "202.127.16.0/22",
         "202.127.20.0/22",
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["encode", "--scheme", "sroa"], ["encode", "--scheme", "mroa"], ["stats", "--include-as0"]],
+    ids=["encode-sroa", "encode-mroa", "stats-include-as0"],
+)
+def test_block_beyond_the_expansion_cap_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "tall.csv"
+    path.write_text(TALL_CSV)
+    code = main([argv[0], str(path), *argv[1:]])
+    assert code == 2
+    assert capsys.readouterr().err == TALL_ERR
+
+
+def test_fetch_of_a_block_beyond_the_expansion_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "tall.csv"
+    path.write_text(TALL_CSV)
+    # serving ships the block as one maxLength PDU; the client's expansion fails
+    with sync.serve(sync.CacheSnapshot.build(load_csv(str(path))), "hroa") as server:
+        host, port = server.endpoint
+        code = main(["fetch", f"{host}:{port}"])
+    assert code == 2
+    assert capsys.readouterr().err == TALL_ERR
 
 
 def test_fetch_error_paths(capsys):
@@ -330,6 +359,56 @@ def test_parse_bandwidth_units():
     assert _parse_bandwidth("12345") == 12345.0
     with pytest.raises(ValueError):
         _parse_bandwidth("fast")
+
+
+def test_option_surface():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: [a.option_strings[-1] for a in p._actions if a.option_strings and a.dest != "help"]
+        for name, p in sub.choices.items()
+    }
+    assert got == OPTION_SURFACE
+
+
+def test_removed_flags_are_usage_errors(fig_csv, capsys):
+    assert main(["stats", fig_csv, "--delta-l", "0"]) == 1
+    capsys.readouterr()
+
+
+def test_closed_stdout_exits_quietly(fig_csv):
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hroa.cli", "encode", fig_csv],
+            stdout=w, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line.strip().removeprefix("$ ")
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+    ]
+    (tmp_path / "fig.csv").write_text(FIG_CSV)
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        if argv[:1] != ["hroa"] or argv[1] in ("serve", "fetch"):
+            continue
+        assert main(argv[1:]) == 0, line
+        ran += 1
+    capsys.readouterr()
+    assert ran > 0
 
 
 def test_console_script_installed():

@@ -36,7 +36,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         HybridConfig(delta_l_threshold=-1)
     with pytest.raises(ValueError):
-        HybridConfig(delta_l_threshold=25, expansion_cap=20)
+        HybridConfig(delta_l_threshold=25)
     with pytest.raises(ValueError):
         HybridConfig(hanging={V4: HangingLevels.default(V4)})
 
@@ -133,7 +133,7 @@ def _decode_pdus(pdus, cfg):
         acc = out.setdefault(asn, set())
         acc |= prefixes
         for b in blocks:
-            acc |= expand(b, cfg.expansion_cap)
+            acc |= expand(b)
     return out
 
 
