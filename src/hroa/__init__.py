@@ -42,7 +42,7 @@ from .hybrid import (
     hybrid_encode,
     sweep_parameters,
 )
-from .levelopt import CostModel, count_nonempty_subtrees, optimize_levels
+from .levelopt import CostModel, optimize_levels
 from .sync import CacheSnapshot, RtrServer, SyncReport, fetch, serve
 from .workload import Workload, load_csv, synthetic_scattered
 
@@ -70,7 +70,6 @@ __all__ = [
     "Workload",
     "apply_roa",
     "compress_minimal",
-    "count_nonempty_subtrees",
     "covers",
     "decode_block",
     "encode_batch",

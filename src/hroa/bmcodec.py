@@ -134,22 +134,23 @@ def make_node_number(prefix: Prefix, level: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class SubTreeBlock:
-    """One encoded sub-tree: identifier, bitmap, and its profile height."""
+    """One encoded sub-tree: identifier and bitmap.
+
+    Its height is the profile's at the identifier's level; decode_block
+    checks the bitmap against it.
+    """
 
     family: int
     id: int
     bitmap: int
-    height: int
 
     def __post_init__(self) -> None:
         if self.family not in WIDTH:
             raise ValueError(f"bad family {self.family!r}")
         if self.id < 1:
             raise ValueError("identifier must be >= 1")
-        if self.height < 1:
-            raise ValueError("height must be >= 1")
-        if not 0 <= self.bitmap < 1 << (1 << self.height):
-            raise ValueError("bitmap wider than 2^height bits")
+        if self.bitmap < 0:
+            raise ValueError("bitmap must be non-negative")
         if self.bitmap >> 1 == 0:
             raise ValueError("bitmap carries no sub-tree nodes")
 
@@ -183,22 +184,14 @@ def encode_batch(
     Output is sorted by identifier.
     """
     flag = 1 if withdraw else 0
-    acc: dict[int, tuple[int, int]] = {}  # id -> (bitmap, height)
+    acc: dict[int, int] = {}  # id -> bitmap
     for p in prefixes:
         if p.family != cfg.family:
             raise FamilyMismatchError(f"{p} in a v{cfg.family} batch")
         level = nearest_hanging_level(cfg, p.prefixlen)
         sid = make_subtree_id(p, level)
-        y = make_node_number(p, level)
-        got = acc.get(sid)
-        if got is None:
-            acc[sid] = (1 << y, subtree_height(cfg, level))
-        else:
-            acc[sid] = (got[0] | (1 << y), got[1])
-    return [
-        SubTreeBlock(cfg.family, sid, bm | flag, height=h)
-        for sid, (bm, h) in sorted(acc.items())
-    ]
+        acc[sid] = acc.get(sid, 0) | (1 << make_node_number(p, level))
+    return [SubTreeBlock(cfg.family, sid, bm | flag) for sid, bm in sorted(acc.items())]
 
 
 def _node_numbers(bitmap: int) -> Iterator[int]:
@@ -216,10 +209,6 @@ def decode_block(cfg: HangingLevels, block: SubTreeBlock) -> tuple[int, set[Pref
         raise FamilyMismatchError(f"block family v{block.family} vs cfg v{cfg.family}")
     level = subtree_id_level(block.id)
     height = subtree_height(cfg, level)  # raises if id level not in profile
-    if block.height != height:
-        raise ValueError(
-            f"block height {block.height} disagrees with profile height {height}"
-        )
     if block.bitmap >> (1 << height):
         raise ValueError("bitmap has node bits beyond the sub-tree")
     width = cfg.width
@@ -294,12 +283,7 @@ def apply_roa(cache: tuple[Stm, Stm], roa: BitmapRoa) -> tuple[Stm, Stm]:
 
 def stm_blocks(stm: Stm, cfg: HangingLevels) -> list[SubTreeBlock]:
     """The map's current state as emittable blocks, sorted by identifier."""
-    return [
-        SubTreeBlock(
-            cfg.family, sid, bm, height=subtree_height(cfg, subtree_id_level(sid))
-        )
-        for sid, bm in sorted(stm.table.items())
-    ]
+    return [SubTreeBlock(cfg.family, sid, bm) for sid, bm in sorted(stm.table.items())]
 
 
 def stm_decode(stm: Stm, cfg: HangingLevels) -> set[Prefix]:

@@ -66,9 +66,6 @@ class HybridConfig:
             if fam not in self.hanging:
                 raise ValueError(f"no hanging-level profile for v{fam}")
 
-    def levels(self, family: int) -> HangingLevels:
-        return self.hanging[family]
-
 
 @dataclass(frozen=True)
 class HybridPayload:
@@ -136,7 +133,7 @@ def hybrid_encode(
     bm: list[SubTreeBlock] = []
     for fam in (V4, V6):
         if short[fam]:
-            bm.extend(encode_batch(cfg.levels(fam), short[fam]))
+            bm.extend(encode_batch(cfg.hanging[fam], short[fam]))
     return HybridPayload(asn, tuple(ml), tuple(bm), blocks)
 
 
@@ -146,7 +143,7 @@ def hybrid_decode(cfg: HybridConfig, payload: HybridPayload) -> dict[int, set[Pr
     for b in payload.ml_blocks:
         out |= expand(b)
     for sb in payload.bm_blocks:
-        flag, prefixes = decode_block(cfg.levels(sb.family), sb)
+        flag, prefixes = decode_block(cfg.hanging[sb.family], sb)
         if flag:
             raise ValueError("withdrawal block inside an authorization payload")
         out |= prefixes

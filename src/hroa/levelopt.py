@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from . import wire
 from .prefix import WIDTH, FamilyMismatchError, Prefix
-from .bmcodec import HangingLevels, encode_batch
+from .bmcodec import HangingLevels, encode_batch, subtree_height, subtree_id_level
 
 
 @dataclass(frozen=True)
@@ -34,25 +34,6 @@ class CostModel:
     def block_size(self, family: int, height: int) -> int:
         id_bytes = wire.LAYOUT[family].addr_bytes
         return wire.PAYLOAD_OVERHEAD + id_bytes + self.bitmap_bytes(height)
-
-
-def count_nonempty_subtrees(workload: Iterable[Prefix], level: int, bound: int) -> int:
-    """Distinct level-`level` sub-trees holding a prefix of length in [level, bound)."""
-    pl = list(workload)
-    if not pl:
-        raise ValueError("empty workload")
-    fams = {p.family for p in pl}
-    if len(fams) != 1:
-        raise FamilyMismatchError("workload must be a single family")
-    width = WIDTH[fams.pop()]
-    if not 0 <= level < bound:
-        raise ValueError(f"bad segment [{level}, {bound})")
-    roots = {
-        p.bits >> (width - level)
-        for p in pl
-        if level <= p.prefixlen < bound
-    }
-    return len(roots)
 
 
 def _num_table(pairs: Sequence[tuple[int, int]], width: int) -> list[list[int]]:
@@ -144,4 +125,7 @@ def simulate_profile_cost(
     """Price a profile by actually encoding the workload block by block."""
     model = model or CostModel()
     blocks = encode_batch(profile, workload)
-    return sum(model.block_size(b.family, b.height) for b in blocks)
+    return sum(
+        model.block_size(b.family, subtree_height(profile, subtree_id_level(b.id)))
+        for b in blocks
+    )

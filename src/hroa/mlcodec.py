@@ -119,11 +119,17 @@ def compress_minimal(prefixes: Iterable[Prefix]) -> list[AddressBlock]:
 
 
 def scatter_degree(prefixes: Iterable[Prefix]) -> Fraction:
-    """Blocks-per-prefix ratio after minimal compression, as an exact rational."""
+    """Blocks-per-prefix ratio after minimal compression, as an exact rational.
+
+    Each family is compressed on its own, so a dual-stack set counts the
+    blocks of both.
+    """
     pset = set(prefixes)
     if not pset:
         raise ValueError("empty prefix set")
-    return Fraction(len(compress_minimal(pset)), len(pset))
+    families = {p.family for p in pset}
+    blocks = sum(len(compress_minimal(p for p in pset if p.family == f)) for f in families)
+    return Fraction(blocks, len(pset))
 
 
 def excess_prefixes(block: AddressBlock, authorized: Iterable[Prefix]) -> int:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 from . import wire
-from .bmcodec import SubTreeBlock, subtree_height, subtree_id_level, decode_block
+from .bmcodec import SubTreeBlock, decode_block
 from .hybrid import HybridConfig, HybridPayload, frame_payload, hybrid_encode, prefix_pdus
 from .mlcodec import compress_minimal  # noqa: F401  perfbench/tracing.py wraps it at this name
 from .prefix import AddressBlock, Prefix, expand
@@ -57,17 +57,14 @@ class CacheErrorReport(SyncError):
 
 @dataclass(frozen=True)
 class CacheSnapshot:
-    """Immutable per-serial cache state.
+    """Immutable per-serial cache state: each AS's hybrid encoding.
 
-    ``entries`` holds each AS's canonical address blocks (minimal when the
-    snapshot was built from plain prefixes); ``payloads`` the hybrid
-    encodings derived from them at build time.
+    A payload's ``blocks`` are the AS's canonical address blocks (minimal
+    when the snapshot was built from plain prefixes).
     """
 
     session_id: int
     serial: int
-    cfg: HybridConfig
-    entries: Mapping[int, tuple[AddressBlock, ...]]
     payloads: Mapping[int, HybridPayload]
 
     @classmethod
@@ -84,19 +81,16 @@ class CacheSnapshot:
             inputs = inputs.entries
         if session_id is None:
             session_id = random.getrandbits(16)
-        entries: dict[int, tuple[AddressBlock, ...]] = {}
-        payloads: dict[int, HybridPayload] = {}
-        for asn, items in inputs.items():
-            payload = hybrid_encode(cfg, asn, items, recompress)
-            entries[asn] = payload.blocks
-            payloads[asn] = payload
-        return cls(session_id, serial, cfg, entries, payloads)
+        payloads = {
+            asn: hybrid_encode(cfg, asn, items, recompress) for asn, items in inputs.items()
+        }
+        return cls(session_id, serial, payloads)
 
     def authorized_map(self) -> dict[int, set[Prefix]]:
         out: dict[int, set[Prefix]] = {}
-        for asn, blocks in self.entries.items():
+        for asn, payload in self.payloads.items():
             acc: set[Prefix] = set()
-            for b in blocks:
+            for b in payload.blocks:
                 acc |= expand(b)
             out[asn] = acc
         return out
@@ -110,8 +104,8 @@ def payload_pdus(snapshot: CacheSnapshot, scheme: str) -> list[wire.RtrPdu]:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     pdus: list[wire.RtrPdu] = []
-    for asn in sorted(snapshot.entries):
-        blocks = snapshot.entries[asn]
+    for asn in sorted(snapshot.payloads):
+        blocks = snapshot.payloads[asn].blocks
         if scheme in ("troa", "mroa"):
             pdus.extend(prefix_pdus(asn, blocks))
         elif scheme == "sroa":
@@ -324,15 +318,11 @@ def decode_payload_pdu(
         pairs = pdu.blocks
     else:
         raise wire.FramingError(f"unexpected PDU {type(pdu).__name__} in payload")
-    family = pdu.family
-    levels = cfg.levels(family)
+    levels = cfg.hanging[pdu.family]
     out: set[Prefix] = set()
     for sid, bitmap in pairs:
         try:
-            block = SubTreeBlock(
-                family, sid, bitmap, height=subtree_height(levels, subtree_id_level(sid))
-            )
-            flag, prefixes = decode_block(levels, block)
+            flag, prefixes = decode_block(levels, SubTreeBlock(pdu.family, sid, bitmap))
         except ValueError as exc:
             raise wire.FramingError(f"bad sub-tree block: {exc}") from None
         if flag:

@@ -53,21 +53,13 @@ def parse_vrp_row(row: list[str], lineno: int = 0) -> Vrp:
 
 @dataclass
 class Workload:
-    """Per-AS address blocks, in input order, deduplicated."""
+    """Per-AS sets of address blocks."""
 
-    entries: dict[int, list[AddressBlock]] = field(default_factory=dict)
+    entries: dict[int, set[AddressBlock]] = field(default_factory=dict)
     source: str = ""
-    # each AS's blocks as a set beside its list, so add() tests membership in O(1)
-    _seen: dict[int, set[AddressBlock]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._seen = {asn: set(blocks) for asn, blocks in self.entries.items()}
 
     def add(self, vrp: Vrp) -> None:
-        seen = self._seen.setdefault(vrp.asn, set())
-        if vrp.block not in seen:
-            seen.add(vrp.block)
-            self.entries.setdefault(vrp.asn, []).append(vrp.block)
+        self.entries.setdefault(vrp.asn, set()).add(vrp.block)
 
     def asns(self) -> list[int]:
         return sorted(self.entries)
@@ -87,7 +79,7 @@ class Workload:
         return out
 
     def without_as0(self) -> "Workload":
-        return Workload({a: list(v) for a, v in self.entries.items() if a != 0}, self.source)
+        return Workload({a: set(v) for a, v in self.entries.items() if a != 0}, self.source)
 
 
 def load_csv(path_or_file, source: str = "") -> Workload:

@@ -97,7 +97,7 @@ def test_worked_example_node_numbers():
 
 def test_worked_example_batch():
     blocks = encode_batch(V4_CFG, FIG_PREFIXES)
-    assert blocks == [SubTreeBlock(V4, 1878001, 54, height=5)]
+    assert blocks == [SubTreeBlock(V4, 1878001, 54)]
     flag, back = decode_block(V4_CFG, blocks[0])
     assert flag == 0
     assert back == set(FIG_PREFIXES)
@@ -105,7 +105,7 @@ def test_worked_example_batch():
 
 def test_worked_example_withdraw_bitmap():
     blocks = encode_batch(V4_CFG, [parse_prefix("202.127.16.0/21")], withdraw=True)
-    assert blocks == [SubTreeBlock(V4, 1878001, 5, height=5)]
+    assert blocks == [SubTreeBlock(V4, 1878001, 5)]
     assert blocks[0].flag == 1
 
 
@@ -115,7 +115,7 @@ def test_level_zero_identifier_is_one():
     assert make_node_number(p, 0) == 1
     # 64.0.0.0/3 = leading bits 010 -> node 2^3 + 2 = 10
     blocks = encode_batch(V4_CFG, [p, parse_prefix("64.0.0.0/3")])
-    assert blocks == [SubTreeBlock(V4, 1, (1 << 1) | (1 << 10), height=5)]
+    assert blocks == [SubTreeBlock(V4, 1, (1 << 1) | (1 << 10))]
 
 
 def test_prefixes_split_across_subtrees():
@@ -128,40 +128,40 @@ def test_prefixes_split_across_subtrees():
 
 def test_decode_rejects_foreign_shapes():
     with pytest.raises(ValueError):
-        decode_block(V4_CFG, SubTreeBlock(V4, make_subtree_id(parse_prefix("192.0.0.0/4"), 4), 2, height=1))
+        decode_block(V4_CFG, SubTreeBlock(V4, make_subtree_id(parse_prefix("192.0.0.0/4"), 4), 2))
     with pytest.raises(ValueError):
-        decode_block(V4_CFG, SubTreeBlock(V4, 1878001, 2, height=3))
-    with pytest.raises(ValueError):
-        decode_block(V6_CFG, SubTreeBlock(V4, 1878001, 54, height=5))
+        decode_block(V6_CFG, SubTreeBlock(V4, 1878001, 54))
 
 
 def test_block_validation():
     with pytest.raises(ValueError):
-        SubTreeBlock(V4, 1878001, 1, height=5)  # flag only, no nodes
+        SubTreeBlock(V4, 1878001, 1)  # flag only, no nodes
     with pytest.raises(ValueError):
-        SubTreeBlock(V4, 1878001, 1 << 40, height=5)  # wider than 2^5 bits
+        SubTreeBlock(V4, 1878001, -2)
+    with pytest.raises(ValueError, match="node bits beyond the sub-tree"):
+        decode_block(V4_CFG, SubTreeBlock(V4, 1878001, 1 << 40))  # wider than 2^5 bits
     with pytest.raises(ValueError):
-        BitmapRoa(7497, (SubTreeBlock(V4, 9, 2, height=5), SubTreeBlock(V4, 9, 4, height=5)))
+        BitmapRoa(7497, (SubTreeBlock(V4, 9, 2), SubTreeBlock(V4, 9, 4)))
 
 
 def test_stm_worked_example():
     stm = Stm(asn=7497, flag=0)
-    stm_insert(stm, SubTreeBlock(V4, 1878001, 54, height=5))
-    stm_insert(stm, SubTreeBlock(V4, 1878001, 5, height=5))
+    stm_insert(stm, SubTreeBlock(V4, 1878001, 54))
+    stm_insert(stm, SubTreeBlock(V4, 1878001, 5))
     assert stm.table == {1878001: 50}
 
 
 def test_stm_eviction_and_flag_forcing():
     stm = Stm(asn=7497, flag=0)
-    stm_insert(stm, SubTreeBlock(V4, 1878001, 6, height=5))
-    stm_insert(stm, SubTreeBlock(V4, 1878001, 7, height=5))
+    stm_insert(stm, SubTreeBlock(V4, 1878001, 6))
+    stm_insert(stm, SubTreeBlock(V4, 1878001, 7))
     assert stm.table == {}  # all node bits cleared -> entry dropped
     wd = Stm(asn=7497, flag=1)
-    stm_insert(wd, SubTreeBlock(V4, 1878001, 6, height=5))
+    stm_insert(wd, SubTreeBlock(V4, 1878001, 6))
     assert wd.table == {}  # clearing an empty entry stores nothing
     stm2 = Stm(asn=7497, flag=0)
-    stm_insert(stm2, SubTreeBlock(V4, 1878001, 14, height=5))
-    stm_insert(stm2, SubTreeBlock(V4, 1878001, 5, height=5))  # withdraw bits {0,2}
+    stm_insert(stm2, SubTreeBlock(V4, 1878001, 14))
+    stm_insert(stm2, SubTreeBlock(V4, 1878001, 5))  # withdraw bits {0,2}
     assert stm2.table == {1878001: 10}  # node bit 2 gone, stored flag bit stays 0
 
 

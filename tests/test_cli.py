@@ -97,8 +97,10 @@ def test_decode_rejects_trailing_garbage(fig_csv, tmp_path, capsys):
         wire.SubTreePdu(V4, 1878001, 55, 7497),  # bitmap bit 0: a withdrawal
         wire.SubTreePdu(V4, (1 << 3) | 5, 2, 7497),  # id at level 3, not in the profile
         wire.PrefixPdu(0, parse_prefix("10.0.0.0/8"), 8, 64500),  # flags 0: a withdrawal
+        # terminal level 30 has height 3, so node bits stop at bit 7
+        wire.SubTreePdu(V4, (1 << 30) | 5, 1 << 8, 7497),
     ],
-    ids=["subtree-withdrawal", "level-not-in-profile", "prefix-withdrawal"],
+    ids=["subtree-withdrawal", "level-not-in-profile", "prefix-withdrawal", "bitmap-too-wide"],
 )
 def test_decode_rejects_invalid_payload(pdu, tmp_path, capsys):
     pdufile = tmp_path / "bad.pdus"
@@ -162,6 +164,19 @@ def test_stats_output(fig_csv, tmp_path, capsys):
     code, out = _run(capsys, ["stats", str(as0), "--include-as0"])
     doc = json.loads(out)
     assert doc["as_count"] == 2 and doc["vrp_count"] == 5
+    # a dual-stack AS: each family is compressed on its own
+    dual = tmp_path / "dual.csv"
+    dual.write_text(
+        "AS64500,192.0.2.0/24,\nAS64500,192.0.2.0/25,\n"
+        "AS64500,192.0.2.128/25,\nAS64500,2001:db8::/32,\n"
+    )
+    code, out = _run(capsys, ["stats", str(dual)])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["scatter_degree"]["per_as"]["64500"] == {
+        "prefix_count": 4,
+        "scatter_degree": 0.5,
+    }
 
 
 def test_sweep_output(fig_csv, capsys):

@@ -45,7 +45,7 @@ def test_worked_example_single_block():
     # both minimal blocks are short, so everything lands in one bitmap PDU
     payload = hybrid_encode(HybridConfig(), 7497, FIG_PREFIXES)
     assert payload.ml_blocks == ()
-    assert payload.bm_blocks == (SubTreeBlock(V4, 1878001, 54, height=5),)
+    assert payload.bm_blocks == (SubTreeBlock(V4, 1878001, 54),)
     assert len(frame_payload(payload)) == len(frame_payload(payload, aggregate=True)) == 1
     assert hybrid_decode(HybridConfig(), payload) == {7497: set(FIG_PREFIXES)}
 
@@ -159,8 +159,8 @@ def test_aggregation_groups_per_family():
 
 def test_aggregation_sorts_and_splits_at_the_length_cap():
     # blocks given out of order, and more v6 sub-trees than one PDU holds
-    v6 = [SubTreeBlock(V6, sid, 2, height=5) for sid in range(agg_capacity(V6) + 1, 0, -1)]
-    v4 = [SubTreeBlock(V4, 9, 2, height=3), SubTreeBlock(V4, 3, 2, height=3)]
+    v6 = [SubTreeBlock(V6, sid, 2) for sid in range(agg_capacity(V6) + 1, 0, -1)]
+    v4 = [SubTreeBlock(V4, 9, 2), SubTreeBlock(V4, 3, 2)]
     pdus = frame_payload(HybridPayload(64500, (), tuple(v6 + v4)), aggregate=True)
     assert [(p.family, len(p.blocks)) for p in pdus] == [(V4, 2), (V6, agg_capacity(V6)), (V6, 1)]
     ids = [sid for p in pdus for sid, _ in p.blocks]
@@ -169,7 +169,7 @@ def test_aggregation_sorts_and_splits_at_the_length_cap():
 
 
 def test_decode_rejects_withdrawals():
-    wd = SubTreeBlock(V4, 1878001, 55, height=5)
+    wd = SubTreeBlock(V4, 1878001, 55)
     with pytest.raises(ValueError):
         hybrid_decode(HybridConfig(), HybridPayload(7497, (), (wd,)))
 

@@ -6,7 +6,7 @@ from hroa import wire
 from hroa.bmcodec import HangingLevels
 from hroa.levelopt import (
     CostModel,
-    count_nonempty_subtrees,
+    _num_table,
     optimize_levels,
     simulate_profile_cost,
 )
@@ -33,19 +33,20 @@ def test_cost_model_defaults():
         m.bitmap_bytes(0)
 
 
+def _pairs(prefixes):
+    return [(p.bits, p.prefixlen) for p in prefixes]
+
+
 def test_count_nonempty_subtrees():
-    assert count_nonempty_subtrees(FIG_PREFIXES, 20, 23) == 1
-    assert count_nonempty_subtrees(FIG_PREFIXES, 20, 21) == 1
+    num = _num_table(_pairs(FIG_PREFIXES), 32)
+    assert num[20][23] == 1
+    assert num[20][21] == 1
     # the /21 and both /22s share their first 21 bits (the /22s split at bit 22)
-    assert count_nonempty_subtrees(FIG_PREFIXES, 21, 23) == 1
-    assert count_nonempty_subtrees(FIG_PREFIXES, 22, 23) == 2
-    assert count_nonempty_subtrees(FIG_PREFIXES, 0, 20) == 0
+    assert num[21][23] == 1
+    assert num[22][23] == 2
+    assert num[0][20] == 0
     two_roots = FIG_PREFIXES + [parse_prefix("202.127.32.0/20")]
-    assert count_nonempty_subtrees(two_roots, 20, 23) == 2
-    with pytest.raises(ValueError):
-        count_nonempty_subtrees(FIG_PREFIXES, 23, 20)
-    with pytest.raises(ValueError):
-        count_nonempty_subtrees([], 0, 1)
+    assert _num_table(_pairs(two_roots), 32)[20][23] == 2
 
 
 def test_count_matches_oracle():
@@ -54,13 +55,12 @@ def test_count_matches_oracle():
     while len(prefixes) < 30:
         n = rng.randint(0, 32)
         prefixes.add(Prefix(V4, rng.getrandbits(n) << (32 - n), n))
-    pairs = [(p.bits, p.prefixlen) for p in prefixes]
+    pairs = _pairs(prefixes)
+    num = _num_table(pairs, 32)
     for _ in range(100):
         level = rng.randint(0, 31)
         bound = rng.randint(level + 1, 33)
-        assert count_nonempty_subtrees(prefixes, level, bound) == oracle_num(
-            pairs, 32, level, bound
-        )
+        assert num[level][bound] == oracle_num(pairs, 32, level, bound)
 
 
 def test_root_only_workload():

@@ -49,6 +49,17 @@ def test_full_tree_collapses_to_one_block():
     assert scatter_degree(full) == Fraction(1, 7)
 
 
+def test_scatter_degree_compresses_each_family_on_its_own():
+    # the v4 /24 and its two /25s merge into one block, the v6 /32 is another
+    dual = {
+        parse_prefix("192.0.2.0/24"),
+        parse_prefix("192.0.2.0/25"),
+        parse_prefix("192.0.2.128/25"),
+        parse_prefix("2001:db8::/32"),
+    }
+    assert scatter_degree(dual) == Fraction(1, 2)
+
+
 def test_siblings_need_their_parent_to_merge():
     # without the /23 the two left /24s stay separate blocks
     got = compress_minimal(

@@ -40,7 +40,7 @@ def _snapshot(inputs=None, **kw):
 
 def test_snapshot_canonicalizes_prefix_input():
     snap = _snapshot()
-    assert snap.entries[7497] == (
+    assert snap.payloads[7497].blocks == (
         AddressBlock(parse_prefix("202.127.16.0/20"), 20),
         AddressBlock(parse_prefix("202.127.16.0/21"), 22),
     )
@@ -59,7 +59,7 @@ def test_snapshot_recompresses_dual_stack_as():
         ]
     }
     snap = _snapshot(inputs, recompress=True)
-    assert snap.entries[64500] == (
+    assert snap.payloads[64500].blocks == (
         AddressBlock(parse_prefix("192.0.2.0/24"), 25),
         AddressBlock(parse_prefix("2001:db8::/64"), 66),
     )
