@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .prefix import V4, V6, WIDTH, FamilyMismatchError, Prefix
 
@@ -194,15 +194,6 @@ def encode_batch(
     return [SubTreeBlock(cfg.family, sid, bm | flag) for sid, bm in sorted(acc.items())]
 
 
-def _node_numbers(bitmap: int) -> Iterator[int]:
-    """Set bit positions >= 1, i.e. the encoded node numbers."""
-    rest = bitmap & ~1
-    while rest:
-        low = rest & -rest
-        yield low.bit_length() - 1
-        rest ^= low
-
-
 def decode_block(cfg: HangingLevels, block: SubTreeBlock) -> tuple[int, set[Prefix]]:
     """Rebuild (flag, prefixes) from one block.  Inverse of encode_batch."""
     if block.family != cfg.family:
@@ -211,14 +202,17 @@ def decode_block(cfg: HangingLevels, block: SubTreeBlock) -> tuple[int, set[Pref
     height = subtree_height(cfg, level)  # raises if id level not in profile
     if block.bitmap >> (1 << height):
         raise ValueError("bitmap has node bits beyond the sub-tree")
-    width = cfg.width
+    family, width = cfg.family, cfg.width
     root = (block.id ^ (1 << level)) << (width - level)
     out = set()
-    for y in _node_numbers(block.bitmap):
+    rest = block.bitmap & ~1
+    while rest:  # each set bit y >= 1 is node y: depth d = bit_length - 1, tail y - 2^d
+        low = rest & -rest
+        rest ^= low
+        y = low.bit_length() - 1
         depth = y.bit_length() - 1
         n = level + depth
-        tail = (y ^ (1 << depth)) << (width - n)
-        out.add(Prefix(cfg.family, root | tail, n))
+        out.add(Prefix(family, root | (y ^ (1 << depth)) << (width - n), n))
     return block.bitmap & 1, out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
+from itertools import repeat
 
 V4 = 4
 V6 = 6
@@ -120,18 +121,6 @@ def covers(outer: Prefix, inner: Prefix) -> bool:
     return inner.bits >> shift == outer.bits >> shift
 
 
-def children(prefix: Prefix) -> tuple[Prefix, Prefix]:
-    """The two one-bit-longer prefixes under this one (left = appended 0)."""
-    if prefix.prefixlen >= prefix.width:
-        raise ValueError(f"{prefix} has no children")
-    plen = prefix.prefixlen + 1
-    hi = 1 << (prefix.width - plen)
-    return (
-        Prefix(prefix.family, prefix.bits, plen),
-        Prefix(prefix.family, prefix.bits | hi, plen),
-    )
-
-
 def parent(prefix: Prefix) -> Prefix:
     if prefix.prefixlen == 0:
         raise ValueError("/0 has no parent")
@@ -145,16 +134,17 @@ def expand(block: AddressBlock, cap: int = DEFAULT_EXPANSION_CAP) -> set[Prefix]
 
     Yields exactly 2^(height+1) - 1 prefixes; refuses heights above ``cap``.
     """
-    if block.height > cap:
-        raise ExpansionCapError(
-            f"block height {block.height} exceeds expansion cap {cap}"
-        )
-    out = {block.prefix}
-    frontier = [block.prefix]
-    for _ in range(block.height):
-        nxt = []
-        for p in frontier:
-            nxt.extend(children(p))
-        out.update(nxt)
-        frontier = nxt
+    root = block.prefix
+    plen = root.prefixlen
+    height = block.max_length - plen
+    if height > cap:
+        raise ExpansionCapError(f"block height {height} exceeds expansion cap {cap}")
+    out = {root}
+    if height:
+        family, bits, width = root.family, root.bits, root.width
+        for n in range(plen + 1, block.max_length + 1):
+            # the 2^(n - plen) nodes of length n: the root's bits plus k steps of one /n
+            count, step = 1 << (n - plen), 1 << (width - n)
+            out.update(map(Prefix, repeat(family, count), range(bits, bits + count * step, step),
+                           repeat(n, count)))
     return out

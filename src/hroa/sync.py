@@ -16,7 +16,7 @@ import socket
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from . import wire
 from .bmcodec import SubTreeBlock, decode_block
@@ -29,6 +29,8 @@ log = logging.getLogger("hroa.sync")
 
 SCHEMES = ("sroa", "troa", "mroa", "hroa", "ahroa")
 SERVE_SCHEMES = ("mroa", "hroa", "ahroa")
+# what fetch hands to decode_payload_pdu once the cache response is in
+_PAYLOAD_TYPES = (wire.PrefixPdu, wire.SubTreePdu, wire.SubTreeAggPdu)
 
 DEFAULT_REFRESH = 3600
 DEFAULT_RETRY = 600
@@ -164,6 +166,12 @@ class TokenBucket:
             time.sleep(wait)
 
 
+def _error_report(text: str, echoed: bytes = b"") -> bytes:
+    """A Corrupt Data (code 0) report, its echoed PDU cut short to fit the length cap."""
+    room = wire.MAX_PDU_LEN - wire.ERROR_REPORT_OVERHEAD - len(text.encode("utf-8"))
+    return wire.serialize(wire.ErrorReport(0, echoed[:room], text))
+
+
 class RtrServer:
     """Serves one snapshot under one scheme until closed."""
 
@@ -244,7 +252,7 @@ class RtrServer:
                     try:
                         pdus = reader.feed(data)
                     except wire.FramingError as exc:
-                        conn.sendall(wire.serialize(wire.ErrorReport(0, text=str(exc))))
+                        conn.sendall(_error_report(str(exc)))
                         return
                     for pdu in pdus:
                         if isinstance(pdu, wire.ResetQuery):
@@ -260,13 +268,7 @@ class RtrServer:
                             )
                         else:
                             conn.sendall(
-                                wire.serialize(
-                                    wire.ErrorReport(
-                                        0,
-                                        echoed=wire.serialize(pdu),
-                                        text="only reset query is supported",
-                                    )
-                                )
+                                _error_report("only reset query is supported", wire.serialize(pdu))
                             )
                             return
         except OSError:
@@ -300,34 +302,42 @@ def serve(
     return RtrServer(snapshot, scheme, endpoint[0], endpoint[1], bandwidth_bps)
 
 
+_NO_PREFIXES: frozenset[Prefix] = frozenset()
+
+
 def decode_payload_pdu(
     pdu: wire.RtrPdu, cfg: HybridConfig
-) -> tuple[int, tuple[AddressBlock, ...], set[Prefix]]:
+) -> tuple[int, tuple[AddressBlock, ...], AbstractSet[Prefix]]:
     """One payload PDU's AS, its maxLength blocks and its bitmap-decoded prefixes.
 
     Raises wire.FramingError on a withdrawal, on a sub-tree block the
     hanging-level profile cannot decode, and on a PDU that is no payload.
     """
-    if isinstance(pdu, wire.PrefixPdu):
-        if not pdu.announce:
+    kind = type(pdu)
+    if kind is wire.PrefixPdu:
+        if not pdu.flags & 1:
             raise wire.FramingError("withdrawal PDU in an authorization payload")
-        return pdu.asn, (AddressBlock(pdu.prefix, pdu.max_length),), set()
-    if isinstance(pdu, wire.SubTreePdu):
+        return pdu.asn, (AddressBlock(pdu.prefix, pdu.max_length),), _NO_PREFIXES
+    if kind is wire.SubTreePdu:
         pairs: Iterable[tuple[int, int]] = ((pdu.subtree_id, pdu.bitmap),)
-    elif isinstance(pdu, wire.SubTreeAggPdu):
+    elif kind is wire.SubTreeAggPdu:
         pairs = pdu.blocks
     else:
-        raise wire.FramingError(f"unexpected PDU {type(pdu).__name__} in payload")
-    levels = cfg.hanging[pdu.family]
-    out: set[Prefix] = set()
+        raise wire.FramingError(f"unexpected PDU {kind.__name__} in payload")
+    family = pdu.family
+    levels = cfg.hanging[family]
+    out: AbstractSet[Prefix] = _NO_PREFIXES
     for sid, bitmap in pairs:
         try:
-            flag, prefixes = decode_block(levels, SubTreeBlock(pdu.family, sid, bitmap))
+            flag, prefixes = decode_block(levels, SubTreeBlock(family, sid, bitmap))
         except ValueError as exc:
             raise wire.FramingError(f"bad sub-tree block: {exc}") from None
         if flag:
             raise wire.FramingError("withdrawal block in an authorization payload")
-        out |= prefixes
+        if out:
+            out |= prefixes
+        else:
+            out = prefixes  # decode_block's own set: the first block needs no copy
     return pdu.asn, (), out
 
 
@@ -367,34 +377,37 @@ def fetch(
                 except wire.FramingError as exc:
                     raise ProtocolError(f"unparseable PDU: {exc}") from None
                 for pdu in pdus:
-                    if isinstance(pdu, wire.ErrorReport):
+                    kind = type(pdu)
+                    if got_cache_response and kind in _PAYLOAD_TYPES:
+                        report.pdu_count += 1
+                        try:
+                            asn, blocks, prefixes = decode_payload_pdu(pdu, cfg)
+                        except wire.FramingError as exc:
+                            raise ProtocolError(str(exc)) from None
+                        acc = out.get(asn)
+                        if acc is None:
+                            acc = out[asn] = set()
+                        if prefixes:
+                            acc |= prefixes
+                        for block in blocks:
+                            acc |= expand(block)
+                    elif kind is wire.ErrorReport:
                         raise CacheErrorReport(pdu)
-                    if not got_cache_response:
-                        if not isinstance(pdu, wire.CacheResponse):
-                            raise ProtocolError(
-                                f"expected cache response, got {type(pdu).__name__}"
-                            )
+                    elif not got_cache_response:
+                        if kind is not wire.CacheResponse:
+                            raise ProtocolError(f"expected cache response, got {kind.__name__}")
                         got_cache_response = True
                         report.session_id = pdu.session_id
-                        continue
-                    if isinstance(pdu, wire.EndOfData):
+                    elif kind is wire.EndOfData:
                         if pdu.session_id != report.session_id:
                             raise ProtocolError("session id changed mid-response")
                         report.serial = pdu.serial
                         done = True
                         break
-                    if isinstance(pdu, wire.UnknownPdu):
+                    elif kind is wire.UnknownPdu:
                         report.skipped_unknown += 1
-                        continue
-                    report.pdu_count += 1
-                    try:
-                        asn, blocks, prefixes = decode_payload_pdu(pdu, cfg)
-                    except wire.FramingError as exc:
-                        raise ProtocolError(str(exc)) from None
-                    acc = out.setdefault(asn, set())
-                    acc |= prefixes
-                    for block in blocks:
-                        acc |= expand(block)
+                    else:
+                        raise ProtocolError(f"unexpected PDU {kind.__name__} in payload")
     finally:
         report.elapsed = time.perf_counter() - t0
     report.decode_count = sum(len(s) for s in out.values())

@@ -25,6 +25,14 @@ PDUs carry announce/withdraw in bitmap bit 0, with no flags byte; a height-h
 sub-tree needs 2^h bits, so the 32-bit bitmap caps sub-trees at
 ``MAX_SUBTREE_HEIGHT`` levels.  Unrecognized types pass through as
 ``UnknownPdu`` holding the raw bytes so a stream survives foreign PDUs.
+
+Every fixed layout (types 2, 3, 4, 6, 7, 12, 13) has one precompiled
+``struct.Struct`` covering header and body: ``Layout.prefix_struct`` and
+``Layout.subtree_struct`` per family, ``_HDR`` and ``_END_OF_DATA`` for the
+rest.  A v4 address or id is one 32-bit int field; a v6 one is 16 bytes, as
+struct has no 128-bit code.  ``serialize`` packs a fixed PDU with one call, and
+``_parse`` (behind both ``deserialize`` and ``PduReader.feed``) unpacks it
+in place from the caller's buffer, with no per-PDU copy.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .prefix import V4, V6, Prefix
+from .prefix import V4, V6, WIDTH, Prefix
 
 PDU_RESET_QUERY = 2
 PDU_CACHE_RESPONSE = 3
@@ -43,30 +51,49 @@ DEFAULT_VERSION = 1
 MAX_PDU_LEN = 65535
 ANNOUNCE = 1  # flags byte of an announcing prefix PDU
 
-_HDR = struct.Struct(">BBHI")
+_HDR_FMT = ">BBHI"  # version, type, 16-bit field, length
+_HDR = struct.Struct(_HDR_FMT)
+_END_OF_DATA = struct.Struct(_HDR_FMT + "IIII")  # serial, refresh, retry, expire
+_U32 = struct.Struct(">I")
 HEADER_BYTES = _HDR.size
 ASN_BYTES = 4
 BITMAP_BITS = 32
-BITMAP_BYTES = BITMAP_BITS // 8
 MAX_SUBTREE_HEIGHT = BITMAP_BITS.bit_length() - 1  # height h needs 2^h bits: 5
 # what a sub-tree PDU or an aggregate spends besides its (id, bitmap) pairs
 PAYLOAD_OVERHEAD = HEADER_BYTES + ASN_BYTES
+# what an error report spends besides its echoed PDU and text: two length fields
+ERROR_REPORT_OVERHEAD = HEADER_BYTES + 8
+
+
+# struct format of an address or sub-tree id: an int for v4; struct has no
+# 128-bit code, so v6 packs 16 bytes (Layout.addr_field)
+_ADDR_FMT = {4: "I", 16: "16s"}
 
 
 class Layout:
     """The wire facts of one address family."""
 
     __slots__ = ("family", "addr_bytes", "prefix_type", "subtree_type", "agg_type",
-                 "prefix_len", "pair_bytes", "subtree_len")
+                 "prefix_len", "pair_bytes", "subtree_len",
+                 "prefix_struct", "subtree_struct", "pair_struct")
 
     def __init__(self, family: int, addr_bytes: int, prefix_type: int, subtree_type: int,
                  agg_type: int):
         self.family = family
         self.addr_bytes = addr_bytes  # prefix address in types 4/6, sub-tree id in 12-15
         self.prefix_type, self.subtree_type, self.agg_type = prefix_type, subtree_type, agg_type
-        self.prefix_len = HEADER_BYTES + 4 + addr_bytes + ASN_BYTES  # 4: flags, len, maxlen, 0
-        self.pair_bytes = addr_bytes + BITMAP_BYTES  # one (id, bitmap) pair
-        self.subtree_len = self.agg_len(1)
+        addr = _ADDR_FMT[addr_bytes]
+        # header, then flags, len, maxlen, zero, address, asn
+        self.prefix_struct = struct.Struct(_HDR_FMT + "BBBB" + addr + "I")
+        self.subtree_struct = struct.Struct(_HDR_FMT + addr + "II")  # header, id, bitmap, asn
+        self.pair_struct = struct.Struct(">" + addr + "I")  # one (id, bitmap) pair
+        self.prefix_len = self.prefix_struct.size
+        self.subtree_len = self.subtree_struct.size
+        self.pair_bytes = self.pair_struct.size
+
+    def addr_field(self, value: int) -> int | bytes:
+        """An address or id as its struct field packs it."""
+        return value if self.addr_bytes == 4 else value.to_bytes(self.addr_bytes, "big")
 
     def agg_len(self, pairs: int) -> int:
         return PAYLOAD_OVERHEAD + self.pair_bytes * pairs
@@ -76,15 +103,7 @@ LAYOUT = {
     V4: Layout(V4, addr_bytes=4, prefix_type=4, subtree_type=12, agg_type=14),
     V6: Layout(V6, addr_bytes=16, prefix_type=6, subtree_type=13, agg_type=15),
 }
-_PREFIX_TYPES = {lay.prefix_type: lay for lay in LAYOUT.values()}
-_SUBTREE_TYPES = {lay.subtree_type: lay for lay in LAYOUT.values()}
 _AGG_TYPES = {lay.agg_type: lay for lay in LAYOUT.values()}
-# every type whose PDUs have one length; error reports and aggregates vary
-_FIXED_LEN = {
-    PDU_RESET_QUERY: HEADER_BYTES, PDU_CACHE_RESPONSE: HEADER_BYTES, PDU_END_OF_DATA: 24,
-    **{lay.prefix_type: lay.prefix_len for lay in LAYOUT.values()},
-    **{lay.subtree_type: lay.subtree_len for lay in LAYOUT.values()},
-}
 
 
 class FramingError(ValueError):
@@ -203,59 +222,26 @@ def agg_capacity(family: int) -> int:
 
 
 def serialize(pdu: RtrPdu) -> bytes:
-    """Wire bytes for one PDU."""
-    if isinstance(pdu, ResetQuery):
-        return _HDR.pack(pdu.version, PDU_RESET_QUERY, 0, HEADER_BYTES)
-
-    if isinstance(pdu, CacheResponse):
-        return _HDR.pack(
-            pdu.version, PDU_CACHE_RESPONSE, _check_u16(pdu.session_id, "session"), HEADER_BYTES
-        )
-
+    """Wire bytes for one PDU; a fixed layout packs with one Struct call."""
     if isinstance(pdu, PrefixPdu):
-        lay = LAYOUT[pdu.prefix.family]
-        if not pdu.prefix.prefixlen <= pdu.max_length <= pdu.prefix.width:
+        prefix = pdu.prefix
+        lay = LAYOUT[prefix.family]
+        if not prefix.prefixlen <= pdu.max_length <= prefix.width:
             raise FramingError(f"max_length {pdu.max_length} out of range")
-        return (
-            _HDR.pack(pdu.version, lay.prefix_type, 0, lay.prefix_len)
-            + struct.pack(">BBBB", pdu.flags, pdu.prefix.prefixlen, pdu.max_length, 0)
-            + pdu.prefix.bits.to_bytes(lay.addr_bytes, "big")
-            + struct.pack(">I", _check_u32(pdu.asn, "asn"))
-        )
-
-    if isinstance(pdu, EndOfData):
-        return _HDR.pack(
-            pdu.version, PDU_END_OF_DATA, _check_u16(pdu.session_id, "session"), 24
-        ) + struct.pack(
-            ">IIII",
-            _check_u32(pdu.serial, "serial"),
-            _check_u32(pdu.refresh, "refresh"),
-            _check_u32(pdu.retry, "retry"),
-            _check_u32(pdu.expire, "expire"),
-        )
-
-    if isinstance(pdu, ErrorReport):
-        text = pdu.text.encode("utf-8")
-        total = 8 + 4 + len(pdu.echoed) + 4 + len(text)
-        if total > MAX_PDU_LEN:
-            raise FramingError(f"error report of {total} bytes exceeds cap")
-        return (
-            _HDR.pack(pdu.version, PDU_ERROR_REPORT, _check_u16(pdu.error_code, "code"), total)
-            + struct.pack(">I", len(pdu.echoed))
-            + pdu.echoed
-            + struct.pack(">I", len(text))
-            + text
+        return lay.prefix_struct.pack(
+            pdu.version, lay.prefix_type, 0, lay.prefix_len,
+            pdu.flags, prefix.prefixlen, pdu.max_length, 0,
+            lay.addr_field(prefix.bits), _check_u32(pdu.asn, "asn"),
         )
 
     if isinstance(pdu, SubTreePdu):
         lay = LAYOUT[pdu.family]
         if not 1 <= pdu.subtree_id < 1 << (8 * lay.addr_bytes):
             raise FramingError(f"sub-tree id {pdu.subtree_id} out of range")
-        _check_u32(pdu.bitmap, "bitmap")
-        return (
-            _HDR.pack(pdu.version, lay.subtree_type, 0, lay.subtree_len)
-            + pdu.subtree_id.to_bytes(lay.addr_bytes, "big")
-            + struct.pack(">II", pdu.bitmap, _check_u32(pdu.asn, "asn"))
+        return lay.subtree_struct.pack(
+            pdu.version, lay.subtree_type, 0, lay.subtree_len,
+            lay.addr_field(pdu.subtree_id), _check_u32(pdu.bitmap, "bitmap"),
+            _check_u32(pdu.asn, "asn"),
         )
 
     if isinstance(pdu, SubTreeAggPdu):
@@ -267,14 +253,45 @@ def serialize(pdu: RtrPdu) -> bytes:
             raise FramingError(f"aggregated PDU of {total} bytes exceeds cap")
         parts = [
             _HDR.pack(pdu.version, lay.agg_type, 0, total),
-            struct.pack(">I", _check_u32(pdu.asn, "asn")),
+            _U32.pack(_check_u32(pdu.asn, "asn")),
         ]
         for sid, bitmap in pdu.blocks:
             if not 1 <= sid < 1 << (8 * lay.addr_bytes):
                 raise FramingError(f"sub-tree id {sid} out of range")
             parts.append(sid.to_bytes(lay.addr_bytes, "big"))
-            parts.append(struct.pack(">I", _check_u32(bitmap, "bitmap")))
+            parts.append(_U32.pack(_check_u32(bitmap, "bitmap")))
         return b"".join(parts)
+
+    if isinstance(pdu, ResetQuery):
+        return _HDR.pack(pdu.version, PDU_RESET_QUERY, 0, HEADER_BYTES)
+
+    if isinstance(pdu, CacheResponse):
+        return _HDR.pack(
+            pdu.version, PDU_CACHE_RESPONSE, _check_u16(pdu.session_id, "session"), HEADER_BYTES
+        )
+
+    if isinstance(pdu, EndOfData):
+        return _END_OF_DATA.pack(
+            pdu.version, PDU_END_OF_DATA, _check_u16(pdu.session_id, "session"),
+            _END_OF_DATA.size,
+            _check_u32(pdu.serial, "serial"),
+            _check_u32(pdu.refresh, "refresh"),
+            _check_u32(pdu.retry, "retry"),
+            _check_u32(pdu.expire, "expire"),
+        )
+
+    if isinstance(pdu, ErrorReport):
+        text = pdu.text.encode("utf-8")
+        total = ERROR_REPORT_OVERHEAD + len(pdu.echoed) + len(text)
+        if total > MAX_PDU_LEN:
+            raise FramingError(f"error report of {total} bytes exceeds cap")
+        return (
+            _HDR.pack(pdu.version, PDU_ERROR_REPORT, _check_u16(pdu.error_code, "code"), total)
+            + _U32.pack(len(pdu.echoed))
+            + pdu.echoed
+            + _U32.pack(len(text))
+            + text
+        )
 
     if isinstance(pdu, UnknownPdu):
         return pdu.raw
@@ -282,18 +299,114 @@ def serialize(pdu: RtrPdu) -> bytes:
     raise TypeError(f"not a PDU: {pdu!r}")
 
 
-def _parse_prefix_pdu(version: int, lay: Layout, body: bytes) -> PrefixPdu:
-    alen = lay.addr_bytes
-    flags, plen, maxlen, zero = struct.unpack_from(">BBBB", body, 0)
-    bits = int.from_bytes(body[4 : 4 + alen], "big")
-    (asn,) = struct.unpack_from(">I", body, 4 + alen)
+# -- parsing -------------------------------------------------------------------
+#
+# Each fixed type maps to its Struct and a builder that takes the fields the
+# Struct unpacks: (version, type, 16-bit field, length, *body).  The v4 layouts
+# feed the checked builders directly; v6 turns its 16 address bytes into an int first.
+
+
+def _prefix(version, _type, _field, _length, flags, plen, maxlen, _zero, bits, asn, family=V4):
     try:
-        prefix = Prefix(lay.family, bits, plen)
-        if not plen <= maxlen <= prefix.width:
-            raise ValueError(f"max_length {maxlen} out of range")
+        prefix = Prefix(family, bits, plen)  # checks prefix length and host bits
     except ValueError as exc:
         raise FramingError(str(exc)) from None
-    return PrefixPdu(flags, prefix, maxlen, asn, version=version)
+    if not plen <= maxlen <= WIDTH[family]:
+        raise FramingError(f"max_length {maxlen} out of range")
+    return PrefixPdu(flags, prefix, maxlen, asn, version)
+
+
+def _v6_prefix(version, _type, _field, _length, flags, plen, maxlen, _zero, addr, asn):
+    return _prefix(version, _type, _field, _length, flags, plen, maxlen, _zero,
+                   int.from_bytes(addr, "big"), asn, V6)
+
+
+def _subtree(version, _type, _field, _length, sid, bitmap, asn, family=V4):
+    if sid < 1:
+        raise FramingError("zero sub-tree id")
+    return SubTreePdu(family, sid, bitmap, asn, version)
+
+
+def _v6_subtree(version, _type, _field, _length, sid, bitmap, asn):
+    return _subtree(version, _type, _field, _length, int.from_bytes(sid, "big"), bitmap, asn, V6)
+
+
+_FIXED = {
+    PDU_RESET_QUERY: (_HDR, lambda version, _type, _field, _length: ResetQuery(version)),
+    PDU_CACHE_RESPONSE: (
+        _HDR, lambda version, _type, session, _length: CacheResponse(session, version)
+    ),
+    PDU_END_OF_DATA: (
+        _END_OF_DATA,
+        lambda version, _type, session, _length, *timers: EndOfData(session, *timers, version),
+    ),
+    LAYOUT[V4].prefix_type: (LAYOUT[V4].prefix_struct, _prefix),
+    LAYOUT[V6].prefix_type: (LAYOUT[V6].prefix_struct, _v6_prefix),
+    LAYOUT[V4].subtree_type: (LAYOUT[V4].subtree_struct, _subtree),
+    LAYOUT[V6].subtree_type: (LAYOUT[V6].subtree_struct, _v6_subtree),
+}
+
+
+def _parse_agg(lay: Layout, version: int, buf, at: int, length: int) -> SubTreeAggPdu:
+    if length < lay.agg_len(1) or (length - PAYLOAD_OVERHEAD) % lay.pair_bytes:
+        raise FramingError(f"bad aggregated PDU length {length}")
+    (asn,) = _U32.unpack_from(buf, at + HEADER_BYTES)
+    pairs = lay.pair_struct.iter_unpack(buf[at + PAYLOAD_OVERHEAD : at + length])
+    if lay.addr_bytes == 4:
+        blocks = tuple(pairs)
+    else:
+        blocks = tuple((int.from_bytes(sid, "big"), bitmap) for sid, bitmap in pairs)
+    if any(sid < 1 for sid, _ in blocks):
+        raise FramingError("zero sub-tree id in aggregate")
+    return SubTreeAggPdu(lay.family, asn, blocks, version=version)
+
+
+def _parse_error_report(version: int, code: int, buf, at: int, length: int) -> ErrorReport:
+    if length < ERROR_REPORT_OVERHEAD:
+        raise FramingError("error report too short")
+    body = bytes(buf[at + HEADER_BYTES : at + length])
+    (elen,) = _U32.unpack_from(body, 0)
+    if 4 + elen + 4 > len(body):
+        raise FramingError("echoed PDU overruns error report")
+    echoed = body[4 : 4 + elen]
+    (tlen,) = _U32.unpack_from(body, 4 + elen)
+    if 4 + elen + 4 + tlen != len(body):
+        raise FramingError("error report length fields disagree")
+    try:
+        text = body[8 + elen :].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FramingError(f"error text not utf-8: {exc}") from None
+    return ErrorReport(code, echoed, text, version=version)
+
+
+def _parse(buf, at: int, end: int) -> tuple[RtrPdu, int]:
+    """Parse the PDU at ``buf[at:end]``; returns (pdu, its length).
+
+    The one parse core.  A fixed layout unpacks straight from ``buf`` with
+    its Struct; only variable-length PDUs copy bytes out.
+    """
+    avail = end - at
+    if avail < HEADER_BYTES:
+        raise TruncatedPdu(HEADER_BYTES)
+    version, ptype, field16, length = _HDR.unpack_from(buf, at)
+    if length < HEADER_BYTES:
+        raise FramingError(f"PDU length {length} below header size")
+    if length > MAX_PDU_LEN:
+        raise FramingError(f"PDU length {length} exceeds cap")
+    if avail < length:
+        raise TruncatedPdu(length)
+    fixed = _FIXED.get(ptype)
+    if fixed is not None:
+        layout, build = fixed
+        if length != layout.size:
+            raise FramingError(f"type {ptype} PDU must be {layout.size} bytes, got {length}")
+        return build(*layout.unpack_from(buf, at)), length
+    lay = _AGG_TYPES.get(ptype)
+    if lay is not None:
+        return _parse_agg(lay, version, buf, at, length), length
+    if ptype == PDU_ERROR_REPORT:
+        return _parse_error_report(version, field16, buf, at, length), length
+    return UnknownPdu(version, ptype, bytes(buf[at : at + length])), length
 
 
 def deserialize(buf: bytes | bytearray | memoryview, offset: int = 0) -> tuple[RtrPdu, int]:
@@ -302,76 +415,7 @@ def deserialize(buf: bytes | bytearray | memoryview, offset: int = 0) -> tuple[R
     Raises TruncatedPdu when the buffer holds only part of a PDU and
     FramingError when the bytes cannot be valid.
     """
-    view = memoryview(buf)[offset:]
-    if len(view) < HEADER_BYTES:
-        raise TruncatedPdu(HEADER_BYTES)
-    version, ptype, field16, length = _HDR.unpack_from(view, 0)
-    if length < HEADER_BYTES:
-        raise FramingError(f"PDU length {length} below header size")
-    if length > MAX_PDU_LEN:
-        raise FramingError(f"PDU length {length} exceeds cap")
-    if len(view) < length:
-        raise TruncatedPdu(length)
-    want = _FIXED_LEN.get(ptype)
-    if want is not None and length != want:
-        raise FramingError(f"type {ptype} PDU must be {want} bytes, got {length}")
-    body = bytes(view[HEADER_BYTES:length])
-
-    lay = _PREFIX_TYPES.get(ptype)
-    if lay is not None:
-        return _parse_prefix_pdu(version, lay, body), length
-
-    lay = _SUBTREE_TYPES.get(ptype)
-    if lay is not None:
-        ilen = lay.addr_bytes
-        sid = int.from_bytes(body[:ilen], "big")
-        bitmap, asn = struct.unpack_from(">II", body, ilen)
-        if sid < 1:
-            raise FramingError("zero sub-tree id")
-        return SubTreePdu(lay.family, sid, bitmap, asn, version=version), length
-
-    lay = _AGG_TYPES.get(ptype)
-    if lay is not None:
-        ilen, stride = lay.addr_bytes, lay.pair_bytes
-        if length < lay.agg_len(1) or (length - PAYLOAD_OVERHEAD) % stride:
-            raise FramingError(f"bad aggregated PDU length {length}")
-        (asn,) = struct.unpack_from(">I", body, 0)
-        blocks = []
-        for at in range(ASN_BYTES, len(body), stride):
-            sid = int.from_bytes(body[at : at + ilen], "big")
-            (bitmap,) = struct.unpack_from(">I", body, at + ilen)
-            if sid < 1:
-                raise FramingError("zero sub-tree id in aggregate")
-            blocks.append((sid, bitmap))
-        return SubTreeAggPdu(lay.family, asn, tuple(blocks), version=version), length
-
-    if ptype == PDU_RESET_QUERY:
-        return ResetQuery(version=version), length
-
-    if ptype == PDU_CACHE_RESPONSE:
-        return CacheResponse(field16, version=version), length
-
-    if ptype == PDU_END_OF_DATA:
-        serial, refresh, retry, expire = struct.unpack(">IIII", body)
-        return EndOfData(field16, serial, refresh, retry, expire, version=version), length
-
-    if ptype == PDU_ERROR_REPORT:
-        if length < 16:
-            raise FramingError("error report too short")
-        (elen,) = struct.unpack_from(">I", body, 0)
-        if 4 + elen + 4 > len(body):
-            raise FramingError("echoed PDU overruns error report")
-        echoed = body[4 : 4 + elen]
-        (tlen,) = struct.unpack_from(">I", body, 4 + elen)
-        if 4 + elen + 4 + tlen != len(body):
-            raise FramingError("error report length fields disagree")
-        try:
-            text = body[8 + elen :].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FramingError(f"error text not utf-8: {exc}") from None
-        return ErrorReport(field16, echoed, text, version=version), length
-
-    return UnknownPdu(version, ptype, bytes(view[:length])), length
+    return _parse(buf, offset, len(buf))
 
 
 class PduReader:
@@ -382,18 +426,20 @@ class PduReader:
         self.bytes_consumed = 0
 
     def feed(self, data: bytes) -> list[RtrPdu]:
-        self._buf.extend(data)
+        buf = self._buf
+        buf.extend(data)
+        end = len(buf)
         out: list[RtrPdu] = []
         at = 0
-        while True:
-            try:
-                pdu, used = deserialize(self._buf, at)
-            except TruncatedPdu:
-                break
-            out.append(pdu)
-            at += used
+        try:
+            while at < end:
+                pdu, used = _parse(buf, at, end)
+                out.append(pdu)
+                at += used
+        except TruncatedPdu:
+            pass
         if at:
-            del self._buf[:at]
+            del buf[:at]
             self.bytes_consumed += at
         return out
 

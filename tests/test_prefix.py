@@ -9,7 +9,6 @@ from hroa.prefix import (
     FamilyMismatchError,
     Prefix,
     PrefixFormatError,
-    children,
     covers,
     expand,
     parent,
@@ -82,7 +81,7 @@ def test_expand_cap():
 
 def test_children_and_parent():
     p = parse_prefix("202.127.16.0/20")
-    lo, hi = children(p)
+    lo, hi = sorted(expand(AddressBlock(p, 21)) - {p})
     assert str(lo) == "202.127.16.0/21"
     assert str(hi) == "202.127.24.0/21"
     assert parent(lo) == p and parent(hi) == p

@@ -263,6 +263,93 @@ def test_fetch_requires_cache_response_first():
         t.join(timeout=5)
 
 
+@pytest.fixture
+def raw_cache():
+    """A scripted cache: each accepted connection gets Cache Response, then ``payload``."""
+    srv = socket.socket()
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(4)
+    threads = []
+
+    def start(payload: bytes, connections: int):
+        def run():
+            for _ in range(connections):
+                conn, _ = srv.accept()
+                with conn:
+                    conn.recv(4096)
+                    conn.sendall(wire.serialize(wire.CacheResponse(7)) + payload)
+                    conn.recv(4096)  # until the client hangs up
+
+        t = threading.Thread(target=run, daemon=True)
+        t.start()
+        threads.append(t)
+        return srv.getsockname()
+
+    yield start
+    srv.close()
+    for t in threads:
+        t.join(timeout=5)
+
+
+def _host_bits_pdu() -> bytes:
+    raw = bytearray(wire.serialize(wire.PrefixPdu(1, parse_prefix("192.0.2.0/24"), 24, 64500)))
+    raw[15] = 1  # last address byte: a host bit below /24
+    return bytes(raw)
+
+
+BAD_PAYLOADS = {
+    "withdrawal": (
+        wire.serialize(wire.PrefixPdu(0, parse_prefix("192.0.2.0/24"), 24, 64500)),
+        "withdrawal PDU in an authorization payload",
+    ),
+    "host-bits": (_host_bits_pdu(), "unparseable PDU: host bits set below /24"),
+    # id 0b1101: level 3 (its leading 1 bit), which the default 0,5,10,... profile lacks
+    "level-not-in-profile": (
+        wire.serialize(wire.SubTreePdu(V4, 0b1101, 2, 64500)),
+        "bad sub-tree block: 3 is not a profile level",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PAYLOADS))
+def test_fetch_rejects_a_bad_payload_pdu(raw_cache, capsys, case):
+    from hroa.cli import main
+
+    payload, message = BAD_PAYLOADS[case]
+    host, port = raw_cache(payload, connections=2)
+    with pytest.raises(ProtocolError) as exc:
+        fetch((host, port), timeout=5)
+    assert str(exc.value) == message
+    assert main(["fetch", f"{host}:{port}", "--timeout", "5"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_oversized_echo_still_gets_an_error_report(monkeypatch):
+    # a legal 65,516-byte error report from the client; echoing it whole
+    # would make the server's report 65,561 bytes, over the length cap
+    raw = wire.serialize(wire.ErrorReport(0, echoed=b"\x01" * 65500))
+    assert len(raw) == 65516
+    crashed = []
+    monkeypatch.setattr(threading, "excepthook", crashed.append)
+    with serve(_snapshot(), "hroa") as server:
+        baseline = threading.active_count()
+        with socket.create_connection(server.endpoint, timeout=5) as conn:
+            conn.sendall(raw)
+            reader = wire.PduReader()
+            pdus = []
+            while data := conn.recv(65536):
+                pdus.extend(reader.feed(data))
+        deadline = time.monotonic() + 5
+        while threading.active_count() > baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+    assert crashed == []
+    assert len(pdus) == 1 and isinstance(pdus[0], wire.ErrorReport)
+    report = pdus[0]
+    assert report.text == "only reset query is supported"
+    assert len(wire.serialize(report)) == wire.MAX_PDU_LEN
+    assert raw.startswith(report.echoed)
+
+
 def test_fetch_skips_unknown_pdus():
     snap = _snapshot()
     server = RtrServer(snap, "hroa")

@@ -309,3 +309,112 @@ def test_complete_subtree_at_every_level_serializes(step, family):
         ):
             raw = serialize(pdu)
             assert deserialize(raw) == (pdu, len(raw))
+
+
+# --- the reader's in-place parse against a deserialize walk --------------------
+
+_U16 = st.integers(0, (1 << 16) - 1)
+_U32 = st.integers(0, (1 << 32) - 1)
+
+
+@st.composite
+def _fixed_pdu(draw):
+    """Any PDU of a fixed layout: types 2, 3, 4, 6, 7, 12 and 13."""
+    kind = draw(st.sampled_from(("reset", "response", "eod", "prefix", "subtree")))
+    if kind == "reset":
+        return ResetQuery()
+    if kind == "response":
+        return CacheResponse(draw(_U16))
+    if kind == "eod":
+        return EndOfData(draw(_U16), draw(_U32), draw(_U32), draw(_U32), draw(_U32))
+    fam = draw(st.sampled_from((V4, V6)))
+    width = 32 if fam == V4 else 128
+    if kind == "prefix":
+        plen = draw(st.integers(0, width))
+        bits = draw(st.integers(0, (1 << plen) - 1)) << (width - plen)
+        return PrefixPdu(draw(st.integers(0, 255)), Prefix(fam, bits, plen),
+                         draw(st.integers(plen, width)), draw(_U32))
+    sid = draw(st.integers(1, (1 << width) - 1))
+    return SubTreePdu(fam, sid, draw(_U32), draw(_U32))
+
+
+def _mutate(raw: bytearray, pdu, how: str, value: int) -> None:
+    """Break one serialized PDU in place the way ``how`` names."""
+    if isinstance(pdu, PrefixPdu):
+        addr = wire.LAYOUT[pdu.prefix.family].addr_bytes
+        if how == "host_bits":
+            raw[11 + addr] |= 1  # lowest address bit; a host bit unless the prefix is full
+        elif how == "max_length":
+            raw[10] = value % 256
+        elif how == "prefix_length":
+            raw[9] = value % 256
+    if isinstance(pdu, SubTreePdu) and how == "zero_id":
+        addr = wire.LAYOUT[pdu.family].addr_bytes
+        raw[8 : 8 + addr] = bytes(addr)
+    if how == "length":  # short, wrong for the type, or over the cap
+        length = value % 80 if value % 2 else wire.MAX_PDU_LEN + value
+        raw[4:8] = length.to_bytes(4, "big")
+    elif how == "type":
+        raw[1] = (2, 3, 4, 6, 7, 12, 13)[value % 7]
+    elif how == "byte":
+        raw[value % len(raw)] = value // len(raw) % 256
+
+
+def _walk(blob: bytes):
+    """deserialize PDU by PDU: (pdus, FramingError message or None, bytes left)."""
+    got, at = [], 0
+    try:
+        while at < len(blob):
+            pdu, used = deserialize(blob, at)
+            got.append(pdu)
+            at += used
+    except TruncatedPdu:
+        pass
+    except FramingError as exc:
+        return got, str(exc), None
+    return got, None, len(blob) - at
+
+
+def _fed(blob: bytes, steps: list[int]):
+    """The same through PduReader.feed in chunks of the given sizes, cycled."""
+    reader, got, at, i = PduReader(), [], 0, 0
+    try:
+        while at < len(blob):
+            step = steps[i % len(steps)]
+            got.extend(reader.feed(blob[at : at + step]))
+            at, i = at + step, i + 1
+    except FramingError as exc:
+        return got, str(exc), None
+    return got, None, reader.pending
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_fixed_pdu(), min_size=1, max_size=8),
+    st.lists(
+        st.tuples(
+            st.integers(0, 7),  # which PDU, modulo their count
+            st.sampled_from(
+                ("host_bits", "max_length", "prefix_length", "zero_id", "length", "type", "byte")
+            ),
+            st.integers(0, 1 << 16),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+    st.lists(st.integers(1, 70), min_size=1, max_size=6),
+)
+def test_reader_matches_deserialize_walk(pdus, mutations, steps):
+    raws = [bytearray(serialize(p)) for p in pdus]
+    for index, how, value in mutations:
+        index %= len(raws)
+        _mutate(raws[index], pdus[index], how, value)
+    blob = b"".join(raws)
+    walked, walk_err, walk_left = _walk(blob)
+    fed, fed_err, fed_left = _fed(blob, steps)
+    assert fed_err == walk_err
+    if walk_err is None:
+        assert (fed, fed_left) == (walked, walk_left)
+    else:
+        # a feed that raises drops the PDUs it completed in that chunk
+        assert fed == walked[: len(fed)]
