@@ -23,6 +23,7 @@ from .prefix import (
     V6,
     AddressBlock,
     Prefix,
+    block_order,
     expand,
 )
 
@@ -106,7 +107,7 @@ def _as_blocks(cfg: HybridConfig, items, recompress: bool) -> tuple[AddressBlock
         for b in seq:
             prefixes |= expand(b)
         return tuple(_compress(prefixes))
-    return tuple(sorted(set(seq)))
+    return tuple(sorted(set(seq), key=block_order))
 
 
 def hybrid_encode(
@@ -152,7 +153,10 @@ def hybrid_decode(cfg: HybridConfig, payload: HybridPayload) -> dict[int, set[Pr
 
 def prefix_pdus(asn: int, blocks: Iterable[AddressBlock]) -> list[wire.RtrPdu]:
     """One announcing prefix PDU per maxLength block, in canonical block order."""
-    return [wire.PrefixPdu(wire.ANNOUNCE, b.prefix, b.max_length, asn) for b in sorted(blocks)]
+    return [
+        wire.PrefixPdu(wire.ANNOUNCE, b.prefix, b.max_length, asn)
+        for b in sorted(blocks, key=block_order)
+    ]
 
 
 def frame_payload(payload: HybridPayload, aggregate: bool = False) -> list[wire.RtrPdu]:

@@ -20,8 +20,6 @@ from .prefix import (
     expand,
 )
 
-_Node = tuple[int, int]  # (bits, prefixlen), bits full-width
-
 
 def compress_minimal(prefixes: Iterable[Prefix]) -> list[AddressBlock]:
     """Partition a prefix set into a minimum number of address blocks.
@@ -30,92 +28,61 @@ def compress_minimal(prefixes: Iterable[Prefix]) -> list[AddressBlock]:
     expansions are pairwise disjoint, and their union is exactly the
     input.  No other disjoint block collection is smaller.  Output is
     sorted by (prefix, max_length).
+
+    One pass over the nodes, longest first, finds for each node the fewest
+    blocks its component needs with a block of height h rooted there, for
+    every h the set completes, and keeps the smallest best h.  A second
+    pass, shortest first, emits the block each component root and each
+    node hanging below a block's last level starts.
     """
-    pset = set(prefixes)
-    if not pset:
+    by_len: dict[int, dict[int, Prefix]] = {}  # prefixlen -> bits -> prefix
+    families = set()
+    for p in prefixes:
+        families.add(p.family)
+        by_len.setdefault(p.prefixlen, {})[p.bits] = p
+    if not by_len:
         raise ValueError("empty prefix set")
-    families = {p.family for p in pset}
     if len(families) != 1:
         raise FamilyMismatchError("compress_minimal needs a single family")
-    family = families.pop()
-    width = WIDTH[family]
+    width = WIDTH[families.pop()]
 
-    nodes: set[_Node] = {(p.bits, p.prefixlen) for p in pset}
+    # counts[n][bits] = (costs, best): costs[h] is the block count of the
+    # component hanging at node (bits, n) when the block holding the node
+    # is rooted there with height h, for h up to the tallest complete tree
+    # under it; best is the least of them.  Height h + 1 here is height h
+    # at both children merged into one block.
+    counts: dict[int, dict[int, tuple[list[int], int]]] = {}
+    for plen in sorted(by_len, reverse=True):
+        kids = counts.get(plen + 1, {})
+        right_bit = 1 << (width - plen - 1) if plen < width else 0
+        here = counts[plen] = {}
+        for bits in by_len[plen]:
+            left = kids.get(bits)
+            right = kids.get(bits | right_bit)
+            if left is None or right is None:
+                best = 1 + (left[1] if left else 0) + (right[1] if right else 0)
+                here[bits] = ([best], best)
+            else:
+                costs = [1 + left[1] + right[1]]
+                costs += [a + b - 1 for a, b in zip(left[0], right[0])]
+                here[bits] = (costs, min(costs))
 
-    def kids(node: _Node) -> list[_Node]:
-        bits, plen = node
-        if plen >= width:
-            return []
-        hi = 1 << (width - plen - 1)
-        out = []
-        if (bits, plen + 1) in nodes:
-            out.append((bits, plen + 1))
-        if (bits | hi, plen + 1) in nodes:
-            out.append((bits | hi, plen + 1))
-        return out
-
-    # Tallest h such that the complete tree of height h under `node` is
-    # entirely present.
-    maxfull: dict[_Node, int] = {}
-
-    def _maxfull(node: _Node) -> int:
-        cached = maxfull.get(node)
-        if cached is not None:
-            return cached
-        ks = kids(node)
-        h = 0 if len(ks) < 2 else 1 + min(_maxfull(k) for k in ks)
-        maxfull[node] = h
-        return h
-
-    # best[node] = (block count, chosen height) for the connected component
-    # hanging at `node`.  The block containing `node` must be rooted there,
-    # so trying every height 0..maxfull is exhaustive.
-    best: dict[_Node, tuple[int, int]] = {}
-
-    def _best(node: _Node) -> int:
-        cached = best.get(node)
-        if cached is not None:
-            return cached[0]
-        top = _maxfull(node)
-        win = None
-        win_h = 0
-        frontier = [node]
-        for h in range(top + 1):
-            hanging = [k for q in frontier for k in kids(q)]
-            cost = 1 + sum(_best(k) for k in hanging)
-            if win is None or cost < win:
-                win, win_h = cost, h
-            frontier = hanging
-        best[node] = (win, win_h)
-        return win
-
-    roots = []
-    for bits, plen in nodes:
-        if plen == 0:
-            roots.append((bits, plen))
-            continue
-        mask = ~((1 << (width - plen + 1)) - 1)
-        if (bits & mask, plen - 1) not in nodes:
-            roots.append((bits, plen))
-
-    blocks: list[AddressBlock] = []
-
-    def _emit(node: _Node) -> None:
-        _best(node)
-        _, h = best[node]
-        bits, plen = node
-        blocks.append(AddressBlock(Prefix(family, bits, plen), plen + h))
-        frontier = [node]
-        for _ in range(h):
-            frontier = [k for q in frontier for k in kids(q)]
-        for q in frontier:
-            for k in kids(q):
-                _emit(k)
-
-    for root in sorted(roots, key=lambda n: (n[0], n[1])):
-        _emit(root)
-    blocks.sort()
-    return blocks
+    # ends[n][bits]: the last level of the block that holds node (bits, n).
+    # A node starts a block unless its parent's block goes on below the parent.
+    ends: dict[int, dict[int, int]] = {}
+    found: list[tuple[int, int, int]] = []
+    for plen in sorted(counts):
+        above = ends.get(plen - 1, {})
+        parent_mask = ~(1 << (width - plen))
+        here = ends[plen] = {}
+        for bits, (costs, best) in counts[plen].items():
+            end = above.get(bits & parent_mask, -1)
+            if end < plen:
+                end = plen + costs.index(best)  # the smallest height among the best
+                found.append((bits, plen, end))
+            here[bits] = end
+    found.sort()
+    return [AddressBlock(by_len[plen][bits], end) for bits, plen, end in found]
 
 
 def scatter_degree(prefixes: Iterable[Prefix]) -> Fraction:

@@ -87,6 +87,12 @@ class AddressBlock:
         return f"{self.prefix}-{self.max_length}"
 
 
+def block_order(block: AddressBlock) -> tuple[int, int, int, int]:
+    """A block's sort order as ints: the same order as ``<``, at a fraction of its cost."""
+    prefix = block.prefix
+    return prefix.family, prefix.bits, prefix.prefixlen, block.max_length
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class Vrp:
     """A validated payload row: origin AS number plus one address block."""
@@ -99,12 +105,41 @@ class Vrp:
             raise ValueError(f"asn {self.asn} out of range")
 
 
+def _parse_v4(text: str, strict: bool) -> Prefix | None:
+    """The plain ``a.b.c.d/n`` form, parsed without ipaddress; None for any other text.
+
+    int() also takes signs, ``_`` separators, spaces and non-ASCII digits,
+    so only text that is the canonical spelling of its numbers gets
+    through.  A host-bits error under ``strict`` is left to ipaddress too,
+    which words it.
+    """
+    addr, _, plen = text.partition("/")
+    try:
+        a, b, c, d = map(int, addr.split("."))
+        n = int(plen)
+    except ValueError:
+        return None
+    if (a | b | c | d) >> 8 or not 0 <= n <= 32 or f"{a}.{b}.{c}.{d}/{n}" != text:
+        return None
+    bits = a << 24 | b << 16 | c << 8 | d
+    host = (1 << (32 - n)) - 1
+    if bits & host:
+        if strict:
+            return None
+        bits &= ~host
+    return Prefix(V4, bits, n)
+
+
 def parse_prefix(text: str, strict: bool = True) -> Prefix:
     """Parse ``addr/len``.  strict=False masks stray host bits instead of failing."""
     if "/" not in text:
         raise PrefixFormatError(f"missing /len in {text!r}")
+    text = text.strip()
+    fast = _parse_v4(text, strict)
+    if fast is not None:
+        return fast
     try:
-        net = ipaddress.ip_network(text.strip(), strict=strict)
+        net = ipaddress.ip_network(text, strict=strict)
     except ValueError as exc:
         raise PrefixFormatError(str(exc)) from None
     family = V4 if net.version == 4 else V6

@@ -191,10 +191,9 @@ class RtrServer:
         self._bucket = TokenBucket(bandwidth_bps / 8) if bandwidth_bps else None
         pdus = payload_pdus(snapshot, scheme)
         self.payload_pdu_count = len(pdus)
-        blob = bytearray(wire.serialize(wire.CacheResponse(snapshot.session_id)))
-        for pdu in pdus:
-            blob.extend(wire.serialize(pdu))
-        blob.extend(
+        parts = [wire.serialize(wire.CacheResponse(snapshot.session_id))]
+        parts += wire.serialize_each(pdus)
+        parts.append(
             wire.serialize(
                 wire.EndOfData(
                     snapshot.session_id,
@@ -205,7 +204,7 @@ class RtrServer:
                 )
             )
         )
-        self._response = bytes(blob)
+        self._response = b"".join(parts)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
@@ -250,10 +249,9 @@ class RtrServer:
                     if not data:
                         return
                     try:
-                        pdus = reader.feed(data)
+                        pdus, bad = reader.feed(data), None
                     except wire.FramingError as exc:
-                        conn.sendall(_error_report(str(exc)))
-                        return
+                        pdus, bad = exc.completed, exc  # serve what came before it
                     for pdu in pdus:
                         if isinstance(pdu, wire.ResetQuery):
                             t0 = time.perf_counter()
@@ -271,6 +269,9 @@ class RtrServer:
                                 _error_report("only reset query is supported", wire.serialize(pdu))
                             )
                             return
+                    if bad is not None:
+                        conn.sendall(_error_report(str(bad)))
+                        return
         except OSError:
             return
 

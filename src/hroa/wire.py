@@ -30,15 +30,17 @@ Every fixed layout (types 2, 3, 4, 6, 7, 12, 13) has one precompiled
 ``struct.Struct`` covering header and body: ``Layout.prefix_struct`` and
 ``Layout.subtree_struct`` per family, ``_HDR`` and ``_END_OF_DATA`` for the
 rest.  A v4 address or id is one 32-bit int field; a v6 one is 16 bytes, as
-struct has no 128-bit code.  ``serialize`` packs a fixed PDU with one call, and
-``_parse`` (behind both ``deserialize`` and ``PduReader.feed``) unpacks it
-in place from the caller's buffer, with no per-PDU copy.
+struct has no 128-bit code.  ``serialize_each`` (behind ``serialize``) packs a
+fixed PDU with one call, and ``_parse`` (behind both ``deserialize`` and
+``PduReader.feed``) unpacks it in place from the caller's buffer, with no
+per-PDU copy.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .prefix import V4, V6, WIDTH, Prefix
 
@@ -107,7 +109,13 @@ _AGG_TYPES = {lay.agg_type: lay for lay in LAYOUT.values()}
 
 
 class FramingError(ValueError):
-    """The bytes cannot be a PDU (bad length, range, or structure)."""
+    """The bytes cannot be a PDU (bad length, range, or structure).
+
+    When ``PduReader.feed`` raises it, ``completed`` holds the whole PDUs
+    the chunk finished before the bad one.
+    """
+
+    completed: Sequence[RtrPdu] = ()
 
 
 class TruncatedPdu(Exception):
@@ -223,80 +231,92 @@ def agg_capacity(family: int) -> int:
 
 def serialize(pdu: RtrPdu) -> bytes:
     """Wire bytes for one PDU; a fixed layout packs with one Struct call."""
-    if isinstance(pdu, PrefixPdu):
-        prefix = pdu.prefix
-        lay = LAYOUT[prefix.family]
-        if not prefix.prefixlen <= pdu.max_length <= prefix.width:
-            raise FramingError(f"max_length {pdu.max_length} out of range")
-        return lay.prefix_struct.pack(
-            pdu.version, lay.prefix_type, 0, lay.prefix_len,
-            pdu.flags, prefix.prefixlen, pdu.max_length, 0,
-            lay.addr_field(prefix.bits), _check_u32(pdu.asn, "asn"),
-        )
+    return serialize_each((pdu,))[0]
 
-    if isinstance(pdu, SubTreePdu):
-        lay = LAYOUT[pdu.family]
-        if not 1 <= pdu.subtree_id < 1 << (8 * lay.addr_bytes):
-            raise FramingError(f"sub-tree id {pdu.subtree_id} out of range")
-        return lay.subtree_struct.pack(
-            pdu.version, lay.subtree_type, 0, lay.subtree_len,
-            lay.addr_field(pdu.subtree_id), _check_u32(pdu.bitmap, "bitmap"),
-            _check_u32(pdu.asn, "asn"),
-        )
 
-    if isinstance(pdu, SubTreeAggPdu):
-        lay = LAYOUT[pdu.family]
-        if not pdu.blocks:
-            raise FramingError("aggregated PDU with no blocks")
-        total = lay.agg_len(len(pdu.blocks))
-        if total > MAX_PDU_LEN:
-            raise FramingError(f"aggregated PDU of {total} bytes exceeds cap")
-        parts = [
-            _HDR.pack(pdu.version, lay.agg_type, 0, total),
-            _U32.pack(_check_u32(pdu.asn, "asn")),
-        ]
-        for sid, bitmap in pdu.blocks:
-            if not 1 <= sid < 1 << (8 * lay.addr_bytes):
-                raise FramingError(f"sub-tree id {sid} out of range")
-            parts.append(sid.to_bytes(lay.addr_bytes, "big"))
-            parts.append(_U32.pack(_check_u32(bitmap, "bitmap")))
-        return b"".join(parts)
+def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
+    """Each PDU's wire bytes, in order, for a caller that joins them with others."""
+    out: list[bytes] = []
+    append = out.append
+    for pdu in pdus:
+        if isinstance(pdu, PrefixPdu):
+            prefix = pdu.prefix
+            family = prefix.family
+            lay = LAYOUT[family]
+            if not prefix.prefixlen <= pdu.max_length <= WIDTH[family]:
+                raise FramingError(f"max_length {pdu.max_length} out of range")
+            append(lay.prefix_struct.pack(
+                pdu.version, lay.prefix_type, 0, lay.prefix_len,
+                pdu.flags, prefix.prefixlen, pdu.max_length, 0,
+                lay.addr_field(prefix.bits), _check_u32(pdu.asn, "asn"),
+            ))
 
-    if isinstance(pdu, ResetQuery):
-        return _HDR.pack(pdu.version, PDU_RESET_QUERY, 0, HEADER_BYTES)
+        elif isinstance(pdu, SubTreePdu):
+            lay = LAYOUT[pdu.family]
+            if not 1 <= pdu.subtree_id < 1 << (8 * lay.addr_bytes):
+                raise FramingError(f"sub-tree id {pdu.subtree_id} out of range")
+            append(lay.subtree_struct.pack(
+                pdu.version, lay.subtree_type, 0, lay.subtree_len,
+                lay.addr_field(pdu.subtree_id), _check_u32(pdu.bitmap, "bitmap"),
+                _check_u32(pdu.asn, "asn"),
+            ))
 
-    if isinstance(pdu, CacheResponse):
-        return _HDR.pack(
-            pdu.version, PDU_CACHE_RESPONSE, _check_u16(pdu.session_id, "session"), HEADER_BYTES
-        )
+        elif isinstance(pdu, SubTreeAggPdu):
+            lay = LAYOUT[pdu.family]
+            if not pdu.blocks:
+                raise FramingError("aggregated PDU with no blocks")
+            total = lay.agg_len(len(pdu.blocks))
+            if total > MAX_PDU_LEN:
+                raise FramingError(f"aggregated PDU of {total} bytes exceeds cap")
+            parts = [
+                _HDR.pack(pdu.version, lay.agg_type, 0, total),
+                _U32.pack(_check_u32(pdu.asn, "asn")),
+            ]
+            for sid, bitmap in pdu.blocks:
+                if not 1 <= sid < 1 << (8 * lay.addr_bytes):
+                    raise FramingError(f"sub-tree id {sid} out of range")
+                parts.append(sid.to_bytes(lay.addr_bytes, "big"))
+                parts.append(_U32.pack(_check_u32(bitmap, "bitmap")))
+            append(b"".join(parts))
 
-    if isinstance(pdu, EndOfData):
-        return _END_OF_DATA.pack(
-            pdu.version, PDU_END_OF_DATA, _check_u16(pdu.session_id, "session"),
-            _END_OF_DATA.size,
-            _check_u32(pdu.serial, "serial"),
-            _check_u32(pdu.refresh, "refresh"),
-            _check_u32(pdu.retry, "retry"),
-            _check_u32(pdu.expire, "expire"),
-        )
+        elif isinstance(pdu, ResetQuery):
+            append(_HDR.pack(pdu.version, PDU_RESET_QUERY, 0, HEADER_BYTES))
 
-    if isinstance(pdu, ErrorReport):
-        text = pdu.text.encode("utf-8")
-        total = ERROR_REPORT_OVERHEAD + len(pdu.echoed) + len(text)
-        if total > MAX_PDU_LEN:
-            raise FramingError(f"error report of {total} bytes exceeds cap")
-        return (
-            _HDR.pack(pdu.version, PDU_ERROR_REPORT, _check_u16(pdu.error_code, "code"), total)
-            + _U32.pack(len(pdu.echoed))
-            + pdu.echoed
-            + _U32.pack(len(text))
-            + text
-        )
+        elif isinstance(pdu, CacheResponse):
+            append(_HDR.pack(
+                pdu.version, PDU_CACHE_RESPONSE, _check_u16(pdu.session_id, "session"),
+                HEADER_BYTES,
+            ))
 
-    if isinstance(pdu, UnknownPdu):
-        return pdu.raw
+        elif isinstance(pdu, EndOfData):
+            append(_END_OF_DATA.pack(
+                pdu.version, PDU_END_OF_DATA, _check_u16(pdu.session_id, "session"),
+                _END_OF_DATA.size,
+                _check_u32(pdu.serial, "serial"),
+                _check_u32(pdu.refresh, "refresh"),
+                _check_u32(pdu.retry, "retry"),
+                _check_u32(pdu.expire, "expire"),
+            ))
 
-    raise TypeError(f"not a PDU: {pdu!r}")
+        elif isinstance(pdu, ErrorReport):
+            text = pdu.text.encode("utf-8")
+            total = ERROR_REPORT_OVERHEAD + len(pdu.echoed) + len(text)
+            if total > MAX_PDU_LEN:
+                raise FramingError(f"error report of {total} bytes exceeds cap")
+            append(
+                _HDR.pack(pdu.version, PDU_ERROR_REPORT, _check_u16(pdu.error_code, "code"), total)
+                + _U32.pack(len(pdu.echoed))
+                + pdu.echoed
+                + _U32.pack(len(text))
+                + text
+            )
+
+        elif isinstance(pdu, UnknownPdu):
+            append(pdu.raw)
+
+        else:
+            raise TypeError(f"not a PDU: {pdu!r}")
+    return out
 
 
 # -- parsing -------------------------------------------------------------------
@@ -426,6 +446,11 @@ class PduReader:
         self.bytes_consumed = 0
 
     def feed(self, data: bytes) -> list[RtrPdu]:
+        """Buffer a chunk; return every PDU it completed.
+
+        A malformed PDU raises FramingError carrying the PDUs completed
+        before it, so the caller can still act on them.
+        """
         buf = self._buf
         buf.extend(data)
         end = len(buf)
@@ -438,9 +463,13 @@ class PduReader:
                 at += used
         except TruncatedPdu:
             pass
-        if at:
-            del buf[:at]
-            self.bytes_consumed += at
+        except FramingError as exc:
+            exc.completed = out
+            raise
+        finally:
+            if at:
+                del buf[:at]
+                self.bytes_consumed += at
         return out
 
     @property

@@ -1,8 +1,9 @@
 """Authorization workloads: CSV ingestion and synthetic generators.
 
 The row format is ``asn,prefix/len,max_length``.  An optional header line
-is skipped, the AS number may carry an ``AS`` prefix, extra columns are
-ignored, and an empty max_length means "equal to the prefix length".
+is skipped: the first row is one when its AS column holds no number.  The
+AS number may carry an ``AS`` prefix, extra columns are ignored, and an
+empty max_length means "equal to the prefix length".
 Prefixes are parsed leniently (stray host bits are masked off).
 """
 
@@ -25,14 +26,21 @@ from .prefix import (
 )
 
 
-def _parse_asn(text: str) -> int:
+def _asn_number(text: str) -> int | None:
+    """The number in an AS column, ``AS`` prefix allowed; None when there is none."""
     t = text.strip()
     if t[:2].upper() == "AS":
         t = t[2:]
     try:
-        asn = int(t, 10)
+        return int(t, 10)
     except ValueError:
-        raise PrefixFormatError(f"bad AS number {text!r}") from None
+        return None
+
+
+def _parse_asn(text: str) -> int:
+    asn = _asn_number(text)
+    if asn is None:
+        raise PrefixFormatError(f"bad AS number {text!r}")
     if not 0 <= asn < 1 << 32:
         raise PrefixFormatError(f"AS number {asn} out of range")
     return asn
@@ -99,15 +107,11 @@ def _load(fh, source: str) -> Workload:
             continue
         if row[0].strip().startswith("#"):
             continue
-        try:
-            vrp = parse_vrp_row(row, lineno)
-        except PrefixFormatError:
-            if first_data:
-                first_data = False
+        if first_data:
+            first_data = False
+            if _asn_number(row[0]) is None:
                 continue  # header line
-            raise
-        first_data = False
-        w.add(vrp)
+        w.add(parse_vrp_row(row, lineno))
     if not w.entries:
         raise PrefixFormatError(f"{source}: no usable rows")
     return w

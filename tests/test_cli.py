@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import hroa
 from hroa import cli, sync, wire
 from hroa.cli import _parse_bandwidth, main
 from hroa.prefix import V4, parse_prefix
@@ -27,6 +28,14 @@ AS7497,202.127.20.0/22,
 # an AS0 row (RFC 7607) whose block is taller than the expansion cap
 TALL_CSV = "0,10.0.0.0/8,32\n"
 TALL_ERR = "hroa: block height 24 exceeds expansion cap 20\n"
+
+# a child `python -m hroa.cli` imports hroa from the tree under test, installed or not
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(hroa.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+)
 
 # every command and the options it accepts; a new flag has to be added here
 OPTION_SURFACE = {
@@ -337,6 +346,7 @@ def test_serve_subprocess_end_to_end(fig_csv, tmp_path):
         [sys.executable, "-m", "hroa.cli", "serve", fig_csv, "--scheme", "ahroa"],
         stderr=subprocess.PIPE,
         text=True,
+        env=CHILD_ENV,
     )
     watchdog = threading.Timer(20, proc.kill)
     watchdog.start()
@@ -353,6 +363,13 @@ def test_serve_subprocess_end_to_end(fig_csv, tmp_path):
         watchdog.cancel()
         proc.send_signal(signal.SIGINT)
         proc.wait(timeout=10)
+
+
+def test_malformed_first_row_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("AS7497,202.127.16.0/33,\nAS7497,202.127.16.0/20,\n")
+    assert main(["encode", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("hroa: line 1: ")
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -397,7 +414,7 @@ def test_closed_stdout_exits_quietly(fig_csv):
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "hroa.cli", "encode", fig_csv],
-            stdout=w, stderr=subprocess.PIPE, text=True, timeout=60,
+            stdout=w, stderr=subprocess.PIPE, text=True, timeout=60, env=CHILD_ENV,
         )
     finally:
         os.close(w)
@@ -428,7 +445,8 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
 
 def test_console_script_installed():
     out = subprocess.run(
-        [sys.executable, "-m", "hroa.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "hroa.cli", "--help"], capture_output=True, text=True,
+        env=CHILD_ENV,
     )
     assert out.returncode == 0
     assert "encode" in out.stdout and "fetch" in out.stdout

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hroa.mlcodec import compress_minimal, excess_prefixes, scatter_degree
-from hroa.prefix import V4, AddressBlock, Prefix, expand, parse_prefix
+from hroa.prefix import V4, V6, WIDTH, AddressBlock, Prefix, expand, parse_prefix
 from oracles import oracle_min_partition
 
 
@@ -122,6 +122,44 @@ def test_block_count_never_exceeds_input(data):
         covered |= expand(b)
     assert covered == chosen
     assert Fraction(1, len(chosen)) <= scatter_degree(chosen) <= 1
+
+
+@st.composite
+def _small_sets(draw):
+    """A few nodes of one complete height-4 tree, rooted at /0, at the
+    deepest /len whose tree reaches full width, or anywhere between."""
+    family = draw(st.sampled_from((V4, V6)))
+    width = WIDTH[family]
+    plen = draw(st.sampled_from((0, width - 4, draw(st.integers(0, width - 4)))))
+    bits = draw(st.integers(0, (1 << plen) - 1)) << (width - plen) if plen else 0
+    universe = sorted(expand(AddressBlock(Prefix(family, bits, plen), plen + 4)))
+    return draw(st.sets(st.sampled_from(universe), min_size=1, max_size=10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_sets())
+def test_one_pass_matches_exhaustive_oracle(chosen):
+    got = compress_minimal(chosen)
+    assert len(got) == oracle_min_partition(chosen)
+    assert got == sorted(got)
+    covered = set()
+    for b in got:
+        ps = expand(b)
+        assert not covered & ps
+        covered |= ps
+    assert covered == chosen
+
+
+def test_ties_keep_the_smallest_height():
+    # at the /29, height 0 and height 1 both need four blocks: height 0 wins
+    got = compress_minimal(
+        parse_prefix(t)
+        for t in ("10.0.0.0/29", "10.0.0.0/30", "10.0.0.4/30",
+                  "10.0.0.0/31", "10.0.0.2/31", "10.0.0.4/31")
+    )
+    assert [str(b) for b in got] == [
+        "10.0.0.0/29-29", "10.0.0.0/30-31", "10.0.0.4/30-30", "10.0.0.4/31-31"
+    ]
 
 
 def test_scatter_degree_empty_input():

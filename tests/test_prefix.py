@@ -1,5 +1,7 @@
+import ipaddress
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hroa.prefix import (
     V4,
@@ -9,6 +11,7 @@ from hroa.prefix import (
     FamilyMismatchError,
     Prefix,
     PrefixFormatError,
+    block_order,
     covers,
     expand,
     parent,
@@ -135,3 +138,76 @@ def test_covers_agrees_with_expansion_membership(a, b):
             assert b in expand(AddressBlock(a, b.prefixlen))
     if covers(a, b) and covers(b, a):
         assert a == b
+
+
+def _parse_via_ipaddress(text: str, strict: bool) -> Prefix:
+    """parse_prefix as it reads every text without the v4 fast path."""
+    if "/" not in text:
+        raise PrefixFormatError(f"missing /len in {text!r}")
+    try:
+        net = ipaddress.ip_network(text.strip(), strict=strict)
+    except ValueError as exc:
+        raise PrefixFormatError(str(exc)) from None
+    return Prefix(V4 if net.version == 4 else V6, int(net.network_address), net.prefixlen)
+
+
+def _outcome(parse, text, strict):
+    try:
+        return parse(text, strict)
+    except PrefixFormatError as exc:
+        return f"PrefixFormatError: {exc}"
+
+
+# octet and length spellings around the plain form: leading zeros, signs,
+# separators, inner spaces, full-width digits, out-of-range values, empty
+_ODD_NUMBERS = ["0", "00", "010", "08", "+1", "-0", "-1", "1_0", " 1", "1 ", "\uff11",
+                "1\uff10", "256", "999", "1000", "", "0x1"]
+_NUMBER = st.one_of(st.integers(0, 300).map(str), st.sampled_from(_ODD_NUMBERS))
+_LENGTH = st.one_of(
+    st.integers(0, 40).map(str),
+    st.sampled_from(["08", "008", "+8", "\uff18", "", "255.0.0.0", "255.255.255.0",
+                     "0.255.255.255", "255.0.255.0", "33", "-1", "1e1"]),
+)
+_V4_TEXT = st.builds(
+    lambda octets, length, sep, pad: pad + ".".join(octets) + sep + length + pad,
+    st.lists(_NUMBER, min_size=3, max_size=5),
+    _LENGTH,
+    st.sampled_from(["/", "/", "/", "//", " /"]),
+    st.sampled_from(["", "", " ", "\t", "\n", "\u3000"]),
+)
+_OTHER_TEXT = st.one_of(
+    st.sampled_from(["2001:db8::/32", "2001:db8::1/32", "::/0", "::ffff:10.0.0.0/104",
+                     "::ffff:10.0.0.0/96", "10.0.0.0", "10.0.0.0/8/8", "/8", "1.2.3.4/32"]),
+    st.text(max_size=24),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_V4_TEXT, _OTHER_TEXT), st.booleans())
+@example("10.0.0.0/08", True)
+@example("10.0.0.0/255.0.0.0", True)
+@example("10.0.0.0/0.255.255.255", False)
+@example(" 10.0.0.1/8\n", False)
+@example("010.0.0.0/8", True)
+@example("\uff11.0.0.0/8", False)
+@example("10.0.0.256/32", False)
+@example("10.0.0.0/33", False)
+@example("2001:db8::1/32", False)
+@example("10.0.0.1/8", True)
+def test_parse_fast_path_agrees_with_ipaddress(text, strict):
+    assert _outcome(parse_prefix, text, strict) == _outcome(_parse_via_ipaddress, text, strict)
+
+
+@st.composite
+def _blocks(draw):
+    family = draw(st.sampled_from((V4, V6)))
+    width = 32 if family == V4 else 128
+    plen = draw(st.integers(0, width))
+    top = draw(st.integers(0, (1 << min(plen, 3)) - 1))  # few distinct roots, so keys tie
+    prefix = Prefix(family, top << (width - min(plen, 3)), plen)
+    return AddressBlock(prefix, draw(st.integers(plen, min(width, plen + 2))))
+
+
+@given(st.lists(_blocks(), max_size=12))
+def test_block_order_sorts_as_blocks_compare(blocks):
+    assert sorted(blocks, key=block_order) == sorted(blocks)

@@ -220,6 +220,24 @@ def test_server_rejects_non_reset_pdus():
                 _drain_as_fetch(conn)
 
 
+def test_server_serves_the_query_before_a_malformed_pdu_in_one_segment():
+    # a Reset Query and a PDU whose length (4) is below the header size, in one send
+    snap = _snapshot()
+    with serve(snap, "hroa") as server:
+        with socket.create_connection(server.endpoint, timeout=5) as conn:
+            conn.sendall(wire.serialize(wire.ResetQuery()) + bytes.fromhex("0102000000000004"))
+            reader = wire.PduReader()
+            pdus = []
+            while data := conn.recv(65536):
+                pdus.extend(reader.feed(data))
+    kinds = [type(p) for p in pdus]
+    assert kinds == [
+        wire.CacheResponse, wire.SubTreePdu, wire.EndOfData, wire.ErrorReport
+    ]
+    assert b"".join(map(wire.serialize, pdus[:3])) == server._response
+    assert pdus[3].text == "PDU length 4 below header size"
+
+
 def _drain_as_fetch(conn):
     reader = wire.PduReader()
     while True:

@@ -56,6 +56,16 @@ def test_load_csv_headerless():
     assert w.vrp_count() == 1
 
 
+def test_load_csv_malformed_first_row_is_no_header():
+    # a first row whose AS column is a number is data, so a bad one fails
+    with pytest.raises(PrefixFormatError) as exc:
+        load_csv(io.StringIO("AS7497,202.127.16.0/33,\nAS7497,202.127.16.0/20,\n"))
+    assert str(exc.value).startswith("line 1: ")
+    # one whose AS column holds no number is a header, whatever the other columns say
+    w = load_csv(io.StringIO("origin,prefix/len,max\nAS7497,202.127.16.0/20,\n"))
+    assert w.vrp_count() == 1
+
+
 def test_load_csv_bad_row_past_header_raises():
     with pytest.raises(PrefixFormatError) as exc:
         load_csv(io.StringIO(FIG_CSV + "oops,not-a-prefix,\n"))
