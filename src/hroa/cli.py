@@ -259,23 +259,35 @@ def cmd_optimize_levels(args) -> int:
 def _parse_bandwidth(text: str | None) -> float | None:
     if not text:
         return None
-    t = text.strip().lower()
-    for suffix, mult in (("gbps", 1e9), ("mbps", 1e6), ("kbps", 1e3), ("bps", 1.0)):
+    t, mult = text.strip().lower(), 1.0
+    for suffix, scale in (("gbps", 1e9), ("mbps", 1e6), ("kbps", 1e3), ("bps", 1.0)):
         if t.endswith(suffix):
-            return float(t[: -len(suffix)]) * mult
-    return float(t)
+            t, mult = t[: -len(suffix)], scale
+            break
+    rate = float(t) * mult
+    if not rate > 0:
+        raise ValueError(f"--bandwidth {text!r}: must be positive")
+    return rate
+
+
+def _check_range(name: str, value: int | None, low: int, high: int) -> None:
+    if value is not None and not low <= value <= high:
+        raise ValueError(f"{name} {value} is outside {low}..{high}")
 
 
 def cmd_serve(args) -> int:
+    _check_range("--port", args.port, 0, 0xFFFF)
+    _check_range("--session-id", args.session_id, 0, 0xFFFF)
+    _check_range("--serial", args.serial, 0, 0xFFFFFFFF)
+    bandwidth = _parse_bandwidth(args.bandwidth)
     workload = load_csv(args.csv)
     cfg = _build_config(args)
     snapshot = _snapshot(args, workload, cfg)
-    server = sync.serve(
-        snapshot,
-        args.scheme,
-        (args.host, args.port),
-        bandwidth_bps=_parse_bandwidth(args.bandwidth),
-    )
+    try:
+        server = sync.serve(snapshot, args.scheme, (args.host, args.port), bandwidth)
+    except OSError as exc:
+        where = f"{args.host}:{args.port}"
+        raise ValueError(f"cannot listen on {where}: {exc.strerror or exc}") from None
     host, port = server.endpoint
     print(f"serving {args.scheme} snapshot on {host}:{port}", file=sys.stderr)
     try:
@@ -291,6 +303,7 @@ def cmd_fetch(args) -> int:
     host, _, port = args.endpoint.rpartition(":")
     if not host or not port.isdigit():
         raise ValueError("endpoint must be host:port")
+    _check_range("endpoint port", int(port), 1, 0xFFFF)
     cfg = HybridConfig(hanging=_build_profile(args))
     got, report = sync.fetch((host, int(port)), cfg, timeout=args.timeout)
     if args.out:
@@ -413,7 +426,7 @@ def main(argv=None) -> int:
     except sync.SyncError as exc:
         _err(str(exc))
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a file that cannot be read or written
         _err(str(exc))
         return 2
     except (ValueError, KeyError) as exc:

@@ -70,15 +70,11 @@ class HybridConfig:
 
 @dataclass(frozen=True)
 class HybridPayload:
-    """One AS's encoded authorization: maxLength blocks plus bitmap blocks.
-
-    ``blocks`` holds the canonical address blocks the split was made from.
-    """
+    """One AS's encoded authorization: maxLength blocks plus bitmap blocks."""
 
     asn: int
     ml_blocks: tuple[AddressBlock, ...]
     bm_blocks: tuple[SubTreeBlock, ...]
-    blocks: tuple[AddressBlock, ...] = ()
 
 
 def _compress(prefixes) -> list[AddressBlock]:
@@ -93,8 +89,12 @@ def _compress(prefixes) -> list[AddressBlock]:
     return out
 
 
-def _as_blocks(cfg: HybridConfig, items, recompress: bool) -> tuple[AddressBlock, ...]:
-    """Normalize the input to canonical address blocks."""
+def canonical_blocks(items, recompress: bool = False) -> tuple[AddressBlock, ...]:
+    """One AS's canonical address blocks, in canonical order.
+
+    Prefix input is compressed to minimal blocks; block input is taken
+    as-is unless ``recompress`` is set.
+    """
     seq = list(items)
     if not seq:
         raise ValueError("empty authorization set")
@@ -110,20 +110,12 @@ def _as_blocks(cfg: HybridConfig, items, recompress: bool) -> tuple[AddressBlock
     return tuple(sorted(set(seq), key=block_order))
 
 
-def hybrid_encode(
-    cfg: HybridConfig,
-    asn: int,
-    items: Iterable[Prefix] | Iterable[AddressBlock],
-    recompress: bool = False,
-) -> HybridPayload:
-    """Encode one AS's authorization set.
+def hybrid_encode(cfg: HybridConfig, asn: int, blocks: Iterable[AddressBlock]) -> HybridPayload:
+    """Split one AS's address blocks into maxLength and bitmap blocks.
 
-    Prefix input is first compressed to minimal blocks; block input is
-    taken as-is unless ``recompress`` is set.  Blocks at least
-    ``delta_l_threshold`` tall keep their maxLength form, the rest are
-    expanded and folded into per-family bitmaps.
+    Blocks at least ``delta_l_threshold`` tall keep their maxLength form,
+    the rest are expanded and folded into per-family bitmaps.
     """
-    blocks = _as_blocks(cfg, items, recompress)
     ml: list[AddressBlock] = []
     short: dict[int, set[Prefix]] = {V4: set(), V6: set()}
     for b in blocks:
@@ -135,7 +127,7 @@ def hybrid_encode(
     for fam in (V4, V6):
         if short[fam]:
             bm.extend(encode_batch(cfg.hanging[fam], short[fam]))
-    return HybridPayload(asn, tuple(ml), tuple(bm), blocks)
+    return HybridPayload(asn, tuple(ml), tuple(bm))
 
 
 def hybrid_decode(cfg: HybridConfig, payload: HybridPayload) -> dict[int, set[Prefix]]:
@@ -193,7 +185,7 @@ def sweep_parameters(
 ) -> dict[tuple[float, int], SweepCell]:
     """Total PDU count and bytes for every (threshold, level multiple) pair."""
     table: dict[tuple[float, int], SweepCell] = {}
-    materialized = {asn: list(items) for asn, items in inputs.items()}
+    canonical = {asn: canonical_blocks(items) for asn, items in inputs.items()}
     for step in level_multiples:
         hanging = {fam: HangingLevels.multiples_of(step, fam) for fam in (V4, V6)}
         check_wire_fit(hanging)
@@ -201,8 +193,8 @@ def sweep_parameters(
             cfg = HybridConfig(delta_l_threshold=thr, hanging=hanging)
             count = 0
             nbytes = 0
-            for asn, items in materialized.items():
-                for pdu in frame_payload(hybrid_encode(cfg, asn, items), aggregate):
+            for asn, blocks in canonical.items():
+                for pdu in frame_payload(hybrid_encode(cfg, asn, blocks), aggregate):
                     count += 1
                     nbytes += len(wire.serialize(pdu))
             table[(thr, step)] = SweepCell(count, nbytes)

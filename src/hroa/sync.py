@@ -16,11 +16,13 @@ import socket
 import threading
 import time
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping
 
 from . import wire
 from .bmcodec import SubTreeBlock, decode_block
-from .hybrid import HybridConfig, HybridPayload, frame_payload, hybrid_encode, prefix_pdus
+from .hybrid import HybridConfig, HybridPayload, canonical_blocks, frame_payload, prefix_pdus
+from .hybrid import hybrid_encode  # perfbench/tracing.py wraps it at this name
 from .mlcodec import compress_minimal  # noqa: F401  perfbench/tracing.py wraps it at this name
 from .prefix import AddressBlock, Prefix, expand
 from .workload import Workload
@@ -59,15 +61,15 @@ class CacheErrorReport(SyncError):
 
 @dataclass(frozen=True)
 class CacheSnapshot:
-    """Immutable per-serial cache state: each AS's hybrid encoding.
+    """Immutable per-serial cache state: each AS's canonical address blocks.
 
-    A payload's ``blocks`` are the AS's canonical address blocks (minimal
-    when the snapshot was built from plain prefixes).
+    The hybrid split, which only hroa and ahroa frame from, runs on first use.
     """
 
     session_id: int
     serial: int
-    payloads: Mapping[int, HybridPayload]
+    blocks: Mapping[int, tuple[AddressBlock, ...]]
+    cfg: HybridConfig
 
     @classmethod
     def build(
@@ -78,27 +80,26 @@ class CacheSnapshot:
         serial: int = 1,
         recompress: bool = False,
     ) -> "CacheSnapshot":
-        cfg = cfg or HybridConfig()
         if isinstance(inputs, Workload):
             inputs = inputs.entries
         if session_id is None:
             session_id = random.getrandbits(16)
-        payloads = {
-            asn: hybrid_encode(cfg, asn, items, recompress) for asn, items in inputs.items()
-        }
-        return cls(session_id, serial, payloads)
+        blocks = {asn: canonical_blocks(items, recompress) for asn, items in inputs.items()}
+        return cls(session_id, serial, blocks, cfg or HybridConfig())
+
+    @cached_property
+    def payloads(self) -> dict[int, HybridPayload]:
+        """Each AS's hybrid split under the snapshot's config."""
+        return {asn: hybrid_encode(self.cfg, asn, b) for asn, b in self.blocks.items()}
 
     def authorized_map(self) -> dict[int, set[Prefix]]:
         out: dict[int, set[Prefix]] = {}
-        for asn, payload in self.payloads.items():
+        for asn, blocks in self.blocks.items():
             acc: set[Prefix] = set()
-            for b in payload.blocks:
+            for b in blocks:
                 acc |= expand(b)
             out[asn] = acc
         return out
-
-    def vrp_total(self) -> int:
-        return sum(len(v) for v in self.authorized_map().values())
 
 
 def payload_pdus(snapshot: CacheSnapshot, scheme: str) -> list[wire.RtrPdu]:
@@ -106,8 +107,8 @@ def payload_pdus(snapshot: CacheSnapshot, scheme: str) -> list[wire.RtrPdu]:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     pdus: list[wire.RtrPdu] = []
-    for asn in sorted(snapshot.payloads):
-        blocks = snapshot.payloads[asn].blocks
+    for asn in sorted(snapshot.blocks):
+        blocks = snapshot.blocks[asn]
         if scheme in ("troa", "mroa"):
             pdus.extend(prefix_pdus(asn, blocks))
         elif scheme == "sroa":
@@ -206,9 +207,13 @@ class RtrServer:
         )
         self._response = b"".join(parts)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(16)
+        try:
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._sock.bind((host, port))
+            self._sock.listen(16)
+        except BaseException:
+            self._sock.close()
+            raise
         self._closing = False
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()

@@ -5,6 +5,7 @@ import os
 import re
 import shlex
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -318,6 +319,27 @@ def test_block_beyond_the_expansion_cap_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err == TALL_ERR
 
 
+def test_troa_never_splits_so_a_tall_block_ships_under_any_threshold(tmp_path, capsys):
+    path = tmp_path / "tall.csv"
+    path.write_text(TALL_CSV)
+    runs = []
+    for flags in ([], ["--delta-l", "inf"]):
+        out = tmp_path / "troa.pdus"
+        argv = ["encode", str(path), "--scheme", "troa", "--out", str(out), *flags]
+        code, doc = _run(capsys, argv)
+        assert code == 0, flags
+        runs.append((doc, out.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+def test_serve_of_a_split_past_the_expansion_cap_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(signal, "pause", lambda: None)  # a server that starts returns at once
+    path = tmp_path / "tall.csv"
+    path.write_text(TALL_CSV)
+    assert main(["serve", str(path), "--scheme", "hroa", "--delta-l", "inf"]) == 2
+    assert capsys.readouterr().err == TALL_ERR
+
+
 def test_fetch_of_a_block_beyond_the_expansion_cap_exits_2(tmp_path, capsys):
     path = tmp_path / "tall.csv"
     path.write_text(TALL_CSV)
@@ -339,6 +361,61 @@ def test_fetch_error_paths(capsys):
     port = s.getsockname()[1]
     s.close()
     assert main(["fetch", f"127.0.0.1:{port}", "--timeout", "2"]) == 3
+
+
+def test_fetch_port_out_of_range_exits_1(capsys):
+    assert main(["fetch", "127.0.0.1:99999"]) == 1
+    assert capsys.readouterr().err == "hroa: endpoint port 99999 is outside 1..65535\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--port", "70000"], "--port 70000 is outside 0..65535"),
+        (["--session-id", "70000"], "--session-id 70000 is outside 0..65535"),
+        (["--serial", "-1"], "--serial -1 is outside 0..4294967295"),
+        (["--bandwidth", "0"], "--bandwidth '0': must be positive"),
+        (["--bandwidth", "0mbps"], "--bandwidth '0mbps': must be positive"),
+    ],
+    ids=["port", "session-id", "serial", "bandwidth", "bandwidth-unit"],
+)
+def test_serve_settings_out_of_range_exit_1(fig_csv, capsys, monkeypatch, flags, message):
+    monkeypatch.setattr(signal, "pause", lambda: None)  # a server that starts returns at once
+    assert main(["serve", fig_csv, *flags]) == 1
+    assert capsys.readouterr().err == f"hroa: {message}\n"
+
+
+def test_serve_on_a_port_in_use_exits_1(fig_csv, capsys, monkeypatch):
+    monkeypatch.setattr(signal, "pause", lambda: None)
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen(1)
+        port = held.getsockname()[1]
+        assert main(["serve", fig_csv, "--port", str(port)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"hroa: cannot listen on 127.0.0.1:{port}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encode", "{dir}"],
+        ["decode", "{dir}"],
+        ["encode", "{csv}", "--levels", "{dir}"],
+        ["encode", "{csv}", "--out", "{dir}"],
+        ["decode", "{pdus}", "--out", "{dir}"],
+    ],
+    ids=["encode-input", "decode-input", "levels", "encode-out", "decode-out"],
+)
+def test_a_directory_for_a_file_exits_2(fig_csv, tmp_path, capsys, argv):
+    pdus = tmp_path / "fig.pdus"
+    assert main(["encode", fig_csv, "--out", str(pdus)]) == 0
+    capsys.readouterr()
+    names = {"dir": str(tmp_path), "csv": fig_csv, "pdus": str(pdus)}
+    assert main([arg.format(**names) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"hroa: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 def test_serve_subprocess_end_to_end(fig_csv, tmp_path):
@@ -441,6 +518,14 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
         ran += 1
     capsys.readouterr()
     assert ran > 0
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["got"] == {7497: set(scope["prefixes"])}
 
 
 def test_console_script_installed():

@@ -8,6 +8,7 @@ from hroa.hybrid import (
     HybridConfig,
     HybridPayload,
     SweepCell,
+    canonical_blocks,
     frame_payload,
     hybrid_decode,
     hybrid_encode,
@@ -43,7 +44,7 @@ def test_config_validation():
 
 def test_worked_example_single_block():
     # both minimal blocks are short, so everything lands in one bitmap PDU
-    payload = hybrid_encode(HybridConfig(), 7497, FIG_PREFIXES)
+    payload = hybrid_encode(HybridConfig(), 7497, canonical_blocks(FIG_PREFIXES))
     assert payload.ml_blocks == ()
     assert payload.bm_blocks == (SubTreeBlock(V4, 1878001, 54),)
     assert len(frame_payload(payload)) == len(frame_payload(payload, aggregate=True)) == 1
@@ -68,7 +69,7 @@ def test_threshold_routes_tall_blocks_to_maxlength():
 
 def test_threshold_zero_is_pure_maxlength():
     cfg = HybridConfig(delta_l_threshold=0)
-    payload = hybrid_encode(cfg, 7497, FIG_PREFIXES)
+    payload = hybrid_encode(cfg, 7497, canonical_blocks(FIG_PREFIXES))
     assert payload.bm_blocks == ()
     assert payload.ml_blocks == (
         _blk("202.127.16.0/20", 20),
@@ -103,16 +104,16 @@ def test_mixed_families_share_payload():
 def test_prefix_input_is_precompressed():
     # the /24 full tree folds into one tall block before the threshold split
     full = expand(_blk("192.0.2.0/24", 28))
-    payload = hybrid_encode(HybridConfig(), 64500, full)
+    payload = hybrid_encode(HybridConfig(), 64500, canonical_blocks(full))
     assert payload.ml_blocks == (_blk("192.0.2.0/24", 28),)
     assert payload.bm_blocks == ()
 
 
 def test_block_input_recompress():
     items = [_blk("192.0.2.0/25", 28), _blk("192.0.2.128/25", 28), _blk("192.0.2.0/24")]
-    as_is = hybrid_encode(HybridConfig(), 64500, items)
+    as_is = hybrid_encode(HybridConfig(), 64500, canonical_blocks(items))
     assert len(as_is.ml_blocks) == 2 and len(as_is.bm_blocks) == 1
-    merged = hybrid_encode(HybridConfig(), 64500, items, recompress=True)
+    merged = hybrid_encode(HybridConfig(), 64500, canonical_blocks(items, recompress=True))
     assert merged.ml_blocks == (_blk("192.0.2.0/24", 28),)
     assert merged.bm_blocks == ()
     assert hybrid_decode(HybridConfig(), as_is) == hybrid_decode(HybridConfig(), merged)
@@ -120,9 +121,9 @@ def test_block_input_recompress():
 
 def test_mixed_input_types_rejected():
     with pytest.raises(TypeError):
-        hybrid_encode(HybridConfig(), 64500, [parse_prefix("10.0.0.0/8"), _blk("10.0.0.0/8")])
+        canonical_blocks([parse_prefix("10.0.0.0/8"), _blk("10.0.0.0/8")])
     with pytest.raises(ValueError):
-        hybrid_encode(HybridConfig(), 64500, [])
+        canonical_blocks([])
 
 
 def _decode_pdus(pdus, cfg):

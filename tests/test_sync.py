@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from hroa import wire
+from hroa import sync, wire
 from hroa.hybrid import HybridConfig
 from hroa.prefix import V4, AddressBlock, Prefix, parse_prefix
 from hroa.sync import (
@@ -40,12 +40,11 @@ def _snapshot(inputs=None, **kw):
 
 def test_snapshot_canonicalizes_prefix_input():
     snap = _snapshot()
-    assert snap.payloads[7497].blocks == (
+    assert snap.blocks[7497] == (
         AddressBlock(parse_prefix("202.127.16.0/20"), 20),
         AddressBlock(parse_prefix("202.127.16.0/21"), 22),
     )
     assert snap.authorized_map() == {7497: set(FIG_INPUT[7497])}
-    assert snap.vrp_total() == 4
 
 
 def test_snapshot_recompresses_dual_stack_as():
@@ -59,7 +58,7 @@ def test_snapshot_recompresses_dual_stack_as():
         ]
     }
     snap = _snapshot(inputs, recompress=True)
-    assert snap.payloads[64500].blocks == (
+    assert snap.blocks[64500] == (
         AddressBlock(parse_prefix("192.0.2.0/24"), 25),
         AddressBlock(parse_prefix("2001:db8::/64"), 66),
     )
@@ -97,6 +96,41 @@ def test_payload_pdus_split_tall_blocks():
     assert kinds == ["PrefixPdu", "SubTreePdu"]
     kinds = [type(p).__name__ for p in payload_pdus(mixed, "ahroa")]
     assert kinds == ["PrefixPdu", "SubTreeAggPdu"]
+
+
+def test_hybrid_split_runs_once_and_only_for_bitmap_schemes(monkeypatch):
+    calls = []
+    real = sync.hybrid_encode
+
+    def counting(cfg, asn, blocks):
+        calls.append(asn)
+        return real(cfg, asn, blocks)
+
+    monkeypatch.setattr(sync, "hybrid_encode", counting)
+    inputs = dict(FIG_INPUT)
+    inputs[64500] = [
+        AddressBlock(parse_prefix("10.0.0.0/8"), 16),
+        AddressBlock(parse_prefix("2001:db8::/32"), 32),
+    ]
+    snap = _snapshot(inputs)
+    for scheme in ("sroa", "troa", "mroa"):
+        payload_pdus(snap, scheme)
+    assert calls == []
+    for scheme in ("hroa", "ahroa"):
+        RtrServer(snap, scheme).close()
+    assert sorted(calls) == sorted(inputs)
+
+
+def test_server_closes_its_socket_when_bind_fails(monkeypatch):
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen(1)
+        made = []
+        real = socket.socket
+        monkeypatch.setattr(socket, "socket", lambda *a: made.append(real(*a)) or made[-1])
+        with pytest.raises(OSError):
+            RtrServer(_snapshot(), "hroa", port=held.getsockname()[1])
+    assert len(made) == 1 and made[0].fileno() == -1
 
 
 def test_loopback_fetch_all_schemes():
