@@ -354,8 +354,6 @@ def test_fetch_of_a_block_beyond_the_expansion_cap_exits_2(tmp_path, capsys):
 def test_fetch_error_paths(capsys):
     assert main(["fetch", "not-an-endpoint"]) == 1
     # unused port: transport failure
-    import socket
-
     s = socket.socket()
     s.bind(("127.0.0.1", 0))
     port = s.getsockname()[1]
