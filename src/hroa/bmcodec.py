@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .prefix import V4, V6, WIDTH, FamilyMismatchError, Prefix
+from .prefix import V4, V6, WIDTH, FamilyMismatchError, Prefix, _new_prefix
 
 # Gap cap of the in-memory codec.  The wire bitmap bounds sub-trees to
 # wire.MAX_SUBTREE_HEIGHT (5) levels, checked where a profile is chosen for
@@ -212,7 +212,7 @@ def decode_block(cfg: HangingLevels, block: SubTreeBlock) -> tuple[int, set[Pref
         y = low.bit_length() - 1
         depth = y.bit_length() - 1
         n = level + depth
-        out.add(Prefix(family, root | (y ^ (1 << depth)) << (width - n), n))
+        out.add(_new_prefix((family, root | (y ^ (1 << depth)) << (width - n), n)))
     return block.bitmap & 1, out
 
 

@@ -304,6 +304,9 @@ def cmd_fetch(args) -> int:
     if not host or not port.isdigit():
         raise ValueError("endpoint must be host:port")
     _check_range("endpoint port", int(port), 1, 0xFFFF)
+    # 0 would make the socket non-blocking, so connect fails as a transport error
+    if not 0 < args.timeout < math.inf:
+        raise ValueError(f"--timeout {args.timeout} is not a positive number of seconds")
     cfg = HybridConfig(hanging=_build_profile(args))
     got, report = sync.fetch((host, int(port)), cfg, timeout=args.timeout)
     if args.out:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping
 
 from . import wire
@@ -114,19 +115,20 @@ def hybrid_encode(cfg: HybridConfig, asn: int, blocks: Iterable[AddressBlock]) -
     """Split one AS's address blocks into maxLength and bitmap blocks.
 
     Blocks at least ``delta_l_threshold`` tall keep their maxLength form,
-    the rest are expanded and folded into per-family bitmaps.
+    the rest are expanded and folded into per-family bitmaps.  encode_batch
+    ORs node bits, so prefixes that overlapping blocks share need no union.
     """
     ml: list[AddressBlock] = []
-    short: dict[int, set[Prefix]] = {V4: set(), V6: set()}
+    short: dict[int, list[AddressBlock]] = {V4: [], V6: []}
     for b in blocks:
         if b.height >= cfg.delta_l_threshold:
             ml.append(b)
         else:
-            short[b.prefix.family] |= expand(b)
+            short[b.prefix.family].append(b)
     bm: list[SubTreeBlock] = []
     for fam in (V4, V6):
         if short[fam]:
-            bm.extend(encode_batch(cfg.hanging[fam], short[fam]))
+            bm.extend(encode_batch(cfg.hanging[fam], chain.from_iterable(map(expand, short[fam]))))
     return HybridPayload(asn, tuple(ml), tuple(bm))
 
 

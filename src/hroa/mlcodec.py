@@ -17,6 +17,7 @@ from .prefix import (
     AddressBlock,
     FamilyMismatchError,
     Prefix,
+    _new_block,
     expand,
 )
 
@@ -82,7 +83,7 @@ def compress_minimal(prefixes: Iterable[Prefix]) -> list[AddressBlock]:
                 found.append((bits, plen, end))
             here[bits] = end
     found.sort()
-    return [AddressBlock(by_len[plen][bits], end) for bits, plen, end in found]
+    return [_new_block((by_len[plen][bits], end)) for bits, plen, end in found]
 
 
 def scatter_degree(prefixes: Iterable[Prefix]) -> Fraction:

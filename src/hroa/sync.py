@@ -24,7 +24,7 @@ from .bmcodec import SubTreeBlock, decode_block
 from .hybrid import HybridConfig, HybridPayload, canonical_blocks, frame_payload, prefix_pdus
 from .hybrid import hybrid_encode  # perfbench/tracing.py wraps it at this name
 from .mlcodec import compress_minimal  # noqa: F401  perfbench/tracing.py wraps it at this name
-from .prefix import AddressBlock, Prefix, expand
+from .prefix import AddressBlock, Prefix, _new_block, expand
 from .workload import Workload
 
 log = logging.getLogger("hroa.sync")
@@ -323,7 +323,8 @@ def decode_payload_pdu(
     if kind is wire.PrefixPdu:
         if not pdu.flags & 1:
             raise wire.FramingError("withdrawal PDU in an authorization payload")
-        return pdu.asn, (AddressBlock(pdu.prefix, pdu.max_length),), _NO_PREFIXES
+        # wire._prefix checked prefixlen <= max_length <= width when it parsed the PDU
+        return pdu.asn, (_new_block((pdu.prefix, pdu.max_length)),), _NO_PREFIXES
     if kind is wire.SubTreePdu:
         pairs: Iterable[tuple[int, int]] = ((pdu.subtree_id, pdu.bitmap),)
     elif kind is wire.SubTreeAggPdu:

@@ -361,6 +361,18 @@ def test_fetch_error_paths(capsys):
     assert main(["fetch", f"127.0.0.1:{port}", "--timeout", "2"]) == 3
 
 
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+def test_fetch_timeout_not_positive_and_finite_exits_1_before_connect(timeout, capsys):
+    # a listener that is never accepted from: a connect would succeed against it
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+        assert main(["fetch", f"127.0.0.1:{port}", "--timeout", timeout]) == 1
+    err = capsys.readouterr().err
+    assert err == f"hroa: --timeout {float(timeout)} is not a positive number of seconds\n"
+
+
 def test_fetch_port_out_of_range_exits_1(capsys):
     assert main(["fetch", "127.0.0.1:99999"]) == 1
     assert capsys.readouterr().err == "hroa: endpoint port 99999 is outside 1..65535\n"
@@ -438,6 +450,7 @@ def test_serve_subprocess_end_to_end(fig_csv, tmp_path):
         watchdog.cancel()
         proc.send_signal(signal.SIGINT)
         proc.wait(timeout=10)
+        proc.stderr.close()
 
 
 def test_malformed_first_row_exits_2(tmp_path, capsys):

@@ -1,11 +1,16 @@
+import copy
 import ipaddress
+import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hroa.bmcodec import HangingLevels, decode_block, encode_batch
+from hroa.mlcodec import compress_minimal
 from hroa.prefix import (
     V4,
     V6,
+    WIDTH,
     AddressBlock,
     ExpansionCapError,
     FamilyMismatchError,
@@ -211,3 +216,118 @@ def _blocks(draw):
 @given(st.lists(_blocks(), max_size=12))
 def test_block_order_sorts_as_blocks_compare(blocks):
     assert sorted(blocks, key=block_order) == sorted(blocks)
+
+
+# -- the value-type contract ----------------------------------------------------
+
+
+@st.composite
+def _prefixes(draw, families=(V4, V6)):
+    family = draw(st.sampled_from(families))
+    width = WIDTH[family]
+    plen = draw(st.integers(0, width))
+    top = draw(st.integers(0, (1 << plen) - 1))
+    return Prefix(family, top << (width - plen), plen)
+
+
+def _value_error(build, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        build(*args)
+    return str(info.value)
+
+
+@given(st.integers().filter(lambda f: f not in (V4, V6)), st.integers(), st.integers())
+def test_prefix_rejects_a_bad_family(family, bits, plen):
+    assert _value_error(Prefix, family, bits, plen) == f"bad family {family!r}"
+
+
+@given(st.sampled_from((V4, V6)), st.integers(), st.data())
+def test_prefix_rejects_a_prefixlen_out_of_range(family, bits, data):
+    width = WIDTH[family]
+    plen = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=width + 1)))
+    assert _value_error(Prefix, family, bits, plen) == (
+        f"prefixlen {plen} out of range for v{family}"
+    )
+
+
+@given(st.sampled_from((V4, V6)), st.data())
+def test_prefix_rejects_bits_out_of_range(family, data):
+    width = WIDTH[family]
+    plen = data.draw(st.integers(0, width))
+    bits = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=1 << width)))
+    assert _value_error(Prefix, family, bits, plen) == "address bits out of range"
+
+
+@given(st.sampled_from((V4, V6)), st.data())
+def test_prefix_rejects_host_bits(family, data):
+    width = WIDTH[family]
+    plen = data.draw(st.integers(0, width - 1))
+    bits = data.draw(st.integers(0, (1 << width) - 1).filter(
+        lambda b: b & ((1 << (width - plen)) - 1)))
+    assert _value_error(Prefix, family, bits, plen) == f"host bits set below /{plen}"
+
+
+@given(_prefixes(), st.data())
+def test_block_rejects_a_max_length_out_of_range(prefix, data):
+    below = st.integers(max_value=prefix.prefixlen - 1)
+    max_length = data.draw(st.one_of(below, st.integers(min_value=prefix.width + 1)))
+    assert _value_error(AddressBlock, prefix, max_length) == (
+        f"max_length {max_length} out of range for {prefix}"
+    )
+
+
+def _same_value(built, checked):
+    """built and checked are one value of one type, down to repr and str."""
+    assert type(built) is type(checked)
+    assert built == checked and hash(built) == hash(checked)
+    assert repr(built) == repr(checked) and str(built) == str(checked)
+
+
+def _assert_as_checked(prefixes):
+    prefixes = list(prefixes)
+    checked = [Prefix(p.family, p.bits, p.prefixlen) for p in prefixes]
+    for p, q in zip(prefixes, checked):
+        _same_value(p, q)
+    assert sorted(prefixes) == sorted(checked)
+
+
+@given(_prefixes(), st.integers(0, 4))
+def test_expand_builds_what_the_checked_constructor_builds(root, extra):
+    _assert_as_checked(expand(AddressBlock(root, min(root.width, root.prefixlen + extra))))
+
+
+@given(st.sampled_from((V4, V6)), st.data())
+def test_decode_block_builds_what_the_checked_constructor_builds(family, data):
+    cfg = HangingLevels.default(family)
+    prefixes = data.draw(st.lists(_prefixes((family,)), min_size=1, max_size=8))
+    for block in encode_batch(cfg, prefixes):
+        _assert_as_checked(decode_block(cfg, block)[1])
+
+
+@given(_v4_prefixes(), st.booleans())
+def test_parse_fast_path_builds_what_the_checked_constructor_builds(p, strict):
+    _assert_as_checked([parse_prefix(str(p), strict)])
+
+
+@given(st.lists(_prefixes(), min_size=1, max_size=10).map(
+    lambda ps: [p for p in ps if p.family == ps[0].family]))
+def test_compress_minimal_blocks_are_checked_blocks(prefixes):
+    for block in compress_minimal(prefixes):
+        _same_value(block, AddressBlock(block.prefix, block.max_length))
+
+
+@given(_prefixes())
+def test_a_prefix_is_its_plain_tuple(p):
+    assert p == (p.family, p.bits, p.prefixlen)
+    assert hash(p) == hash((p.family, p.bits, p.prefixlen))
+    block = AddressBlock(p, p.prefixlen)
+    assert block == ((p.family, p.bits, p.prefixlen), p.prefixlen)
+
+
+@given(st.one_of(_prefixes(), _blocks()))
+def test_copy_and_pickle_round_trip(value):
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, proto))
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for got in copies:
+        _same_value(got, value)
