@@ -1,8 +1,10 @@
 """Route-origin authorization encoding toolkit.
 
 Layers, bottom up: prefix trie primitives, the minimal maxLength
-compressor, the bitmap sub-tree codec, the hybrid splitter, a
-hanging-level optimizer, the wire format, and a reset-query sync pair.
+compressor, the bitmap sub-tree codec, the hybrid split of each AS's
+canonical blocks, a hanging-level optimizer, the wire format, and the
+sync layer: the PDU framing of every scheme, the one payload decoder, the
+parameter sweep and a reset-query server and client.
 """
 
 from .prefix import (
@@ -34,16 +36,9 @@ from .bmcodec import (
     stm_insert,
     subtree_height,
 )
-from .hybrid import (
-    HybridConfig,
-    HybridPayload,
-    frame_payload,
-    hybrid_decode,
-    hybrid_encode,
-    sweep_parameters,
-)
+from .hybrid import HybridConfig, hybrid_encode
 from .levelopt import CostModel, optimize_levels
-from .sync import CacheSnapshot, RtrServer, SyncReport, fetch, serve
+from .sync import CacheSnapshot, RtrServer, SyncReport, fetch, sweep_parameters
 from .workload import Workload, load_csv, synthetic_scattered
 
 __version__ = "0.1.0"
@@ -59,7 +54,6 @@ __all__ = [
     "FamilyMismatchError",
     "HangingLevels",
     "HybridConfig",
-    "HybridPayload",
     "Prefix",
     "PrefixFormatError",
     "RtrServer",
@@ -76,8 +70,6 @@ __all__ = [
     "excess_prefixes",
     "expand",
     "fetch",
-    "frame_payload",
-    "hybrid_decode",
     "hybrid_encode",
     "load_csv",
     "make_node_number",
@@ -86,7 +78,6 @@ __all__ = [
     "optimize_levels",
     "parse_prefix",
     "scatter_degree",
-    "serve",
     "stm_decode",
     "stm_insert",
     "subtree_height",

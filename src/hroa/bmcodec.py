@@ -52,6 +52,8 @@ class HangingLevels:
         if self.family not in WIDTH:
             raise ValueError(f"bad family {self.family!r}")
         lv = self.levels
+        if any(type(x) is not int for x in lv):  # a bool is an int subclass, but no level
+            raise ValueError(f"levels must be integers, not {lv!r}")
         if not lv or lv[0] != 0:
             raise ValueError("profile must start at level 0")
         if any(b <= a for a, b in zip(lv, lv[1:])):
@@ -75,7 +77,10 @@ class HangingLevels:
     @classmethod
     def explicit(cls, family: int, levels: Iterable[int]) -> "HangingLevels":
         """User-supplied profile: sorted, deduplicated, level 0 added."""
-        return cls(family, tuple(sorted(set(levels) | {0})))
+        levels = tuple(levels)
+        if all(type(x) is int for x in levels):  # the rest __post_init__ rejects as given
+            levels = tuple(sorted(set(levels) | {0}))
+        return cls(family, levels)
 
     @property
     def width(self) -> int:

@@ -41,15 +41,26 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _read_profile(path: str) -> tuple[int, HangingLevels]:
+    """A profile JSON file, as optimize-levels writes it: its family and levels."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+            if not (isinstance(doc, dict) and doc.get("family") in ("v4", "v6")
+                    and isinstance(doc.get("levels"), list)):
+                raise ValueError('not a profile {"family": "v4"|"v6", "levels": [...]}')
+            family = _FAMILY_NAMES[doc["family"]]
+            return family, HangingLevels.explicit(family, doc["levels"])
+        except ValueError as exc:
+            raise ValueError(f"--levels {path}: {exc}") from None
+
+
 def _parse_levels_arg(values: list[str] | None) -> dict[int, HangingLevels]:
     """--levels accepts N,N,... inline or a profile JSON path, repeatable."""
     hanging = {V4: HangingLevels.default(V4), V6: HangingLevels.default(V6)}
     for value in values or []:
         if os.path.exists(value):
-            with open(value) as fh:
-                doc = json.load(fh)
-            family = _FAMILY_NAMES[doc["family"]]
-            hanging[family] = HangingLevels.explicit(family, doc["levels"])
+            family, hanging[family] = _read_profile(value)
             continue
         try:
             levels = [int(x) for x in value.split(",") if x.strip()]
@@ -65,7 +76,7 @@ def _parse_levels_arg(values: list[str] | None) -> dict[int, HangingLevels]:
 
 def _build_profile(args) -> dict[int, HangingLevels]:
     """The hanging-level profile that --levels or --level-multiple selects."""
-    if args.level_multiple:
+    if args.level_multiple is not None:
         if args.levels:
             raise ValueError("--levels and --level-multiple are mutually exclusive")
         hanging = {fam: HangingLevels.multiples_of(args.level_multiple, fam) for fam in (V4, V6)}
@@ -79,7 +90,7 @@ def _build_config(args) -> HybridConfig:
     """The profile plus the --delta-l split, for the commands that encode."""
     hanging = _build_profile(args)
     threshold = math.inf if args.delta_l == "inf" else float(args.delta_l)
-    if threshold != math.inf and threshold != int(threshold):
+    if threshold != math.inf and not threshold.is_integer():
         raise ValueError("--delta-l must be an integer or inf")
     return HybridConfig(delta_l_threshold=threshold, hanging=hanging)
 
@@ -192,12 +203,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .hybrid import sweep_parameters
-
     workload = load_csv(args.csv)
     thresholds = [math.inf if t == "inf" else int(t) for t in args.thresholds.split(",")]
     multiples = [int(m) for m in args.multiples.split(",")]
-    table = sweep_parameters(
+    table = sync.sweep_parameters(
         workload.entries,
         thresholds,
         multiples,
@@ -284,7 +293,7 @@ def cmd_serve(args) -> int:
     cfg = _build_config(args)
     snapshot = _snapshot(args, workload, cfg)
     try:
-        server = sync.serve(snapshot, args.scheme, (args.host, args.port), bandwidth)
+        server = sync.RtrServer(snapshot, args.scheme, args.host, args.port, bandwidth)
     except OSError as exc:
         where = f"{args.host}:{args.port}"
         raise ValueError(f"cannot listen on {where}: {exc.strerror or exc}") from None

@@ -6,6 +6,9 @@ bitmaps.  The split point is the block height threshold: height >=
 threshold rides the maxLength path, anything lower is expanded into plain
 prefixes and bitmap-encoded.  Threshold 0 therefore means "always
 maxLength" and an infinite threshold means "always bitmap".
+
+This module holds the split's config, each AS's canonical blocks and the
+split itself; ``sync.payload_pdus`` frames the result as PDUs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from itertools import chain
 from typing import Iterable, Mapping
 
 from . import wire
-from .bmcodec import HangingLevels, SubTreeBlock, decode_block, encode_batch
+from .bmcodec import HangingLevels, SubTreeBlock, encode_batch
 from .mlcodec import compress_minimal
 from .prefix import (
     DEFAULT_EXPANSION_CAP,
@@ -69,15 +72,6 @@ class HybridConfig:
                 raise ValueError(f"no hanging-level profile for v{fam}")
 
 
-@dataclass(frozen=True)
-class HybridPayload:
-    """One AS's encoded authorization: maxLength blocks plus bitmap blocks."""
-
-    asn: int
-    ml_blocks: tuple[AddressBlock, ...]
-    bm_blocks: tuple[SubTreeBlock, ...]
-
-
 def _compress(prefixes) -> list[AddressBlock]:
     """Minimal blocks of a prefix set, one family at a time, in canonical order."""
     by_family: dict[int, list[Prefix]] = {V4: [], V6: []}
@@ -111,8 +105,10 @@ def canonical_blocks(items, recompress: bool = False) -> tuple[AddressBlock, ...
     return tuple(sorted(set(seq), key=block_order))
 
 
-def hybrid_encode(cfg: HybridConfig, asn: int, blocks: Iterable[AddressBlock]) -> HybridPayload:
-    """Split one AS's address blocks into maxLength and bitmap blocks.
+def hybrid_encode(
+    cfg: HybridConfig, blocks: Iterable[AddressBlock]
+) -> tuple[tuple[AddressBlock, ...], tuple[SubTreeBlock, ...]]:
+    """Split one AS's address blocks into (maxLength blocks, bitmap blocks).
 
     Blocks at least ``delta_l_threshold`` tall keep their maxLength form,
     the rest are expanded and folded into per-family bitmaps.  encode_batch
@@ -129,75 +125,4 @@ def hybrid_encode(cfg: HybridConfig, asn: int, blocks: Iterable[AddressBlock]) -
     for fam in (V4, V6):
         if short[fam]:
             bm.extend(encode_batch(cfg.hanging[fam], chain.from_iterable(map(expand, short[fam]))))
-    return HybridPayload(asn, tuple(ml), tuple(bm))
-
-
-def hybrid_decode(cfg: HybridConfig, payload: HybridPayload) -> dict[int, set[Prefix]]:
-    """Rebuild {asn: prefixes} from a payload.  Inverse of hybrid_encode."""
-    out: set[Prefix] = set()
-    for b in payload.ml_blocks:
-        out |= expand(b)
-    for sb in payload.bm_blocks:
-        flag, prefixes = decode_block(cfg.hanging[sb.family], sb)
-        if flag:
-            raise ValueError("withdrawal block inside an authorization payload")
-        out |= prefixes
-    return {payload.asn: out}
-
-
-def prefix_pdus(asn: int, blocks: Iterable[AddressBlock]) -> list[wire.RtrPdu]:
-    """One announcing prefix PDU per maxLength block, in canonical block order."""
-    return [
-        wire.PrefixPdu(wire.ANNOUNCE, b.prefix, b.max_length, asn)
-        for b in sorted(blocks, key=block_order)
-    ]
-
-
-def frame_payload(payload: HybridPayload, aggregate: bool = False) -> list[wire.RtrPdu]:
-    """The payload's wire PDUs: hroa, or ahroa when ``aggregate`` is set.
-
-    maxLength blocks become prefix PDUs either way.  hroa sends each bitmap
-    block as its own sub-tree PDU; ahroa packs them per family, v4 first,
-    ids ascending, into as few aggregated PDUs as the PDU length cap allows.
-    """
-    asn = payload.asn
-    pdus = prefix_pdus(asn, payload.ml_blocks)
-    if not aggregate:
-        pdus.extend(wire.SubTreePdu(b.family, b.id, b.bitmap, asn) for b in payload.bm_blocks)
-        return pdus
-    for fam in (V4, V6):
-        pairs = sorted((b.id, b.bitmap) for b in payload.bm_blocks if b.family == fam)
-        cap = wire.agg_capacity(fam)
-        for at in range(0, len(pairs), cap):
-            pdus.append(wire.SubTreeAggPdu(fam, asn, tuple(pairs[at : at + cap])))
-    return pdus
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    pdu_count: int
-    total_bytes: int
-
-
-def sweep_parameters(
-    inputs: Mapping[int, Iterable[Prefix] | Iterable[AddressBlock]],
-    thresholds: Iterable[float],
-    level_multiples: Iterable[int],
-    aggregate: bool = False,
-) -> dict[tuple[float, int], SweepCell]:
-    """Total PDU count and bytes for every (threshold, level multiple) pair."""
-    table: dict[tuple[float, int], SweepCell] = {}
-    canonical = {asn: canonical_blocks(items) for asn, items in inputs.items()}
-    for step in level_multiples:
-        hanging = {fam: HangingLevels.multiples_of(step, fam) for fam in (V4, V6)}
-        check_wire_fit(hanging)
-        for thr in thresholds:
-            cfg = HybridConfig(delta_l_threshold=thr, hanging=hanging)
-            count = 0
-            nbytes = 0
-            for asn, blocks in canonical.items():
-                for pdu in frame_payload(hybrid_encode(cfg, asn, blocks), aggregate):
-                    count += 1
-                    nbytes += len(wire.serialize(pdu))
-            table[(thr, step)] = SweepCell(count, nbytes)
-    return table
+    return tuple(ml), tuple(bm)

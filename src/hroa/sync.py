@@ -20,11 +20,11 @@ from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping
 
 from . import wire
-from .bmcodec import SubTreeBlock, decode_block
-from .hybrid import HybridConfig, HybridPayload, canonical_blocks, frame_payload, prefix_pdus
+from .bmcodec import HangingLevels, SubTreeBlock, decode_block
+from .hybrid import HybridConfig, canonical_blocks, check_wire_fit
 from .hybrid import hybrid_encode  # perfbench/tracing.py wraps it at this name
 from .mlcodec import compress_minimal  # noqa: F401  perfbench/tracing.py wraps it at this name
-from .prefix import AddressBlock, Prefix, _new_block, expand
+from .prefix import V4, V6, AddressBlock, Prefix, _new_block, expand
 from .workload import Workload
 
 log = logging.getLogger("hroa.sync")
@@ -88,9 +88,9 @@ class CacheSnapshot:
         return cls(session_id, serial, blocks, cfg or HybridConfig())
 
     @cached_property
-    def payloads(self) -> dict[int, HybridPayload]:
-        """Each AS's hybrid split under the snapshot's config."""
-        return {asn: hybrid_encode(self.cfg, asn, b) for asn, b in self.blocks.items()}
+    def payloads(self) -> dict[int, tuple[tuple[AddressBlock, ...], tuple[SubTreeBlock, ...]]]:
+        """Each AS's hybrid split under the snapshot's config: (maxLength, bitmap) blocks."""
+        return {asn: hybrid_encode(self.cfg, b) for asn, b in self.blocks.items()}
 
     def authorized_map(self) -> dict[int, set[Prefix]]:
         out: dict[int, set[Prefix]] = {}
@@ -103,24 +103,62 @@ class CacheSnapshot:
 
 
 def payload_pdus(snapshot: CacheSnapshot, scheme: str) -> list[wire.RtrPdu]:
-    """Every payload PDU of the snapshot under one scheme, canonical order."""
+    """Every payload PDU of the snapshot under one scheme, canonical order.
+
+    Each maxLength block is a prefix PDU.  hroa sends each bitmap block as a
+    sub-tree PDU; ahroa packs them per family, v4 first, ids ascending, into
+    as few aggregated PDUs as the PDU length cap allows.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     pdus: list[wire.RtrPdu] = []
-    for asn in sorted(snapshot.blocks):
-        blocks = snapshot.blocks[asn]
-        if scheme in ("troa", "mroa"):
-            pdus.extend(prefix_pdus(asn, blocks))
-        elif scheme == "sroa":
+    for asn, blocks in sorted(snapshot.blocks.items()):
+        if scheme == "sroa":
             singles = set()
             for b in blocks:
                 singles |= expand(b)
             pdus.extend(
                 wire.PrefixPdu(wire.ANNOUNCE, p, p.prefixlen, asn) for p in sorted(singles)
             )
-        else:
-            pdus.extend(frame_payload(snapshot.payloads[asn], scheme == "ahroa"))
+            continue
+        ml, bm = (blocks, ()) if scheme in ("troa", "mroa") else snapshot.payloads[asn]
+        pdus.extend(wire.PrefixPdu(wire.ANNOUNCE, b.prefix, b.max_length, asn) for b in ml)
+        if scheme == "hroa":
+            pdus.extend(wire.SubTreePdu(b.family, b.id, b.bitmap, asn) for b in bm)
+        elif scheme == "ahroa":
+            for fam in (V4, V6):
+                pairs = sorted((b.id, b.bitmap) for b in bm if b.family == fam)
+                cap = wire.agg_capacity(fam)
+                pdus.extend(
+                    wire.SubTreeAggPdu(fam, asn, tuple(pairs[at : at + cap]))
+                    for at in range(0, len(pairs), cap)
+                )
     return pdus
+
+
+@dataclass(frozen=True)
+class SweepCell:
+    pdu_count: int
+    total_bytes: int
+
+
+def sweep_parameters(
+    inputs: Mapping[int, Iterable[Prefix] | Iterable[AddressBlock]],
+    thresholds: Iterable[float],
+    level_multiples: Iterable[int],
+    aggregate: bool = False,
+) -> dict[tuple[float, int], SweepCell]:
+    """Total hroa (ahroa with ``aggregate``) PDU count and bytes per (threshold, level multiple)."""
+    blocks = {asn: canonical_blocks(items) for asn, items in inputs.items()}
+    table: dict[tuple[float, int], SweepCell] = {}
+    for step in level_multiples:
+        hanging = {fam: HangingLevels.multiples_of(step, fam) for fam in (V4, V6)}
+        check_wire_fit(hanging)
+        for thr in thresholds:
+            snapshot = CacheSnapshot(0, 0, blocks, HybridConfig(thr, hanging))
+            raw = wire.serialize_each(payload_pdus(snapshot, "ahroa" if aggregate else "hroa"))
+            table[(thr, step)] = SweepCell(len(raw), sum(map(len, raw)))
+    return table
 
 
 @dataclass
@@ -296,16 +334,6 @@ class RtrServer:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def serve(
-    snapshot: CacheSnapshot,
-    scheme: str,
-    endpoint: tuple[str, int] = ("127.0.0.1", 0),
-    bandwidth_bps: float | None = None,
-) -> RtrServer:
-    """Start a server for the snapshot; returns the listening handle."""
-    return RtrServer(snapshot, scheme, endpoint[0], endpoint[1], bandwidth_bps)
 
 
 _NO_PREFIXES: frozenset[Prefix] = frozenset()

@@ -21,11 +21,11 @@ from hroa.bmcodec import (
     make_subtree_id,
     stm_decode,
 )
-from hroa.hybrid import HybridConfig, frame_payload, hybrid_decode, hybrid_encode
+from hroa.hybrid import HybridConfig
 from hroa.levelopt import CostModel, optimize_levels
 from hroa.mlcodec import compress_minimal, scatter_degree
 from hroa.prefix import V4, V6, AddressBlock, Prefix, expand, parse_prefix
-from hroa.sync import CacheSnapshot, decode_payload_pdu, fetch, payload_pdus, serve
+from hroa.sync import CacheSnapshot, RtrServer, decode_payload_pdu, fetch, payload_pdus
 from hroa.wire import (
     PduReader,
     PrefixPdu,
@@ -157,17 +157,17 @@ def test_criterion_3_round_trip_properties():
             want: set[Prefix] = set()
             for b in items:
                 want |= expand(b)
-            payload = hybrid_encode(hcfg, 64500, items)
-            assert hybrid_decode(hcfg, payload) == {64500: want}
-            # aggregated: the payload's ahroa PDUs through the client's decoder
-            got: set[Prefix] = set()
-            for pdu in frame_payload(payload, aggregate=True):
-                asn, blocks, prefixes = decode_payload_pdu(pdu, hcfg)
-                assert asn == 64500
-                got |= prefixes
-                for b in blocks:
-                    got |= expand(b)
-            assert got == want
+            # the hroa and the aggregated ahroa PDUs, each through the client's decoder
+            snap = CacheSnapshot.build({64500: items}, hcfg, session_id=1)
+            for scheme in ("hroa", "ahroa"):
+                got: set[Prefix] = set()
+                for pdu in payload_pdus(snap, scheme):
+                    asn, blocks, prefixes = decode_payload_pdu(pdu, hcfg)
+                    assert asn == 64500
+                    got |= prefixes
+                    for b in blocks:
+                        got |= expand(b)
+                assert got == want, scheme
             hybrid += 1
     elapsed = time.perf_counter() - t0
     ok = plain >= 2 * cases_per_family and hybrid > 0 and elapsed < 60.0
@@ -293,7 +293,7 @@ def test_criterion_6_end_to_end_sync():
     want = snap.authorized_map()
     stats = {}
     for scheme in ("mroa", "hroa", "ahroa"):
-        with serve(snap, scheme) as server:
+        with RtrServer(snap, scheme) as server:
             got, report = fetch(server.endpoint, timeout=120)
         assert got == want, scheme
         stats[scheme] = (report.pdu_count, report.total_bytes)

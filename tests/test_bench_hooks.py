@@ -66,7 +66,7 @@ def test_fetch_calls_traced_entry_points(monkeypatch, scheme, layers):
     monkeypatch.setattr(wire.PduReader, "feed", counting("wire.PduReader.feed", wire.PduReader.feed))
     monkeypatch.setattr(sync, "expand", counting("sync.expand", sync.expand))
     monkeypatch.setattr(sync, "decode_block", counting("sync.decode_block", sync.decode_block))
-    with sync.serve(snap, scheme) as server:
+    with sync.RtrServer(snap, scheme) as server:
         got, _ = sync.fetch(server.endpoint)
     assert got == want
     assert called == layers

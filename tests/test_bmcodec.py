@@ -62,6 +62,15 @@ def test_explicit_profile_rejects_wide_gaps():
         HangingLevels.multiples_of(7, V6)
 
 
+@pytest.mark.parametrize("bad", ["5", 5.0, 2.5, True, None])
+def test_profile_rejects_levels_that_are_not_ints(bad):
+    levels = (0, bad, 10, 15, 20, 25, 30)
+    with pytest.raises(ValueError, match="levels must be integers"):
+        HangingLevels(V4, levels)
+    with pytest.raises(ValueError, match="levels must be integers"):
+        HangingLevels.explicit(V4, levels[1:])
+
+
 def test_max_height_counts_the_terminal_gap():
     assert HangingLevels.default(V4).max_height == 5
     assert HangingLevels.default(V6).max_height == 5

@@ -154,6 +154,50 @@ def test_encode_delta_l_and_levels_flags(fig_csv, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", ["-inf", "nan"])
+@pytest.mark.parametrize("command", ["encode", "serve"])
+def test_delta_l_not_an_integer_exits_1(fig_csv, capsys, monkeypatch, command, value):
+    monkeypatch.setattr(signal, "pause", lambda: None)  # a server that starts returns at once
+    assert main([command, fig_csv, f"--delta-l={value}"]) == 1
+    assert capsys.readouterr().err == "hroa: --delta-l must be an integer or inf\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--level-multiple", "0"], "step must be >= 1"),
+        (["--levels", "5", "--level-multiple", "0"],
+         "--levels and --level-multiple are mutually exclusive"),
+    ],
+    ids=["alone", "with-levels"],
+)
+def test_level_multiple_zero_exits_1(fig_csv, capsys, flags, message):
+    assert main(["encode", fig_csv, *flags]) == 1
+    assert capsys.readouterr().err == f"hroa: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"family": "v4", "levels": ["5"]},
+        {"family": "v4", "levels": 5},
+        [{"family": "v4", "levels": [5]}],
+        {"family": "v7", "levels": [5]},
+        {"family": "v4"},
+        {"family": "v4", "levels": [x / 2 for x in range(5, 61, 5)]},
+        {"family": "v4", "levels": [True, *range(5, 31, 5)]},
+    ],
+    ids=["str-levels", "int-levels", "top-level-list", "family-v7", "no-levels", "float-levels",
+         "bool-level"],
+)
+def test_malformed_profile_file_exits_1(fig_csv, tmp_path, capsys, doc):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    assert main(["encode", fig_csv, "--levels", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"hroa: --levels {path}: ") and err.count("\n") == 1
+
+
 def test_stats_output(fig_csv, tmp_path, capsys):
     code, out = _run(capsys, ["stats", fig_csv])
     assert code == 0
@@ -290,7 +334,7 @@ def test_fetch_against_live_server(fig_csv, tmp_path, capsys):
     workload = load_csv(fig_csv)
     snap = sync.CacheSnapshot.build(workload, session_id=5)
     outcsv = str(tmp_path / "fetched.csv")
-    with sync.serve(snap, "hroa") as server:
+    with sync.RtrServer(snap, "hroa") as server:
         host, port = server.endpoint
         code, out = _run(capsys, ["fetch", f"{host}:{port}", "--out", outcsv])
     assert code == 0
@@ -344,7 +388,7 @@ def test_fetch_of_a_block_beyond_the_expansion_cap_exits_2(tmp_path, capsys):
     path = tmp_path / "tall.csv"
     path.write_text(TALL_CSV)
     # serving ships the block as one maxLength PDU; the client's expansion fails
-    with sync.serve(sync.CacheSnapshot.build(load_csv(str(path))), "hroa") as server:
+    with sync.RtrServer(sync.CacheSnapshot.build(load_csv(str(path))), "hroa") as server:
         host, port = server.endpoint
         code = main(["fetch", f"{host}:{port}"])
     assert code == 2

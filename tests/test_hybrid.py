@@ -3,19 +3,10 @@ import random
 
 import pytest
 
-from hroa.bmcodec import HangingLevels, SubTreeBlock
-from hroa.hybrid import (
-    HybridConfig,
-    HybridPayload,
-    SweepCell,
-    canonical_blocks,
-    frame_payload,
-    hybrid_decode,
-    hybrid_encode,
-    sweep_parameters,
-)
+from hroa.bmcodec import HangingLevels, SubTreeBlock, decode_block
+from hroa.hybrid import HybridConfig, canonical_blocks, hybrid_encode
 from hroa.prefix import V4, V6, AddressBlock, Prefix, expand, parse_prefix
-from hroa.sync import CacheSnapshot, decode_payload_pdu, payload_pdus
+from hroa.sync import CacheSnapshot, SweepCell, decode_payload_pdu, payload_pdus, sweep_parameters
 from hroa.wire import MAX_PDU_LEN, SubTreeAggPdu, SubTreePdu, agg_capacity, serialize
 
 FIG_PREFIXES = [
@@ -31,99 +22,8 @@ def _blk(text, maxlen=None):
     return AddressBlock(p, p.prefixlen if maxlen is None else maxlen)
 
 
-def test_config_validation():
-    HybridConfig(delta_l_threshold=math.inf)
-    HybridConfig(delta_l_threshold=0)
-    with pytest.raises(ValueError):
-        HybridConfig(delta_l_threshold=-1)
-    with pytest.raises(ValueError):
-        HybridConfig(delta_l_threshold=25)
-    with pytest.raises(ValueError):
-        HybridConfig(hanging={V4: HangingLevels.default(V4)})
-
-
-def test_worked_example_single_block():
-    # both minimal blocks are short, so everything lands in one bitmap PDU
-    payload = hybrid_encode(HybridConfig(), 7497, canonical_blocks(FIG_PREFIXES))
-    assert payload.ml_blocks == ()
-    assert payload.bm_blocks == (SubTreeBlock(V4, 1878001, 54),)
-    assert len(frame_payload(payload)) == len(frame_payload(payload, aggregate=True)) == 1
-    assert hybrid_decode(HybridConfig(), payload) == {7497: set(FIG_PREFIXES)}
-
-
-def test_threshold_routes_tall_blocks_to_maxlength():
-    items = [_blk("10.0.0.0/8", 16), _blk("192.0.2.0/24", 25)]
-    payload = hybrid_encode(HybridConfig(), 64500, items)
-    assert payload.ml_blocks == (_blk("10.0.0.0/8", 16),)
-    # the short block expands to the /24 plus both /25s, and each /25
-    # hangs in its own level-25 sub-tree
-    assert {b.id for b in payload.bm_blocks} == {
-        (1 << 20) | (0xC0000200 >> 12),
-        (1 << 25) | (0xC0000200 >> 7),
-        (1 << 25) | (0xC0000280 >> 7),
-    }
-    back = hybrid_decode(HybridConfig(), payload)
-    want = expand(items[0]) | expand(items[1])
-    assert back == {64500: want}
-
-
-def test_threshold_zero_is_pure_maxlength():
-    cfg = HybridConfig(delta_l_threshold=0)
-    payload = hybrid_encode(cfg, 7497, canonical_blocks(FIG_PREFIXES))
-    assert payload.bm_blocks == ()
-    assert payload.ml_blocks == (
-        _blk("202.127.16.0/20", 20),
-        _blk("202.127.16.0/21", 22),
-    )
-
-
-def test_threshold_inf_is_pure_bitmap():
-    cfg = HybridConfig(delta_l_threshold=math.inf)
-    payload = hybrid_encode(cfg, 64500, [_blk("10.0.0.0/8", 16)])
-    assert payload.ml_blocks == ()
-    assert sum(bin(b.bitmap >> 1).count("1") for b in payload.bm_blocks) == 2**9 - 1
-    assert hybrid_decode(cfg, payload) == {64500: expand(_blk("10.0.0.0/8", 16))}
-
-
-def test_boundary_height_goes_maxlength():
-    # height exactly at the threshold stays a maxLength block
-    payload = hybrid_encode(HybridConfig(), 64500, [_blk("10.0.0.0/8", 11)])
-    assert payload.ml_blocks == (_blk("10.0.0.0/8", 11),)
-    payload = hybrid_encode(HybridConfig(), 64500, [_blk("10.0.0.0/8", 10)])
-    assert payload.ml_blocks == ()
-
-
-def test_mixed_families_share_payload():
-    items = [_blk("10.0.0.0/24"), _blk("2001:db8::/64")]
-    payload = hybrid_encode(HybridConfig(), 64500, items)
-    assert {b.family for b in payload.bm_blocks} == {V4, V6}
-    back = hybrid_decode(HybridConfig(), payload)
-    assert back == {64500: {parse_prefix("10.0.0.0/24"), parse_prefix("2001:db8::/64")}}
-
-
-def test_prefix_input_is_precompressed():
-    # the /24 full tree folds into one tall block before the threshold split
-    full = expand(_blk("192.0.2.0/24", 28))
-    payload = hybrid_encode(HybridConfig(), 64500, canonical_blocks(full))
-    assert payload.ml_blocks == (_blk("192.0.2.0/24", 28),)
-    assert payload.bm_blocks == ()
-
-
-def test_block_input_recompress():
-    items = [_blk("192.0.2.0/25", 28), _blk("192.0.2.128/25", 28), _blk("192.0.2.0/24")]
-    as_is = hybrid_encode(HybridConfig(), 64500, canonical_blocks(items))
-    assert len(as_is.ml_blocks) == 2 and len(as_is.bm_blocks) == 1
-    merged = hybrid_encode(HybridConfig(), 64500, canonical_blocks(items, recompress=True))
-    assert merged.ml_blocks == (_blk("192.0.2.0/24", 28),)
-    assert merged.bm_blocks == ()
-    assert hybrid_decode(HybridConfig(), as_is) == hybrid_decode(HybridConfig(), merged)
-
-
-def test_mixed_input_types_rejected():
-    with pytest.raises(TypeError):
-        canonical_blocks([parse_prefix("10.0.0.0/8"), _blk("10.0.0.0/8")])
-    with pytest.raises(ValueError):
-        canonical_blocks([])
+def _snap(inputs, cfg=None, **kw):
+    return CacheSnapshot.build(inputs, cfg, session_id=1, **kw)
 
 
 def _decode_pdus(pdus, cfg):
@@ -138,6 +38,108 @@ def _decode_pdus(pdus, cfg):
     return out
 
 
+def _hroa_round_trip(inputs, cfg=None, **kw):
+    """{asn: prefixes} that the hroa PDUs of a snapshot of the inputs decode to."""
+    cfg = cfg or HybridConfig()
+    return _decode_pdus(payload_pdus(_snap(inputs, cfg, **kw), "hroa"), cfg)
+
+
+def test_config_validation():
+    HybridConfig(delta_l_threshold=math.inf)
+    HybridConfig(delta_l_threshold=0)
+    with pytest.raises(ValueError):
+        HybridConfig(delta_l_threshold=-1)
+    with pytest.raises(ValueError):
+        HybridConfig(delta_l_threshold=25)
+    with pytest.raises(ValueError):
+        HybridConfig(hanging={V4: HangingLevels.default(V4)})
+
+
+def test_worked_example_single_block():
+    # both minimal blocks are short, so everything lands in one bitmap PDU
+    ml, bm = hybrid_encode(HybridConfig(), canonical_blocks(FIG_PREFIXES))
+    assert ml == ()
+    assert bm == (SubTreeBlock(V4, 1878001, 54),)
+    snap = _snap({7497: FIG_PREFIXES})
+    assert len(payload_pdus(snap, "hroa")) == len(payload_pdus(snap, "ahroa")) == 1
+    assert _hroa_round_trip({7497: FIG_PREFIXES}) == {7497: set(FIG_PREFIXES)}
+
+
+def test_threshold_routes_tall_blocks_to_maxlength():
+    items = [_blk("10.0.0.0/8", 16), _blk("192.0.2.0/24", 25)]
+    ml, bm = hybrid_encode(HybridConfig(), items)
+    assert ml == (_blk("10.0.0.0/8", 16),)
+    # the short block expands to the /24 plus both /25s, and each /25
+    # hangs in its own level-25 sub-tree
+    assert {b.id for b in bm} == {
+        (1 << 20) | (0xC0000200 >> 12),
+        (1 << 25) | (0xC0000200 >> 7),
+        (1 << 25) | (0xC0000280 >> 7),
+    }
+    want = expand(items[0]) | expand(items[1])
+    assert _hroa_round_trip({64500: items}) == {64500: want}
+
+
+def test_threshold_zero_is_pure_maxlength():
+    cfg = HybridConfig(delta_l_threshold=0)
+    ml, bm = hybrid_encode(cfg, canonical_blocks(FIG_PREFIXES))
+    assert bm == ()
+    assert ml == (
+        _blk("202.127.16.0/20", 20),
+        _blk("202.127.16.0/21", 22),
+    )
+
+
+def test_threshold_inf_is_pure_bitmap():
+    cfg = HybridConfig(delta_l_threshold=math.inf)
+    ml, bm = hybrid_encode(cfg, [_blk("10.0.0.0/8", 16)])
+    assert ml == ()
+    assert sum(bin(b.bitmap >> 1).count("1") for b in bm) == 2**9 - 1
+    got = _hroa_round_trip({64500: [_blk("10.0.0.0/8", 16)]}, cfg)
+    assert got == {64500: expand(_blk("10.0.0.0/8", 16))}
+
+
+def test_boundary_height_goes_maxlength():
+    # height exactly at the threshold stays a maxLength block
+    ml, _ = hybrid_encode(HybridConfig(), [_blk("10.0.0.0/8", 11)])
+    assert ml == (_blk("10.0.0.0/8", 11),)
+    ml, _ = hybrid_encode(HybridConfig(), [_blk("10.0.0.0/8", 10)])
+    assert ml == ()
+
+
+def test_mixed_families_share_payload():
+    items = [_blk("10.0.0.0/24"), _blk("2001:db8::/64")]
+    _, bm = hybrid_encode(HybridConfig(), items)
+    assert {b.family for b in bm} == {V4, V6}
+    back = _hroa_round_trip({64500: items})
+    assert back == {64500: {parse_prefix("10.0.0.0/24"), parse_prefix("2001:db8::/64")}}
+
+
+def test_prefix_input_is_precompressed():
+    # the /24 full tree folds into one tall block before the threshold split
+    full = expand(_blk("192.0.2.0/24", 28))
+    ml, bm = hybrid_encode(HybridConfig(), canonical_blocks(full))
+    assert ml == (_blk("192.0.2.0/24", 28),)
+    assert bm == ()
+
+
+def test_block_input_recompress():
+    items = [_blk("192.0.2.0/25", 28), _blk("192.0.2.128/25", 28), _blk("192.0.2.0/24")]
+    ml, bm = hybrid_encode(HybridConfig(), canonical_blocks(items))
+    assert len(ml) == 2 and len(bm) == 1
+    ml, bm = hybrid_encode(HybridConfig(), canonical_blocks(items, recompress=True))
+    assert ml == (_blk("192.0.2.0/24", 28),)
+    assert bm == ()
+    assert _hroa_round_trip({64500: items}) == _hroa_round_trip({64500: items}, recompress=True)
+
+
+def test_mixed_input_types_rejected():
+    with pytest.raises(TypeError):
+        canonical_blocks([parse_prefix("10.0.0.0/8"), _blk("10.0.0.0/8")])
+    with pytest.raises(ValueError):
+        canonical_blocks([])
+
+
 def test_aggregation_groups_per_family():
     cfg = HybridConfig()
     items = [
@@ -145,34 +147,33 @@ def test_aggregation_groups_per_family():
         _blk("10.32.0.0/24"),
         _blk("2001:db8::/64"),
     ]
-    payload = hybrid_encode(cfg, 64500, items)
-    assert len(payload.bm_blocks) == 3
-    pdus = frame_payload(payload, aggregate=True)
+    snap = _snap({64500: items}, cfg)
+    assert len(snap.payloads[64500][1]) == 3
+    pdus = payload_pdus(snap, "ahroa")
     assert [type(p) for p in pdus] == [SubTreeAggPdu, SubTreeAggPdu]
     assert [p.family for p in pdus] == [V4, V6]
     v4_ids = [sid for sid, _ in pdus[0].blocks]
     assert len(v4_ids) == 2 and v4_ids == sorted(v4_ids)
-    assert [type(p) for p in frame_payload(payload)] == [SubTreePdu] * 3
+    assert [type(p) for p in payload_pdus(snap, "hroa")] == [SubTreePdu] * 3
     assert _decode_pdus(pdus, cfg) == {
         64500: {parse_prefix("10.0.0.0/24"), parse_prefix("10.32.0.0/24"), parse_prefix("2001:db8::/64")}
     }
 
 
 def test_aggregation_sorts_and_splits_at_the_length_cap():
-    # blocks given out of order, and more v6 sub-trees than one PDU holds
+    # more v6 sub-trees than one PDU holds, each the root node alone; with a
+    # level at every prefix length, each block's root prefix is its own sub-tree
     v6 = [SubTreeBlock(V6, sid, 2) for sid in range(agg_capacity(V6) + 1, 0, -1)]
     v4 = [SubTreeBlock(V4, 9, 2), SubTreeBlock(V4, 3, 2)]
-    pdus = frame_payload(HybridPayload(64500, (), tuple(v6 + v4)), aggregate=True)
+    hanging = {fam: HangingLevels.explicit(fam, range(w)) for fam, w in ((V4, 32), (V6, 128))}
+    roots = [p for b in v6 + v4 for p in decode_block(hanging[b.family], b)[1]]
+    snap = _snap({64500: [AddressBlock(p, p.prefixlen) for p in roots]}, HybridConfig(hanging=hanging))
+    assert set(snap.payloads[64500][1]) == set(v6 + v4)
+    pdus = payload_pdus(snap, "ahroa")
     assert [(p.family, len(p.blocks)) for p in pdus] == [(V4, 2), (V6, agg_capacity(V6)), (V6, 1)]
     ids = [sid for p in pdus for sid, _ in p.blocks]
     assert ids == [3, 9] + list(range(1, agg_capacity(V6) + 2))
     assert all(len(serialize(p)) <= MAX_PDU_LEN for p in pdus)
-
-
-def test_decode_rejects_withdrawals():
-    wd = SubTreeBlock(V4, 1878001, 55)
-    with pytest.raises(ValueError):
-        hybrid_decode(HybridConfig(), HybridPayload(7497, (), (wd,)))
 
 
 def _random_blocks(rng, count):
@@ -195,11 +196,12 @@ def test_random_round_trip_across_thresholds(threshold):
         want = set()
         for b in blocks:
             want |= expand(b)
-        payload = hybrid_encode(cfg, 64500, blocks)
-        assert hybrid_decode(cfg, payload) == {64500: want}
-        aggregated = frame_payload(payload, aggregate=True)
+        snap = _snap({64500: blocks}, cfg)
+        plain = payload_pdus(snap, "hroa")
+        assert _decode_pdus(plain, cfg) == {64500: want}
+        aggregated = payload_pdus(snap, "ahroa")
         assert _decode_pdus(aggregated, cfg) == {64500: want}
-        assert len(aggregated) <= len(frame_payload(payload))
+        assert len(aggregated) <= len(plain)
 
 
 def test_sweep_grid_shape_and_consistency():

@@ -20,7 +20,6 @@ from hroa.sync import (
     TransportError,
     fetch,
     payload_pdus,
-    serve,
 )
 from hroa.workload import synthetic_scattered
 
@@ -63,7 +62,7 @@ def test_snapshot_recompresses_dual_stack_as():
         AddressBlock(parse_prefix("2001:db8::/64"), 66),
     )
     assert snap.authorized_map() == _snapshot(inputs).authorized_map()
-    with serve(snap, "mroa") as server:
+    with RtrServer(snap, "mroa") as server:
         got, report = fetch(server.endpoint)
     assert got == snap.authorized_map() and report.pdu_count == 2
 
@@ -102,9 +101,9 @@ def test_hybrid_split_runs_once_and_only_for_bitmap_schemes(monkeypatch):
     calls = []
     real = sync.hybrid_encode
 
-    def counting(cfg, asn, blocks):
-        calls.append(asn)
-        return real(cfg, asn, blocks)
+    def counting(cfg, blocks):
+        calls.append(blocks)
+        return real(cfg, blocks)
 
     monkeypatch.setattr(sync, "hybrid_encode", counting)
     inputs = dict(FIG_INPUT)
@@ -118,7 +117,7 @@ def test_hybrid_split_runs_once_and_only_for_bitmap_schemes(monkeypatch):
     assert calls == []
     for scheme in ("hroa", "ahroa"):
         RtrServer(snap, scheme).close()
-    assert sorted(calls) == sorted(inputs)
+    assert sorted(calls) == sorted(snap.blocks.values())
 
 
 def test_server_closes_its_socket_when_bind_fails(monkeypatch):
@@ -138,7 +137,7 @@ def test_loopback_fetch_all_schemes():
     want = snap.authorized_map()
     sizes = {}
     for scheme in ("mroa", "hroa", "ahroa"):
-        with serve(snap, scheme) as server:
+        with RtrServer(snap, scheme) as server:
             got, report = fetch(server.endpoint)
         assert got == want
         assert report.session_id == 0x1234
@@ -156,7 +155,7 @@ def test_loopback_fetch_synthetic_scattered():
     want = snap.authorized_map()
     counts = {}
     for scheme in ("mroa", "hroa", "ahroa"):
-        with serve(snap, scheme) as server:
+        with RtrServer(snap, scheme) as server:
             got, report = fetch(server.endpoint)
         assert got == want
         counts[scheme] = report.pdu_count
@@ -173,7 +172,7 @@ def test_aggregated_group_over_the_length_cap_is_split():
     snap = CacheSnapshot.build(inputs, session_id=3)
     pdus = payload_pdus(snap, "ahroa")
     assert [len(p.blocks) for p in pdus] == [count - 1, 1]
-    with serve(snap, "ahroa") as server:
+    with RtrServer(snap, "ahroa") as server:
         got, report = fetch(server.endpoint)
     assert got == {64500: set(inputs[64500])}
     assert report.pdu_count == 2
@@ -215,18 +214,18 @@ def test_custom_config_round_trip():
     # a /18 hangs at level 16, which only the multiples-of-4 profile has
     inputs = {64500: [parse_prefix("10.0.0.0/18")]}
     snap = CacheSnapshot.build(inputs, cfg=cfg, session_id=1)
-    with serve(snap, "hroa") as server:
+    with RtrServer(snap, "hroa") as server:
         got, _ = fetch(server.endpoint, cfg=cfg)
     assert got == snap.authorized_map()
     # a client on the default levels must fail loudly, not mis-decode
-    with serve(snap, "hroa") as server:
+    with RtrServer(snap, "hroa") as server:
         with pytest.raises(ProtocolError):
             fetch(server.endpoint)
 
 
 def test_sequential_fetches_share_one_server():
     snap = _snapshot()
-    with serve(snap, "hroa") as server:
+    with RtrServer(snap, "hroa") as server:
         for _ in range(3):
             got, _ = fetch(server.endpoint)
             assert got == snap.authorized_map()
@@ -234,7 +233,7 @@ def test_sequential_fetches_share_one_server():
 
 def test_server_rejects_non_reset_pdus():
     snap = _snapshot()
-    with serve(snap, "hroa") as server:
+    with RtrServer(snap, "hroa") as server:
         with socket.create_connection(server.endpoint, timeout=5) as conn:
             conn.sendall(wire.serialize(wire.CacheResponse(1)))
             reader = wire.PduReader()
@@ -247,7 +246,7 @@ def test_server_rejects_non_reset_pdus():
     assert isinstance(pdus[0], wire.ErrorReport)
     assert "reset query" in pdus[0].text
     # and the client surfaces it as a typed failure
-    with serve(snap, "hroa") as server:
+    with RtrServer(snap, "hroa") as server:
         with socket.create_connection(server.endpoint, timeout=5) as conn:
             conn.sendall(wire.serialize(wire.EndOfData(1, 1)))
             with pytest.raises(CacheErrorReport):
@@ -257,7 +256,7 @@ def test_server_rejects_non_reset_pdus():
 def test_server_serves_the_query_before_a_malformed_pdu_in_one_segment():
     # a Reset Query and a PDU whose length (4) is below the header size, in one send
     snap = _snapshot()
-    with serve(snap, "hroa") as server:
+    with RtrServer(snap, "hroa") as server:
         with socket.create_connection(server.endpoint, timeout=5) as conn:
             conn.sendall(wire.serialize(wire.ResetQuery()) + bytes.fromhex("0102000000000004"))
             reader = wire.PduReader()
@@ -383,7 +382,7 @@ def test_oversized_echo_still_gets_an_error_report(monkeypatch):
     assert len(raw) == 65516
     crashed = []
     monkeypatch.setattr(threading, "excepthook", crashed.append)
-    with serve(_snapshot(), "hroa") as server:
+    with RtrServer(_snapshot(), "hroa") as server:
         baseline = threading.active_count()
         with socket.create_connection(server.endpoint, timeout=5) as conn:
             conn.sendall(raw)
@@ -439,11 +438,11 @@ def test_token_bucket_paces_throughput():
 
 def test_bandwidth_shaping_slows_fetch():
     snap = _snapshot()
-    with serve(snap, "hroa") as fast_server:
+    with RtrServer(snap, "hroa") as fast_server:
         _, fast = fetch(fast_server.endpoint)
-    blob = RtrServer(snap, "hroa").response_bytes
+    blob = fast_server.response_bytes
     rate_bps = blob * 8 * 4  # a quarter second of payload, minus the burst
-    with serve(snap, "hroa", bandwidth_bps=rate_bps) as slow_server:
+    with RtrServer(snap, "hroa", bandwidth_bps=rate_bps) as slow_server:
         t0 = time.monotonic()
         got, slow = fetch(slow_server.endpoint)
         elapsed = time.monotonic() - t0
