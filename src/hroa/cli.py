@@ -86,13 +86,18 @@ def _build_profile(args) -> dict[int, HangingLevels]:
     return hanging
 
 
+def _delta_l(text: str) -> float:
+    """The --delta-l threshold: an integer or inf, in the range HybridConfig accepts."""
+    threshold = math.inf if text == "inf" else float(text)
+    if threshold != math.inf and not threshold.is_integer():
+        raise ValueError("--delta-l must be an integer or inf")
+    return HybridConfig(delta_l_threshold=threshold).delta_l_threshold
+
+
 def _build_config(args) -> HybridConfig:
     """The profile plus the --delta-l split, for the commands that encode."""
     hanging = _build_profile(args)
-    threshold = math.inf if args.delta_l == "inf" else float(args.delta_l)
-    if threshold != math.inf and not threshold.is_integer():
-        raise ValueError("--delta-l must be an integer or inf")
-    return HybridConfig(delta_l_threshold=threshold, hanging=hanging)
+    return HybridConfig(delta_l_threshold=_delta_l(args.delta_l), hanging=hanging)
 
 
 def _snapshot(args, workload: Workload, cfg: HybridConfig) -> sync.CacheSnapshot:
@@ -239,7 +244,7 @@ def cmd_sweep(args) -> int:
 def cmd_optimize_levels(args) -> int:
     workload = load_csv(args.csv)
     family = _FAMILY_NAMES[args.family]
-    threshold = float(args.delta_l)
+    threshold = _delta_l(args.delta_l)
     prefixes: set[Prefix] = set()
     for vrp in workload.vrps():
         block = vrp.block

@@ -12,9 +12,10 @@ prefix is the tuple ``(family, bits, prefixlen)`` and a block the tuple
 sorts like that plain tuple.  ``Prefix(...)`` and ``AddressBlock(...)``
 check their fields; the namedtuple helpers ``_make`` and ``_replace`` do
 not, and neither do ``_new_prefix`` and ``_new_block``, the builders for
-code that has already proven its output valid (``expand``, the v4 fast
-path of ``parse_prefix``, bitmap decoding, minimal compression and the
-blocks of prefix PDUs the wire parser checked).
+code that has already proven its output valid: ``expand``, the v4 fast
+path of ``parse_prefix``, bitmap decoding, minimal compression, the wire
+parser's prefix PDUs (``wire._prefix`` checks the prefix length and host
+bits as ints first) and the blocks ``sync.decode_payload_pdu`` makes of them.
 """
 
 from __future__ import annotations

@@ -26,23 +26,32 @@ sub-tree needs 2^h bits, so the 32-bit bitmap caps sub-trees at
 ``MAX_SUBTREE_HEIGHT`` levels.  Unrecognized types pass through as
 ``UnknownPdu`` holding the raw bytes so a stream survives foreign PDUs.
 
+Every PDU is a named tuple, so it equals, hashes and sorts like the plain
+tuple of its fields.  Constructors check nothing: ``serialize`` checks each
+field it packs and raises FramingError for one that does not fit.
+
 Every fixed layout (types 2, 3, 4, 6, 7, 12, 13) has one precompiled
 ``struct.Struct`` covering header and body: ``Layout.prefix_struct`` and
 ``Layout.subtree_struct`` per family, ``_HDR`` and ``_END_OF_DATA`` for the
 rest.  A v4 address or id is one 32-bit int field; a v6 one is 16 bytes, as
 struct has no 128-bit code.  ``serialize_each`` (behind ``serialize``) packs a
-fixed PDU with one call, and ``_parse`` (behind both ``deserialize`` and
-``PduReader.feed``) unpacks it in place from the caller's buffer, with no
-per-PDU copy.
+fixed PDU with one call.  ``_parse`` (behind ``deserialize``) unpacks one PDU
+in place from the caller's buffer.  ``PduReader.feed`` unpacks a run of
+prefix or sub-tree PDUs of one type with one ``iter_unpack`` over a copy of
+the run, checks each one's type and length fields, and hands the first PDU
+that differs, or a partial tail, to ``_parse``.  Both pass the unpacked
+fields to the same per-type builder, which checks them as ints and builds
+the PDU and its ``Prefix`` with unchecked tuple builders.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import partial
 from typing import Iterable, Sequence
 
-from .prefix import V4, V6, WIDTH, Prefix
+from .prefix import V4, V6, WIDTH, _new_prefix
 
 PDU_RESET_QUERY = 2
 PDU_CACHE_RESPONSE = 3
@@ -126,78 +135,57 @@ class TruncatedPdu(Exception):
         self.required = required
 
 
-@dataclass(frozen=True, slots=True)
-class ResetQuery:
-    version: int = DEFAULT_VERSION
+class ResetQuery(namedtuple("ResetQuery", "version", defaults=(DEFAULT_VERSION,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CacheResponse:
-    session_id: int
-    version: int = DEFAULT_VERSION
+class CacheResponse(namedtuple("CacheResponse", "session_id version",
+                               defaults=(DEFAULT_VERSION,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class PrefixPdu:
+class PrefixPdu(namedtuple("PrefixPdu", "flags prefix max_length asn version",
+                           defaults=(DEFAULT_VERSION,))):
     """Types 4 and 6: one VRP with an announce/withdraw flags byte."""
 
-    flags: int
-    prefix: Prefix
-    max_length: int
-    asn: int
-    version: int = DEFAULT_VERSION
+    __slots__ = ()
 
     @property
     def announce(self) -> bool:
         return bool(self.flags & 1)
 
 
-@dataclass(frozen=True, slots=True)
-class EndOfData:
-    session_id: int
-    serial: int
-    refresh: int = 3600
-    retry: int = 600
-    expire: int = 7200
-    version: int = DEFAULT_VERSION
+class EndOfData(namedtuple("EndOfData", "session_id serial refresh retry expire version",
+                           defaults=(3600, 600, 7200, DEFAULT_VERSION))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ErrorReport:
-    error_code: int
-    echoed: bytes = b""
-    text: str = ""
-    version: int = DEFAULT_VERSION
+class ErrorReport(namedtuple("ErrorReport", "error_code echoed text version",
+                             defaults=(b"", "", DEFAULT_VERSION))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SubTreePdu:
+class SubTreePdu(namedtuple("SubTreePdu", "family subtree_id bitmap asn version",
+                            defaults=(DEFAULT_VERSION,))):
     """Types 12 and 13: one sub-tree block for one AS."""
 
-    family: int
-    subtree_id: int
-    bitmap: int
-    asn: int
-    version: int = DEFAULT_VERSION
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SubTreeAggPdu:
-    """Types 14 and 15: every sub-tree block of one AS, one family."""
+class SubTreeAggPdu(namedtuple("SubTreeAggPdu", "family asn blocks version",
+                               defaults=(DEFAULT_VERSION,))):
+    """Types 14 and 15: every sub-tree block of one AS, one family.
 
-    family: int
-    asn: int
-    blocks: tuple[tuple[int, int], ...]  # (id, bitmap), ascending id
-    version: int = DEFAULT_VERSION
+    ``blocks`` holds (id, bitmap) pairs, ascending id.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class UnknownPdu:
+class UnknownPdu(namedtuple("UnknownPdu", "version pdu_type raw")):
     """Any type this codec does not understand, kept byte-for-byte."""
 
-    version: int
-    pdu_type: int
-    raw: bytes
+    __slots__ = ()
 
 
 RtrPdu = (
@@ -238,133 +226,135 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
     """Each PDU's wire bytes, in order, for a caller that joins them with others."""
     out: list[bytes] = []
     append = out.append
-    for pdu in pdus:
-        if isinstance(pdu, PrefixPdu):
-            prefix = pdu.prefix
-            family = prefix.family
-            lay = LAYOUT[family]
-            if not prefix.prefixlen <= pdu.max_length <= WIDTH[family]:
-                raise FramingError(f"max_length {pdu.max_length} out of range")
-            append(lay.prefix_struct.pack(
-                pdu.version, lay.prefix_type, 0, lay.prefix_len,
-                pdu.flags, prefix.prefixlen, pdu.max_length, 0,
-                lay.addr_field(prefix.bits), _check_u32(pdu.asn, "asn"),
-            ))
+    try:
+        for pdu in pdus:
+            if isinstance(pdu, PrefixPdu):
+                flags, (family, bits, plen), max_length, asn, version = pdu
+                lay = LAYOUT[family]
+                if not plen <= max_length <= WIDTH[family]:
+                    raise FramingError(f"max_length {max_length} out of range")
+                append(lay.prefix_struct.pack(
+                    version, lay.prefix_type, 0, lay.prefix_len,
+                    flags, plen, max_length, 0, lay.addr_field(bits), _check_u32(asn, "asn"),
+                ))
 
-        elif isinstance(pdu, SubTreePdu):
-            lay = LAYOUT[pdu.family]
-            if not 1 <= pdu.subtree_id < 1 << (8 * lay.addr_bytes):
-                raise FramingError(f"sub-tree id {pdu.subtree_id} out of range")
-            append(lay.subtree_struct.pack(
-                pdu.version, lay.subtree_type, 0, lay.subtree_len,
-                lay.addr_field(pdu.subtree_id), _check_u32(pdu.bitmap, "bitmap"),
-                _check_u32(pdu.asn, "asn"),
-            ))
-
-        elif isinstance(pdu, SubTreeAggPdu):
-            lay = LAYOUT[pdu.family]
-            if not pdu.blocks:
-                raise FramingError("aggregated PDU with no blocks")
-            total = lay.agg_len(len(pdu.blocks))
-            if total > MAX_PDU_LEN:
-                raise FramingError(f"aggregated PDU of {total} bytes exceeds cap")
-            parts = [
-                _HDR.pack(pdu.version, lay.agg_type, 0, total),
-                _U32.pack(_check_u32(pdu.asn, "asn")),
-            ]
-            for sid, bitmap in pdu.blocks:
+            elif isinstance(pdu, SubTreePdu):
+                family, sid, bitmap, asn, version = pdu
+                lay = LAYOUT[family]
                 if not 1 <= sid < 1 << (8 * lay.addr_bytes):
                     raise FramingError(f"sub-tree id {sid} out of range")
-                parts.append(sid.to_bytes(lay.addr_bytes, "big"))
-                parts.append(_U32.pack(_check_u32(bitmap, "bitmap")))
-            append(b"".join(parts))
+                append(lay.subtree_struct.pack(
+                    version, lay.subtree_type, 0, lay.subtree_len,
+                    lay.addr_field(sid), _check_u32(bitmap, "bitmap"), _check_u32(asn, "asn"),
+                ))
 
-        elif isinstance(pdu, ResetQuery):
-            append(_HDR.pack(pdu.version, PDU_RESET_QUERY, 0, HEADER_BYTES))
+            elif isinstance(pdu, SubTreeAggPdu):
+                lay = LAYOUT[pdu.family]
+                if not pdu.blocks:
+                    raise FramingError("aggregated PDU with no blocks")
+                total = lay.agg_len(len(pdu.blocks))
+                if total > MAX_PDU_LEN:
+                    raise FramingError(f"aggregated PDU of {total} bytes exceeds cap")
+                parts = [
+                    _HDR.pack(pdu.version, lay.agg_type, 0, total),
+                    _U32.pack(_check_u32(pdu.asn, "asn")),
+                ]
+                for sid, bitmap in pdu.blocks:
+                    if not 1 <= sid < 1 << (8 * lay.addr_bytes):
+                        raise FramingError(f"sub-tree id {sid} out of range")
+                    parts.append(sid.to_bytes(lay.addr_bytes, "big"))
+                    parts.append(_U32.pack(_check_u32(bitmap, "bitmap")))
+                append(b"".join(parts))
 
-        elif isinstance(pdu, CacheResponse):
-            append(_HDR.pack(
-                pdu.version, PDU_CACHE_RESPONSE, _check_u16(pdu.session_id, "session"),
-                HEADER_BYTES,
-            ))
+            elif isinstance(pdu, ResetQuery):
+                append(_HDR.pack(pdu.version, PDU_RESET_QUERY, 0, HEADER_BYTES))
 
-        elif isinstance(pdu, EndOfData):
-            append(_END_OF_DATA.pack(
-                pdu.version, PDU_END_OF_DATA, _check_u16(pdu.session_id, "session"),
-                _END_OF_DATA.size,
-                _check_u32(pdu.serial, "serial"),
-                _check_u32(pdu.refresh, "refresh"),
-                _check_u32(pdu.retry, "retry"),
-                _check_u32(pdu.expire, "expire"),
-            ))
+            elif isinstance(pdu, CacheResponse):
+                append(_HDR.pack(
+                    pdu.version, PDU_CACHE_RESPONSE, _check_u16(pdu.session_id, "session"),
+                    HEADER_BYTES,
+                ))
 
-        elif isinstance(pdu, ErrorReport):
-            text = pdu.text.encode("utf-8")
-            total = ERROR_REPORT_OVERHEAD + len(pdu.echoed) + len(text)
-            if total > MAX_PDU_LEN:
-                raise FramingError(f"error report of {total} bytes exceeds cap")
-            append(
-                _HDR.pack(pdu.version, PDU_ERROR_REPORT, _check_u16(pdu.error_code, "code"), total)
-                + _U32.pack(len(pdu.echoed))
-                + pdu.echoed
-                + _U32.pack(len(text))
-                + text
-            )
+            elif isinstance(pdu, EndOfData):
+                append(_END_OF_DATA.pack(
+                    pdu.version, PDU_END_OF_DATA, _check_u16(pdu.session_id, "session"),
+                    _END_OF_DATA.size,
+                    _check_u32(pdu.serial, "serial"),
+                    _check_u32(pdu.refresh, "refresh"),
+                    _check_u32(pdu.retry, "retry"),
+                    _check_u32(pdu.expire, "expire"),
+                ))
 
-        elif isinstance(pdu, UnknownPdu):
-            append(pdu.raw)
+            elif isinstance(pdu, ErrorReport):
+                text = pdu.text.encode("utf-8")
+                total = ERROR_REPORT_OVERHEAD + len(pdu.echoed) + len(text)
+                if total > MAX_PDU_LEN:
+                    raise FramingError(f"error report of {total} bytes exceeds cap")
+                append(
+                    _HDR.pack(pdu.version, PDU_ERROR_REPORT, _check_u16(pdu.error_code, "code"), total)
+                    + _U32.pack(len(pdu.echoed))
+                    + pdu.echoed
+                    + _U32.pack(len(text))
+                    + text
+                )
 
-        else:
-            raise TypeError(f"not a PDU: {pdu!r}")
+            elif isinstance(pdu, UnknownPdu):
+                append(pdu.raw)
+
+            else:
+                raise TypeError(f"not a PDU: {pdu!r}")
+    except struct.error as exc:  # a byte field out of range; wider ones are checked above
+        raise FramingError(f"{type(pdu).__name__} field out of range: {exc}") from None
     return out
 
 
 # -- parsing -------------------------------------------------------------------
 #
-# Each fixed type maps to its Struct and a builder that takes the fields the
-# Struct unpacks: (version, type, 16-bit field, length, *body).  The v4 layouts
-# feed the checked builders directly; v6 turns its 16 address bytes into an int first.
+# Each fixed type maps to its Struct and a builder that takes the tuple the
+# Struct unpacks: (version, type, 16-bit field, length, *body).  The prefix and
+# sub-tree builders check their fields with plain ints, then build the PDU (and
+# its Prefix) with the unchecked tuple builders below.
+
+_new_prefix_pdu = partial(tuple.__new__, PrefixPdu)
+_new_subtree_pdu = partial(tuple.__new__, SubTreePdu)
 
 
-def _prefix(version, _type, _field, _length, flags, plen, maxlen, _zero, bits, asn, family=V4):
-    try:
-        prefix = Prefix(family, bits, plen)  # checks prefix length and host bits
-    except ValueError as exc:
-        raise FramingError(str(exc)) from None
-    if not plen <= maxlen <= WIDTH[family]:
+def _prefix(fields: tuple, family: int = V4) -> PrefixPdu:
+    version, _, _, _, flags, plen, maxlen, _, bits, asn = fields
+    if family == V6:
+        bits = int.from_bytes(bits, "big")
+    width = WIDTH[family]
+    # Prefix's checks and texts; an unpacked address cannot overflow its width
+    if plen > width:
+        raise FramingError(f"prefixlen {plen} out of range for v{family}")
+    if bits & ((1 << (width - plen)) - 1):
+        raise FramingError(f"host bits set below /{plen}")
+    if not plen <= maxlen <= width:
         raise FramingError(f"max_length {maxlen} out of range")
-    return PrefixPdu(flags, prefix, maxlen, asn, version)
+    return _new_prefix_pdu((flags, _new_prefix((family, bits, plen)), maxlen, asn, version))
 
 
-def _v6_prefix(version, _type, _field, _length, flags, plen, maxlen, _zero, addr, asn):
-    return _prefix(version, _type, _field, _length, flags, plen, maxlen, _zero,
-                   int.from_bytes(addr, "big"), asn, V6)
-
-
-def _subtree(version, _type, _field, _length, sid, bitmap, asn, family=V4):
+def _subtree(fields: tuple, family: int = V4) -> SubTreePdu:
+    version, _, _, _, sid, bitmap, asn = fields
+    if family == V6:
+        sid = int.from_bytes(sid, "big")
     if sid < 1:
         raise FramingError("zero sub-tree id")
-    return SubTreePdu(family, sid, bitmap, asn, version)
-
-
-def _v6_subtree(version, _type, _field, _length, sid, bitmap, asn):
-    return _subtree(version, _type, _field, _length, int.from_bytes(sid, "big"), bitmap, asn, V6)
+    return _new_subtree_pdu((family, sid, bitmap, asn, version))
 
 
 _FIXED = {
-    PDU_RESET_QUERY: (_HDR, lambda version, _type, _field, _length: ResetQuery(version)),
-    PDU_CACHE_RESPONSE: (
-        _HDR, lambda version, _type, session, _length: CacheResponse(session, version)
-    ),
-    PDU_END_OF_DATA: (
-        _END_OF_DATA,
-        lambda version, _type, session, _length, *timers: EndOfData(session, *timers, version),
-    ),
+    PDU_RESET_QUERY: (_HDR, lambda f: ResetQuery(f[0])),
+    PDU_CACHE_RESPONSE: (_HDR, lambda f: CacheResponse(f[2], f[0])),
+    PDU_END_OF_DATA: (_END_OF_DATA, lambda f: EndOfData(f[2], *f[4:], f[0])),
     LAYOUT[V4].prefix_type: (LAYOUT[V4].prefix_struct, _prefix),
-    LAYOUT[V6].prefix_type: (LAYOUT[V6].prefix_struct, _v6_prefix),
+    LAYOUT[V6].prefix_type: (LAYOUT[V6].prefix_struct, partial(_prefix, family=V6)),
     LAYOUT[V4].subtree_type: (LAYOUT[V4].subtree_struct, _subtree),
-    LAYOUT[V6].subtree_type: (LAYOUT[V6].subtree_struct, _v6_subtree),
+    LAYOUT[V6].subtree_type: (LAYOUT[V6].subtree_struct, partial(_subtree, family=V6)),
 }
+# the payload types a response carries in long runs, which feed parses a run at a time
+_RUNS = {ptype: _FIXED[ptype] for lay in LAYOUT.values()
+         for ptype in (lay.prefix_type, lay.subtree_type)}
 
 
 def _parse_agg(lay: Layout, version: int, buf, at: int, length: int) -> SubTreeAggPdu:
@@ -402,8 +392,8 @@ def _parse_error_report(version: int, code: int, buf, at: int, length: int) -> E
 def _parse(buf, at: int, end: int) -> tuple[RtrPdu, int]:
     """Parse the PDU at ``buf[at:end]``; returns (pdu, its length).
 
-    The one parse core.  A fixed layout unpacks straight from ``buf`` with
-    its Struct; only variable-length PDUs copy bytes out.
+    Every header check lives here.  A fixed layout unpacks straight from
+    ``buf`` with its Struct; only variable-length PDUs copy bytes out.
     """
     avail = end - at
     if avail < HEADER_BYTES:
@@ -420,7 +410,7 @@ def _parse(buf, at: int, end: int) -> tuple[RtrPdu, int]:
         layout, build = fixed
         if length != layout.size:
             raise FramingError(f"type {ptype} PDU must be {layout.size} bytes, got {length}")
-        return build(*layout.unpack_from(buf, at)), length
+        return build(layout.unpack_from(buf, at)), length
     lay = _AGG_TYPES.get(ptype)
     if lay is not None:
         return _parse_agg(lay, version, buf, at, length), length
@@ -456,10 +446,25 @@ class PduReader:
         end = len(buf)
         out: list[RtrPdu] = []
         at = 0
+        append = out.append
         try:
             while at < end:
+                run = _RUNS.get(buf[at + 1]) if end - at >= HEADER_BYTES else None
+                if run is not None:
+                    # a run of one fixed layout: one unpack over its whole PDUs, from
+                    # a copy, so no export of buf outlives the loop; the first PDU of
+                    # another type or length, and a partial tail, go to _parse
+                    layout, build = run
+                    ptype, size = buf[at + 1], layout.size
+                    for fields in layout.iter_unpack(buf[at : end - (end - at) % size]):
+                        if fields[1] != ptype or fields[3] != size:
+                            break
+                        append(build(fields))
+                        at += size
+                    if at == end:
+                        break
                 pdu, used = _parse(buf, at, end)
-                out.append(pdu)
+                append(pdu)
                 at += used
         except TruncatedPdu:
             pass

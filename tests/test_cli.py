@@ -163,6 +163,23 @@ def test_delta_l_not_an_integer_exits_1(fig_csv, capsys, monkeypatch, command, v
 
 
 @pytest.mark.parametrize(
+    "value, message",
+    [
+        ("2.5", "--delta-l must be an integer or inf"),
+        ("-inf", "--delta-l must be an integer or inf"),
+        ("nan", "--delta-l must be an integer or inf"),
+        ("-3", "threshold must be >= 0"),
+    ],
+    ids=["fraction", "minus-inf", "nan", "negative"],
+)
+def test_optimize_levels_checks_delta_l_as_encode_does(fig_csv, capsys, value, message):
+    assert main(["optimize-levels", fig_csv, f"--delta-l={value}"]) == 1
+    assert capsys.readouterr().err == f"hroa: {message}\n"
+    assert main(["encode", fig_csv, f"--delta-l={value}"]) == 1
+    assert capsys.readouterr().err == f"hroa: {message}\n"
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["--level-multiple", "0"], "step must be >= 1"),

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -54,6 +56,36 @@ def test_golden_deserialize(name):
     pdu, used = deserialize(raw)
     assert used == len(raw)
     assert pdu == SAMPLE_PDUS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_PDUS))
+def test_parsed_pdu_is_the_constructed_value(name):
+    built = SAMPLE_PDUS[name]
+    raw = serialize(built)
+    # feed parses two prefix or sub-tree PDUs in a row as a run, deserialize one by one
+    for parsed in (deserialize(raw)[0], *PduReader().feed(raw + raw)):
+        assert type(parsed) is type(built)
+        assert parsed == built and hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built)
+        assert serialize(parsed) == raw
+    for copied in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert type(copied) is type(built) and copied == built
+
+
+@pytest.mark.parametrize("name", sorted(set(SAMPLE_PDUS) - {"unknown_type_99"}))
+def test_version_is_a_keyword_defaulting_to_1(name):
+    pdu = SAMPLE_PDUS[name]
+    cls, fields = type(pdu), pdu[:-1]
+    assert pdu.version == 1 and cls(*fields) == pdu
+    other = cls(*fields, version=7)
+    assert other.version == 7 and serialize(other)[0] == 7
+    assert deserialize(serialize(other))[0] == other
+
+
+def test_prefix_pdu_announce_is_flags_bit_0():
+    p = parse_prefix("10.0.0.0/24")
+    assert PrefixPdu(1, p, 24, 1).announce and PrefixPdu(3, p, 24, 1).announce
+    assert not PrefixPdu(0, p, 24, 1).announce and not PrefixPdu(2, p, 24, 1).announce
 
 
 def test_subtree_pdu_is_20_bytes_with_no_flags_byte():
@@ -113,6 +145,33 @@ def test_framing_rejections():
         deserialize(bytes(bad))
 
 
+@pytest.mark.parametrize(
+    "pdu, at, byte, message",
+    [
+        (SAMPLE_PDUS["ipv4_prefix_announce"], 9, 33, "prefixlen 33 out of range for v4"),
+        (SAMPLE_PDUS["ipv6_prefix_announce"], 9, 129, "prefixlen 129 out of range for v6"),
+        (PrefixPdu(1, parse_prefix("10.0.0.0/24"), 24, 1), 15, 1, "host bits set below /24"),
+        (PrefixPdu(1, parse_prefix("2001:db8::/32"), 32, 1), 16, 1, "host bits set below /32"),
+        (SAMPLE_PDUS["ipv4_prefix_announce"], 10, 19, "max_length 19 out of range"),
+        (SAMPLE_PDUS["ipv6_prefix_announce"], 10, 129, "max_length 129 out of range"),
+        (SubTreePdu(V4, 1, 2, 1), 11, 0, "zero sub-tree id"),
+        (SubTreePdu(V6, 1, 2, 1), 23, 0, "zero sub-tree id"),
+    ],
+    ids=["v4-prefixlen", "v6-prefixlen", "v4-host-bits", "v6-host-bits", "v4-max-length",
+         "v6-max-length", "v4-zero-id", "v6-zero-id"],
+)
+def test_payload_field_errors_name_the_field(pdu, at, byte, message):
+    good = serialize(pdu)
+    bad = bytearray(good)
+    bad[at] = byte
+    with pytest.raises(FramingError, match=f"^{message}$"):
+        deserialize(bytes(bad))
+    # inside a run, the PDUs before the bad one are handed over
+    with pytest.raises(FramingError, match=f"^{message}$") as exc:
+        PduReader().feed(good + bad + good)
+    assert list(exc.value.completed) == [pdu]
+
+
 def test_error_report_length_fields_must_agree():
     raw = bytearray(serialize(ErrorReport(3, b"\x01\x02", "x")))
     raw[8:12] = (3).to_bytes(4, "big")  # echoed length now inconsistent
@@ -136,6 +195,22 @@ def test_serialize_range_checks():
         serialize(PrefixPdu(1, parse_prefix("10.0.0.0/24"), 16, 1))
     with pytest.raises(TypeError):
         serialize("not a pdu")
+
+
+@pytest.mark.parametrize(
+    "pdu",
+    [
+        PrefixPdu(256, parse_prefix("10.0.0.0/24"), 24, 1),
+        PrefixPdu(1, parse_prefix("10.0.0.0/24"), 24, 1, version=300),
+        SubTreePdu(4, 5, 6, 7, version=-1),
+        ResetQuery(256),
+        EndOfData(1, 2, version=999),
+    ],
+    ids=["flags", "prefix-version", "subtree-version", "reset-version", "eod-version"],
+)
+def test_serialize_byte_field_out_of_range_is_a_framing_error(pdu):
+    with pytest.raises(FramingError, match=f"^{type(pdu).__name__} field out of range: "):
+        serialize(pdu)
 
 
 def test_unknown_type_passes_through():
@@ -419,3 +494,67 @@ def test_reader_matches_deserialize_walk(pdus, mutations, steps):
     else:
         # a feed that raises hands over the PDUs it completed before the bad one
         assert fed == walked
+
+
+# --- runs of one layout, which feed parses with one unpack per chunk ------------
+
+
+@st.composite
+def _run_stream(draw):
+    """2-300 prefix or sub-tree PDUs of one family, maybe framed by control PDUs."""
+    kind = draw(st.sampled_from(("prefix", "subtree")))
+    fam = draw(st.sampled_from((V4, V6)))
+    width = 32 if fam == V4 else 128
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    run = []
+    for _ in range(draw(st.integers(2, 300))):
+        if kind == "prefix":
+            plen = rng.randint(0, width)
+            p = Prefix(fam, rng.getrandbits(plen) << (width - plen), plen)
+            run.append(PrefixPdu(rng.getrandbits(8), p, rng.randint(plen, width), rng.getrandbits(32)))
+        else:
+            sid = rng.randint(1, (1 << width) - 1)
+            run.append(SubTreePdu(fam, sid, rng.getrandbits(32), rng.getrandbits(32)))
+    before = [CacheResponse(rng.getrandbits(16))] if draw(st.booleans()) else []
+    after = [EndOfData(rng.getrandbits(16), rng.getrandbits(32))] if draw(st.booleans()) else []
+    return before, run, after
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _run_stream(),
+    st.integers(0, 299),  # which run PDU, modulo the run's length
+    st.sampled_from(("type", "length", "host_bits", "prefix_length", "max_length", "zero_id")),
+    st.integers(0, 1 << 16),
+    st.lists(st.sampled_from((1, 19, 20, 21, 4096)) | st.integers(1, 700), min_size=1, max_size=6),
+)
+def test_reader_parses_runs_as_the_deserialize_walk(stream, index, how, value, steps):
+    before, run, after = stream
+    index %= len(run)
+    raws = [bytearray(serialize(p)) for p in before + run + after]
+    _mutate(raws[len(before) + index], run[index], how, value)
+    blob = b"".join(raws)
+    walked, walk_err, _ = _walk(blob)
+    # where each walked PDU starts, and where the walk stopped: the reader may
+    # hold back only the bytes past the last of these that a chunk reached
+    bounds = [0]
+    for raw in raws[: len(walked)]:
+        bounds.append(bounds[-1] + len(raw))
+    reader, got, fed, i = PduReader(), [], 0, 0
+    err = None
+    while fed < len(blob):
+        chunk = blob[fed : fed + steps[i % len(steps)]]
+        fed, i = fed + len(chunk), i + 1
+        try:
+            got.extend(reader.feed(chunk))
+        except FramingError as exc:
+            # the PDUs completed before the bad one, and nothing else
+            assert list(exc.completed) == walked[len(got) :]
+            got.extend(exc.completed)
+            err = str(exc)
+            break
+        whole = max(b for b in bounds if b <= fed)
+        assert got == walked[: bounds.index(whole)]
+        assert (reader.pending, reader.bytes_consumed) == (fed - whole, whole)
+    assert err == walk_err
+    assert got == walked
