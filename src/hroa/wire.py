@@ -37,9 +37,11 @@ rest.  A v4 address or id is one 32-bit int field; a v6 one is 16 bytes, as
 struct has no 128-bit code.  ``serialize_each`` (behind ``serialize``) packs a
 fixed PDU with one call.  ``_parse`` (behind ``deserialize``) unpacks one PDU
 in place from the caller's buffer.  ``PduReader.feed`` unpacks a run of
-prefix or sub-tree PDUs of one type with one ``iter_unpack`` over a copy of
-the run, checks each one's type and length fields, and hands the first PDU
-that differs, or a partial tail, to ``_parse``.  Both pass the unpacked
+prefix or sub-tree PDUs of one type with one ``iter_unpack`` per window of
+at most ``_RUN_PDUS`` PDUs, over a copy of just that window, so what it
+copies stays linear in the stream however short its runs are.  It checks
+each PDU's type and length fields, and hands the first PDU that differs,
+or a partial tail, to ``_parse``.  Both pass the unpacked
 fields to the same per-type builder, which checks them as ints and builds
 the PDU and its ``Prefix`` with unchecked tuple builders.
 """
@@ -355,6 +357,8 @@ _FIXED = {
 # the payload types a response carries in long runs, which feed parses a run at a time
 _RUNS = {ptype: _FIXED[ptype] for lay in LAYOUT.values()
          for ptype in (lay.prefix_type, lay.subtree_type)}
+# PDUs feed unpacks from one copy, which bounds what a run of one or two PDUs copies
+_RUN_PDUS = 64
 
 
 def _parse_agg(lay: Layout, version: int, buf, at: int, length: int) -> SubTreeAggPdu:
@@ -451,16 +455,22 @@ class PduReader:
             while at < end:
                 run = _RUNS.get(buf[at + 1]) if end - at >= HEADER_BYTES else None
                 if run is not None:
-                    # a run of one fixed layout: one unpack over its whole PDUs, from
-                    # a copy, so no export of buf outlives the loop; the first PDU of
-                    # another type or length, and a partial tail, go to _parse
+                    # up to _RUN_PDUS PDUs of one fixed layout in one unpack, from a
+                    # copy of just those bytes, so no export of buf outlives the loop
+                    # and a short run copies little; a window that ran full goes on to
+                    # the next, and the first PDU of another type or length, or a
+                    # partial tail, goes to _parse
                     layout, build = run
                     ptype, size = buf[at + 1], layout.size
-                    for fields in layout.iter_unpack(buf[at : end - (end - at) % size]):
+                    stop = end - (end - at) % size
+                    window = min(stop, at + _RUN_PDUS * size)
+                    for fields in layout.iter_unpack(buf[at:window]):
                         if fields[1] != ptype or fields[3] != size:
                             break
                         append(build(fields))
                         at += size
+                    if at == window < stop:
+                        continue
                     if at == end:
                         break
                 pdu, used = _parse(buf, at, end)

@@ -246,6 +246,51 @@ def test_reader_keeps_partial_tail():
     assert reader.feed(raw[10:]) == [EndOfData(1, 7)]
 
 
+def _alternating_prefix_pdus(n):
+    """n prefix PDUs alternating types 4 and 6, so every run is one PDU long."""
+    rng = random.Random(n)
+    out = []
+    for i in range(n):
+        fam, width = (V4, 32) if i % 2 == 0 else (V6, 128)
+        plen = rng.randint(8, 24)
+        p = Prefix(fam, rng.getrandbits(plen) << (width - plen), plen)
+        out.append(PrefixPdu(1, p, plen, rng.getrandbits(32)))
+    return out
+
+
+class _CountingBuffer(bytearray):
+    """A reader buffer that counts the bytes its slices copy out."""
+
+    copied = 0
+
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.copied += len(got)
+        return got
+
+
+def test_reader_copies_linear_in_a_stream_of_short_runs():
+    # fed in one call, as `hroa decode` feeds a file: doubling a stream of
+    # one-PDU runs may double what feed copies, not quadruple it
+    copied = []
+    for n in (2000, 4000):
+        pdus = _alternating_prefix_pdus(n)
+        reader = PduReader()
+        reader._buf = buf = _CountingBuffer()
+        assert reader.feed(b"".join(wire.serialize_each(pdus))) == pdus
+        copied.append(buf.copied)
+    assert copied[1] <= 2.2 * copied[0]
+
+
+def test_reader_feeds_a_long_alternating_stream_in_one_call():
+    pdus = _alternating_prefix_pdus(200_000)
+    blob = b"".join(wire.serialize_each(pdus))
+    reader = PduReader()
+    assert reader.feed(blob) == pdus
+    assert (reader.pending, reader.bytes_consumed) == (0, len(blob))
+
+
 def _arbitrary_pdus(rng, n):
     out = []
     for _ in range(n):
