@@ -16,11 +16,10 @@ from .prefix import (
     Prefix,
     PrefixFormatError,
     Vrp,
-    covers,
     expand,
     parse_prefix,
 )
-from .mlcodec import compress_minimal, excess_prefixes, scatter_degree
+from .mlcodec import compress_minimal, scatter_degree
 from .bmcodec import (
     BitmapRoa,
     HangingLevels,
@@ -64,10 +63,8 @@ __all__ = [
     "Workload",
     "apply_roa",
     "compress_minimal",
-    "covers",
     "decode_block",
     "encode_batch",
-    "excess_prefixes",
     "expand",
     "fetch",
     "hybrid_encode",

@@ -42,11 +42,13 @@ class HangingLevels:
 
     Gaps between consecutive levels (and the terminal gap to width+1) are
     capped at ``MAX_GAP`` so bitmaps stay bounded: a gap of h means
-    2^h-bit bitmaps.
+    2^h-bit bitmaps.  ``level_of[n]`` is the level a prefix of length n
+    hangs at, built once per profile.
     """
 
     family: int
     levels: tuple[int, ...]
+    level_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in WIDTH:
@@ -62,6 +64,9 @@ class HangingLevels:
             raise ValueError(f"last level {lv[-1]} exceeds {self.width - 1}")
         if self.max_height > MAX_GAP:
             raise ValueError(f"v{self.family} level gap {self.max_height} exceeds cap {MAX_GAP}")
+        bounds = (*lv, self.width + 1)
+        level_of = tuple(a for a, b in zip(bounds, bounds[1:]) for _ in range(a, b))
+        object.__setattr__(self, "level_of", level_of)
 
     @classmethod
     def default(cls, family: int) -> "HangingLevels":
@@ -97,7 +102,7 @@ def nearest_hanging_level(cfg: HangingLevels, prefixlen: int) -> int:
     """Largest profile level <= prefixlen."""
     if not 0 <= prefixlen <= cfg.width:
         raise ValueError(f"prefixlen {prefixlen} out of range")
-    return cfg.levels[bisect_right(cfg.levels, prefixlen) - 1]
+    return cfg.level_of[prefixlen]
 
 
 def subtree_height(cfg: HangingLevels, level: int) -> int:
@@ -189,14 +194,21 @@ def encode_batch(
     Output is sorted by identifier.
     """
     flag = 1 if withdraw else 0
+    family, width, level_of = cfg.family, cfg.width, cfg.level_of
     acc: dict[int, int] = {}  # id -> bitmap
     for p in prefixes:
-        if p.family != cfg.family:
-            raise FamilyMismatchError(f"{p} in a v{cfg.family} batch")
-        level = nearest_hanging_level(cfg, p.prefixlen)
-        sid = make_subtree_id(p, level)
-        acc[sid] = acc.get(sid, 0) | (1 << make_node_number(p, level))
-    return [SubTreeBlock(cfg.family, sid, bm | flag) for sid, bm in sorted(acc.items())]
+        fam, bits, n = p
+        if fam != family:
+            raise FamilyMismatchError(f"{p} in a v{family} batch")
+        level = level_of[n]
+        depth = n - level
+        top = bits >> (width - n)  # the prefix's n bits
+        # make_subtree_id and make_node_number: a leading 1, then the first
+        # `level` bits for the id and the `depth` bits after them for the node
+        sid = 1 << level | top >> depth
+        node = 1 << depth | top & ((1 << depth) - 1)
+        acc[sid] = acc.get(sid, 0) | 1 << node
+    return [SubTreeBlock(family, sid, bm | flag) for sid, bm in sorted(acc.items())]
 
 
 def decode_block(cfg: HangingLevels, block: SubTreeBlock) -> tuple[int, set[Prefix]]:

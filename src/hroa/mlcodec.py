@@ -18,7 +18,6 @@ from .prefix import (
     FamilyMismatchError,
     Prefix,
     _new_block,
-    expand,
 )
 
 
@@ -98,8 +97,3 @@ def scatter_degree(prefixes: Iterable[Prefix]) -> Fraction:
     families = {p.family for p in pset}
     blocks = sum(len(compress_minimal(p for p in pset if p.family == f)) for f in families)
     return Fraction(blocks, len(pset))
-
-
-def excess_prefixes(block: AddressBlock, authorized: Iterable[Prefix]) -> int:
-    """How many prefixes the block would authorize beyond the given set."""
-    return len(expand(block) - set(authorized))

@@ -9,20 +9,23 @@ sub-tree of prefixes between ``prefixlen`` and ``max_length``.
 Both are named tuples, so hashing, equality and ordering run in C: a
 prefix is the tuple ``(family, bits, prefixlen)`` and a block the tuple
 ``(prefix, max_length)``, and each compares equal to, hashes like and
-sorts like that plain tuple.  ``Prefix(...)`` and ``AddressBlock(...)``
-check their fields; the namedtuple helpers ``_make`` and ``_replace`` do
-not, and neither do ``_new_prefix`` and ``_new_block``, the builders for
-code that has already proven its output valid: ``expand``, the v4 fast
-path of ``parse_prefix``, bitmap decoding, minimal compression, the wire
-parser's prefix PDUs (``wire._prefix`` checks the prefix length and host
-bits as ints first) and the blocks ``sync.decode_payload_pdu`` makes of them.
+sorts like that plain tuple.  So is ``Vrp``, the tuple ``(asn, block)``.
+``Prefix(...)``, ``AddressBlock(...)`` and ``Vrp(...)`` check their
+fields; the namedtuple helpers ``_make`` and ``_replace`` do not, and
+neither do ``_new_prefix``, ``_new_block`` and ``_new_vrp``, the builders
+for code that has already proven its output valid: ``expand``, the v4 and
+v6 fast paths of ``parse_prefix``, the CSV row parser
+(``workload.parse_vrp_row`` checks the AS number and the max_length range
+as ints first), bitmap decoding, minimal compression, the wire parser's
+prefix PDUs (``wire._prefix`` checks the prefix length and host bits as
+ints first) and the blocks ``sync.decode_payload_pdu`` makes of them.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import re
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 
@@ -105,33 +108,40 @@ def block_order(block: AddressBlock) -> tuple[int, int, int, int]:
     return prefix.family, prefix.bits, prefix.prefixlen, block.max_length
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Vrp:
+class Vrp(namedtuple("Vrp", "asn block")):
     """A validated payload row: origin AS number plus one address block."""
 
-    asn: int
-    block: AddressBlock
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.asn < 1 << 32:
-            raise ValueError(f"asn {self.asn} out of range")
+    def __new__(cls, asn: int, block: AddressBlock) -> "Vrp":
+        if not 0 <= asn < 1 << 32:
+            raise ValueError(f"asn {asn} out of range")
+        return tuple.__new__(cls, (asn, block))
+
+
+_new_vrp = partial(tuple.__new__, Vrp)
+
+# The canonical spelling of every number a prefix text holds: octets,
+# lengths and max_lengths.  A table hit rules out the signs, ``_``
+# separators, spaces, leading zeros and non-ASCII digits int() would take.
+_DECIMAL = {str(i): i for i in range(256)}
+# Colon-separated groups of 1-4 hex digits, or nothing (either side of "::").
+_HEXTETS = re.compile(r"(?:[0-9A-Fa-f]{1,4}(?::[0-9A-Fa-f]{1,4})*)?")
 
 
 def _parse_v4(text: str, strict: bool) -> Prefix | None:
     """The plain ``a.b.c.d/n`` form, parsed without ipaddress; None for any other text.
 
-    int() also takes signs, ``_`` separators, spaces and non-ASCII digits,
-    so only text that is the canonical spelling of its numbers gets
-    through.  A host-bits error under ``strict`` is left to ipaddress too,
-    which words it.
+    Only text that spells each number canonically gets through.  A
+    host-bits error under ``strict`` is left to ipaddress too, which words it.
     """
     addr, _, plen = text.partition("/")
     try:
-        a, b, c, d = map(int, addr.split("."))
-        n = int(plen)
-    except ValueError:
+        a, b, c, d = map(_DECIMAL.__getitem__, addr.split("."))
+    except (KeyError, ValueError):
         return None
-    if (a | b | c | d) >> 8 or not 0 <= n <= 32 or f"{a}.{b}.{c}.{d}/{n}" != text:
+    n = _DECIMAL.get(plen, 33)
+    if n > 32:
         return None
     bits = a << 24 | b << 16 | c << 8 | d
     host = (1 << (32 - n)) - 1
@@ -142,12 +152,43 @@ def _parse_v4(text: str, strict: bool) -> Prefix | None:
     return _new_prefix((V4, bits, n))
 
 
+def _parse_v6(text: str, strict: bool) -> Prefix | None:
+    """The plain ``h:h::h/n`` forms, parsed without ipaddress; None for any other text.
+
+    Each group is 1-4 hex digits, one ``::`` at most stands for one or more
+    zero groups, and ``n`` is spelled canonically.  Scope ids, embedded v4
+    tails and every malformed address go to ipaddress, which words the
+    error; so does a host-bits error under ``strict``.
+    """
+    addr, _, plen = text.partition("/")
+    n = _DECIMAL.get(plen, 129)
+    head, skip, tail = addr.partition("::")
+    hi = head.split(":") if head else ()
+    lo = tail.split(":") if tail else ()
+    missing = 8 - len(hi) - len(lo)  # the groups "::" stands for
+    if (n > 128 or (missing < 1 if skip else missing)
+            or not _HEXTETS.fullmatch(head) or not _HEXTETS.fullmatch(tail)):
+        return None
+    bits = 0
+    for group in hi:
+        bits = bits << 16 | int(group, 16)
+    bits <<= 16 * missing
+    for group in lo:
+        bits = bits << 16 | int(group, 16)
+    host = (1 << (128 - n)) - 1
+    if bits & host:
+        if strict:
+            return None
+        bits &= ~host
+    return _new_prefix((V6, bits, n))
+
+
 def parse_prefix(text: str, strict: bool = True) -> Prefix:
     """Parse ``addr/len``.  strict=False masks stray host bits instead of failing."""
     if "/" not in text:
         raise PrefixFormatError(f"missing /len in {text!r}")
     text = text.strip()
-    fast = _parse_v4(text, strict)
+    fast = _parse_v6(text, strict) if ":" in text else _parse_v4(text, strict)
     if fast is not None:
         return fast
     try:
@@ -156,24 +197,6 @@ def parse_prefix(text: str, strict: bool = True) -> Prefix:
         raise PrefixFormatError(str(exc)) from None
     family = V4 if net.version == 4 else V6
     return Prefix(family, int(net.network_address), net.prefixlen)
-
-
-def covers(outer: Prefix, inner: Prefix) -> bool:
-    """True when inner lies in outer's sub-tree (reflexive)."""
-    if outer.family != inner.family:
-        raise FamilyMismatchError(f"{outer} vs {inner}")
-    if outer.prefixlen > inner.prefixlen:
-        return False
-    shift = outer.width - outer.prefixlen
-    return inner.bits >> shift == outer.bits >> shift
-
-
-def parent(prefix: Prefix) -> Prefix:
-    if prefix.prefixlen == 0:
-        raise ValueError("/0 has no parent")
-    plen = prefix.prefixlen - 1
-    mask = ~((1 << (prefix.width - plen)) - 1)
-    return Prefix(prefix.family, prefix.bits & mask, plen)
 
 
 def expand(block: AddressBlock, cap: int = DEFAULT_EXPANSION_CAP) -> set[Prefix]:

@@ -3,7 +3,8 @@
 The row format is ``asn,prefix/len,max_length``.  An optional header line
 is skipped: the first row is one when its AS column holds no number.  The
 AS number may carry an ``AS`` prefix, extra columns are ignored, and an
-empty max_length means "equal to the prefix length".
+empty max_length means "equal to the prefix length".  One leading UTF-8
+byte order mark is ignored.
 Prefixes are parsed leniently (stray host bits are masked off).
 """
 
@@ -13,14 +14,19 @@ import csv
 import io
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .prefix import (
     V4,
+    WIDTH,
     AddressBlock,
     Prefix,
     PrefixFormatError,
     Vrp,
+    _DECIMAL,
+    _new_block,
+    _new_vrp,
     expand,
     parse_prefix,
 )
@@ -47,16 +53,29 @@ def _parse_asn(text: str) -> int:
 
 
 def parse_vrp_row(row: list[str], lineno: int = 0) -> Vrp:
+    return _parse_row(row, lineno, {})
+
+
+def _parse_row(row: list[str], lineno: int, asns: dict[str, int]) -> Vrp:
+    """parse_vrp_row, reading the AS column through ``asns`` (AS text -> number)."""
     if len(row) < 2:
         raise PrefixFormatError(f"line {lineno}: expected asn,prefix/len,max_length")
     try:
-        asn = _parse_asn(row[0])
+        asn = asns.get(row[0])
+        if asn is None:
+            asn = asns[row[0]] = _parse_asn(row[0])
         prefix = parse_prefix(row[1], strict=False)
-        raw_max = row[2].strip() if len(row) > 2 else ""
-        max_length = int(raw_max) if raw_max else prefix.prefixlen
-        return Vrp(asn, AddressBlock(prefix, max_length))
+        family, _, plen = prefix
+        raw_max = row[2] if len(row) > 2 else ""
+        max_length = _DECIMAL.get(raw_max)
+        if max_length is None:  # empty, or a lenient spelling such as " 9" or "+9"
+            raw_max = raw_max.strip()
+            max_length = int(raw_max) if raw_max else plen
+        if not plen <= max_length <= WIDTH[family]:
+            raise ValueError(f"max_length {max_length} out of range for {prefix}")
     except (PrefixFormatError, ValueError) as exc:
         raise PrefixFormatError(f"line {lineno}: {exc}") from None
+    return _new_vrp((asn, _new_block((prefix, max_length))))
 
 
 @dataclass
@@ -67,7 +86,12 @@ class Workload:
     source: str = ""
 
     def add(self, vrp: Vrp) -> None:
-        self.entries.setdefault(vrp.asn, set()).add(vrp.block)
+        asn, block = vrp
+        blocks = self.entries.get(asn)
+        if blocks is None:
+            self.entries[asn] = {block}
+        else:
+            blocks.add(block)
 
     def asns(self) -> list[int]:
         return sorted(self.entries)
@@ -100,18 +124,22 @@ def load_csv(path_or_file, source: str = "") -> Workload:
 
 def _load(fh, source: str) -> Workload:
     w = Workload(source=source)
-    reader = csv.reader(fh)
+    add = w.add
+    asns: dict[str, int] = {}  # every AS text a data row held, parsed once per load
+    lines = iter(fh)
+    first = next(lines, "").removeprefix("\ufeff")  # a UTF-8 byte order mark
     first_data = True
-    for lineno, row in enumerate(reader, start=1):
-        if not row or not "".join(row).strip():
-            continue
-        if row[0].strip().startswith("#"):
-            continue
-        if first_data:
-            first_data = False
-            if _asn_number(row[0]) is None:
-                continue  # header line
-        w.add(parse_vrp_row(row, lineno))
+    for lineno, row in enumerate(csv.reader(chain((first,), lines)), start=1):
+        # a row whose AS text an earlier data row held is data too: no blank,
+        # comment or header check needed
+        if not (row and row[0] in asns):
+            if not "".join(row).strip() or row[0].strip().startswith("#"):
+                continue
+            if first_data:
+                first_data = False
+                if _asn_number(row[0]) is None:
+                    continue  # header line
+        add(_parse_row(row, lineno, asns))
     if not w.entries:
         raise PrefixFormatError(f"{source}: no usable rows")
     return w

@@ -1,7 +1,9 @@
 """The benchmark's tracer wraps program entry points by name; keep them there."""
 
 import importlib.util
+import io
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -70,3 +72,43 @@ def test_fetch_calls_traced_entry_points(monkeypatch, scheme, layers):
         got, _ = sync.fetch(server.endpoint)
     assert got == want
     assert called == layers
+
+
+# the publish side: a header, a comment, a blank line, a duplicate row and a
+# mixed_churn-shaped AS (a tall v4 block, short v4 and v6 blocks)
+PUBLISH_CSV = """asn,prefix,max_length
+# comment
+
+64500,10.0.0.0/16,20
+64500,192.0.2.0/24,25
+64500,192.0.2.0/24,25
+64500,2001:db8::/32,33
+64501,198.51.100.0/24,
+"""
+
+
+def test_publish_calls_traced_entry_points(monkeypatch):
+    # load_csv must add every data row through Workload.add, and hybrid_encode
+    # must fold through hybrid.expand and hybrid.encode_batch: a fast path that
+    # skipped one would leave a required benchmark layer uncalled
+    from hroa import hybrid, workload
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(workload.Workload, "add", counting("workload.add", workload.Workload.add))
+    monkeypatch.setattr(hybrid, "expand", counting("hybrid.expand", hybrid.expand))
+    monkeypatch.setattr(hybrid, "encode_batch", counting("hybrid.encode_batch", hybrid.encode_batch))
+    w = workload.load_csv(io.StringIO(PUBLISH_CSV))
+    assert calls == {"workload.add": 5}
+    assert w.vrp_count() == 4
+    ml, bm = hybrid.hybrid_encode(hybrid.HybridConfig(), w.entries[64500])
+    assert [str(b) for b in ml] == ["10.0.0.0/16-20"]
+    assert {b.family for b in bm} == {4, 6}
+    assert calls == {"workload.add": 5, "hybrid.expand": 2, "hybrid.encode_batch": 2}

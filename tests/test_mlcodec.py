@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hroa.mlcodec import compress_minimal, excess_prefixes, scatter_degree
+from hroa.mlcodec import compress_minimal, scatter_degree
 from hroa.prefix import V4, V6, WIDTH, AddressBlock, Prefix, expand, parse_prefix
 from oracles import oracle_min_partition
 
@@ -165,21 +165,6 @@ def test_ties_keep_the_smallest_height():
 def test_scatter_degree_empty_input():
     with pytest.raises(ValueError):
         scatter_degree(set())
-
-
-def test_excess_prefixes_loose_maxlength():
-    authorized = {
-        parse_prefix("202.127.16.0/22"),
-        parse_prefix("202.127.16.0/23"),
-        parse_prefix("202.127.16.0/24"),
-    }
-    block = AddressBlock(parse_prefix("202.127.16.0/22"), 24)
-    assert excess_prefixes(block, authorized) == 4
-
-
-def test_excess_prefixes_exact_block():
-    full = expand(AddressBlock(parse_prefix("192.0.2.0/24"), 26))
-    assert excess_prefixes(AddressBlock(parse_prefix("192.0.2.0/24"), 26), full) == 0
 
 
 def test_rejects_mixed_families():

@@ -13,13 +13,13 @@ from hroa.prefix import (
     WIDTH,
     AddressBlock,
     ExpansionCapError,
-    FamilyMismatchError,
     Prefix,
     PrefixFormatError,
+    Vrp,
+    _new_vrp,
+    _parse_v6,
     block_order,
-    covers,
     expand,
-    parent,
     parse_prefix,
 )
 from oracles import oracle_expand
@@ -56,21 +56,6 @@ def test_prefix_validates_host_bits():
         Prefix(V4, 0xCA7F1001, 20)
 
 
-def test_covers_worked_example():
-    outer = parse_prefix("202.127.16.0/20")
-    inner = parse_prefix("202.127.20.0/22")
-    assert covers(outer, inner)
-    assert not covers(inner, outer)
-    assert covers(outer, outer)
-    assert covers(parse_prefix("0.0.0.0/0"), outer)
-    assert not covers(parse_prefix("202.127.32.0/20"), inner)
-
-
-def test_covers_family_mismatch():
-    with pytest.raises(FamilyMismatchError):
-        covers(parse_prefix("0.0.0.0/0"), parse_prefix("::/0"))
-
-
 def test_expand_worked_example():
     block = AddressBlock(parse_prefix("202.127.16.0/20"), 21)
     assert expand(block) == {
@@ -85,16 +70,6 @@ def test_expand_cap():
     with pytest.raises(ExpansionCapError):
         expand(block)
     assert len(expand(AddressBlock(parse_prefix("10.0.0.0/8"), 18), cap=10)) == 2**11 - 1
-
-
-def test_children_and_parent():
-    p = parse_prefix("202.127.16.0/20")
-    lo, hi = sorted(expand(AddressBlock(p, 21)) - {p})
-    assert str(lo) == "202.127.16.0/21"
-    assert str(hi) == "202.127.24.0/21"
-    assert parent(lo) == p and parent(hi) == p
-    with pytest.raises(ValueError):
-        parent(parse_prefix("0.0.0.0/0"))
 
 
 def test_ordering_is_family_bits_len():
@@ -125,28 +100,24 @@ def test_parse_format_round_trip(p):
     assert parse_prefix(str(p)) == p
 
 
+def _in_subtree(outer: Prefix, inner: Prefix) -> bool:
+    """inner lies in outer's sub-tree (reflexive)."""
+    shift = outer.width - outer.prefixlen
+    return (outer.family == inner.family and outer.prefixlen <= inner.prefixlen
+            and inner.bits >> shift == outer.bits >> shift)
+
+
 @given(_v4_prefixes(max_len=28), st.integers(0, 4))
 def test_expand_matches_oracle_and_cardinality(p, extra):
     block = AddressBlock(p, min(32, p.prefixlen + extra))
     got = expand(block)
     assert got == oracle_expand(block)
     assert len(got) == 2 ** (block.height + 1) - 1
-    assert all(covers(p, q) for q in got)
-
-
-@given(_v4_prefixes(), _v4_prefixes())
-def test_covers_agrees_with_expansion_membership(a, b):
-    # covers() is the order "b is in a's sub-tree"
-    if covers(a, b):
-        assert b.prefixlen >= a.prefixlen
-        if b.prefixlen - a.prefixlen <= 6:
-            assert b in expand(AddressBlock(a, b.prefixlen))
-    if covers(a, b) and covers(b, a):
-        assert a == b
+    assert all(_in_subtree(p, q) for q in got)
 
 
 def _parse_via_ipaddress(text: str, strict: bool) -> Prefix:
-    """parse_prefix as it reads every text without the v4 fast path."""
+    """parse_prefix as it reads every text without the v4 and v6 fast paths."""
     if "/" not in text:
         raise PrefixFormatError(f"missing /len in {text!r}")
     try:
@@ -180,6 +151,45 @@ _V4_TEXT = st.builds(
     st.sampled_from(["/", "/", "/", "//", " /"]),
     st.sampled_from(["", "", " ", "\t", "\n", "\u3000"]),
 )
+# v6 spellings around the plain form: hex groups of 1-4 digits in mixed case
+# with now and then one odd group (empty, 5 digits, not hex), "::" at the
+# start, in the middle, at the end or twice, too many or too few groups, an
+# embedded v4 tail, a scope id
+_HEXTET = st.builds(lambda value, digits, upper: f"{value:0{digits}{'X' if upper else 'x'}}",
+                    st.integers(0, 0xFFFF), st.integers(1, 4), st.booleans())
+_ODD_HEXTET = st.one_of(st.text(alphabet="0123456789abcdefABCDEF", max_size=5),
+                        st.sampled_from(["g", "0x1", "1_0", " 1", "\uff11"]))
+_V6_LENGTH = st.one_of(
+    st.integers(0, 128).map(str),
+    st.sampled_from(["032", "+32", "129", "\uff18", "", "-0", "3_2", " 32", "ffff::"]),
+)
+
+
+@st.composite
+def _v6_texts(draw):
+    shape = draw(st.sampled_from(["none", "start", "middle", "middle", "end", "twice"]))
+    fits = 8 if shape == "none" else draw(st.integers(0, 7))  # the right group count
+    count = draw(st.one_of(st.just(fits), st.integers(0, 10)))
+    groups = draw(st.lists(_HEXTET, min_size=count, max_size=count))
+    if groups and draw(st.integers(0, 3)) == 0:
+        groups[draw(st.integers(0, count - 1))] = draw(_ODD_HEXTET)
+    cuts = {
+        "none": [], "start": [0], "end": [count],
+        "middle": [draw(st.integers(0, count))],
+        "twice": sorted(draw(st.lists(st.integers(0, count), min_size=2, max_size=2))),
+    }[shape]
+    parts, at = [], 0
+    for cut in cuts:
+        parts.append(":".join(groups[at:cut]))
+        at = cut
+    addr = "::".join(parts + [":".join(groups[at:])])
+    addr += draw(st.sampled_from(["", "", "", "", ":10.0.0.1", ":1.2.3", ":"]))
+    addr += draw(st.sampled_from(["", "", "", "", "%eth0", "%"]))
+    length = draw(_V6_LENGTH)
+    pad = draw(st.sampled_from(["", "", " ", "\n", "\u3000"]))
+    return pad + addr + draw(st.sampled_from(["/", "/", "/", "//"])) + length + pad
+
+
 _OTHER_TEXT = st.one_of(
     st.sampled_from(["2001:db8::/32", "2001:db8::1/32", "::/0", "::ffff:10.0.0.0/104",
                      "::ffff:10.0.0.0/96", "10.0.0.0", "10.0.0.0/8/8", "/8", "1.2.3.4/32"]),
@@ -187,8 +197,8 @@ _OTHER_TEXT = st.one_of(
 )
 
 
-@settings(max_examples=1000, deadline=None)
-@given(st.one_of(_V4_TEXT, _OTHER_TEXT), st.booleans())
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(_V4_TEXT, _v6_texts(), _OTHER_TEXT), st.booleans())
 @example("10.0.0.0/08", True)
 @example("10.0.0.0/255.0.0.0", True)
 @example("10.0.0.0/0.255.255.255", False)
@@ -199,6 +209,20 @@ _OTHER_TEXT = st.one_of(
 @example("10.0.0.0/33", False)
 @example("2001:db8::1/32", False)
 @example("10.0.0.1/8", True)
+@example("2001:DB8:0:0:0:0:0:1/128", True)
+@example("2001:db8::1/32", True)
+@example("1:2:3:4:5:6:7::/112", True)
+@example("::1:2:3:4:5:6:7/128", True)
+@example("1:2:3:4:5:6:7:8::/128", True)
+@example("1::2::3/64", True)
+@example("::ffff:10.0.0.0/104", False)
+@example("fe80::1%eth0/64", False)
+@example("2001:db8::/032", True)
+@example("2001:db8::/+32", True)
+@example("2001:db8::/129", True)
+@example("2001:db8::/\uff18", True)
+@example("00000::/8", True)
+@example(" 2001:db8::/32\n", True)
 def test_parse_fast_path_agrees_with_ipaddress(text, strict):
     assert _outcome(parse_prefix, text, strict) == _outcome(_parse_via_ipaddress, text, strict)
 
@@ -309,6 +333,17 @@ def test_parse_fast_path_builds_what_the_checked_constructor_builds(p, strict):
     _assert_as_checked([parse_prefix(str(p), strict)])
 
 
+@given(_prefixes((V6,)), st.booleans(), st.booleans())
+def test_v6_fast_path_takes_compressed_and_exploded_spellings(p, exploded, upper):
+    # the differential test above means something only if the fast path runs
+    net = ipaddress.IPv6Network((p.bits, p.prefixlen))
+    text = net.exploded if exploded else str(net)
+    text = text.upper() if upper else text
+    fast = _parse_v6(text, True)
+    assert fast == p
+    _assert_as_checked([fast])
+
+
 @given(st.lists(_prefixes(), min_size=1, max_size=10).map(
     lambda ps: [p for p in ps if p.family == ps[0].family]))
 def test_compress_minimal_blocks_are_checked_blocks(prefixes):
@@ -331,3 +366,21 @@ def test_copy_and_pickle_round_trip(value):
                for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
     for got in copies:
         _same_value(got, value)
+
+
+@given(st.integers(0, (1 << 32) - 1), _blocks())
+def test_new_vrp_builds_what_the_checked_constructor_builds(asn, block):
+    _same_value(_new_vrp((asn, block)), Vrp(asn, block))
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), _blocks()), max_size=12))
+def test_new_vrp_sorts_as_checked_vrps_and_plain_tuples(rows):
+    built = sorted(_new_vrp(row) for row in rows)
+    assert built == sorted(Vrp(*row) for row in rows)
+    assert [tuple(v) for v in built] == sorted(rows)
+
+
+@given(st.one_of(st.integers(max_value=-1), st.integers(min_value=1 << 32)), _blocks())
+@example(-1, AddressBlock(Prefix(V4, 0, 0), 0))
+def test_vrp_rejects_an_asn_out_of_range(asn, block):
+    assert _value_error(Vrp, asn, block) == f"asn {asn} out of range"

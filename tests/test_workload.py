@@ -1,11 +1,13 @@
 import io
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hroa.mlcodec import scatter_degree
 from hroa.prefix import AddressBlock, PrefixFormatError, Vrp, parse_prefix
 from hroa.workload import (
     Workload,
+    _parse_asn,
     dump_csv,
     load_csv,
     parse_vrp_row,
@@ -43,6 +45,51 @@ def test_parse_row_rejections():
         parse_vrp_row(["1"])
 
 
+def _parse_row_with_checked_constructors(row, lineno):
+    """parse_vrp_row built from the checked Vrp and AddressBlock constructors."""
+    if len(row) < 2:
+        raise PrefixFormatError(f"line {lineno}: expected asn,prefix/len,max_length")
+    try:
+        asn = _parse_asn(row[0])
+        prefix = parse_prefix(row[1], strict=False)
+        raw_max = row[2].strip() if len(row) > 2 else ""
+        max_length = int(raw_max) if raw_max else prefix.prefixlen
+        return Vrp(asn, AddressBlock(prefix, max_length))
+    except (PrefixFormatError, ValueError) as exc:
+        raise PrefixFormatError(f"line {lineno}: {exc}") from None
+
+
+def _row_outcome(parse, row):
+    try:
+        vrp = parse(row, 7)
+    except PrefixFormatError as exc:
+        return f"PrefixFormatError: {exc}"
+    assert type(vrp) is Vrp and type(vrp.block) is AddressBlock
+    return repr(vrp)
+
+
+_AS_TEXT = st.one_of(st.integers(0, 70000).map(str), st.sampled_from(
+    ["AS7497", "as7", " 7", "+7", "7_4", "\uff17", "x", "", "4294967296", "-1", "AS"]))
+_PREFIX_TEXT = st.sampled_from(
+    ["10.0.0.0/8", "10.0.0.1/8", "202.127.16.0/20", "0.0.0.0/0", "1.2.3.4/32", "10.0.0.0/08",
+     "2001:db8::/32", "2001:db8::1/32", "::/0", "::1/128", "fe80::1%eth0/64", "10.0.0.0",
+     "10.0.0.0/33", "2001:db8::/129", " 10.0.0.0/8 "])
+_MAX_TEXT = st.one_of(st.integers(0, 140).map(str), st.sampled_from(
+    ["", " ", " 9", "9 ", "+9", "09", "-1", "\uff19", "1_0", "x", "9.0", "255", "256"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(_AS_TEXT, _PREFIX_TEXT, _MAX_TEXT), st.integers(0, 4))
+@example(("7497", "202.127.16.0/20", "+22"), 3)
+@example(("7497", "202.127.16.0/20", "19"), 3)
+@example(("7497", "2001:db8::/32", "200"), 3)
+def test_parse_vrp_row_agrees_with_checked_constructors(fields, keep):
+    # keep cuts the row short (a missing max_length column, or more) or adds a column
+    row = [*fields, "extra"][:keep]
+    assert _row_outcome(parse_vrp_row, row) == _row_outcome(
+        _parse_row_with_checked_constructors, row)
+
+
 def test_load_csv_with_header_comments_blanks():
     text = "# a comment\n" + FIG_CSV + "\n\n"
     w = load_csv(io.StringIO(text))
@@ -64,6 +111,27 @@ def test_load_csv_malformed_first_row_is_no_header():
     # one whose AS column holds no number is a header, whatever the other columns say
     w = load_csv(io.StringIO("origin,prefix/len,max\nAS7497,202.127.16.0/20,\n"))
     assert w.vrp_count() == 1
+
+
+BOM_CSV = "\ufeff7497,202.127.16.0/20,22\n7497,10.0.0.0/8,\n"
+
+
+def _block_texts(w):
+    return sorted(str(b) for blocks in w.entries.values() for b in blocks)
+
+
+def test_load_csv_ignores_a_leading_bom_in_a_stream():
+    # the BOM is no part of the first AS number, so the first row is data, not a header
+    w = load_csv(io.StringIO(BOM_CSV))
+    assert _block_texts(w) == ["10.0.0.0/8-8", "202.127.16.0/20-22"]
+    assert load_csv(io.StringIO("\ufeff" + FIG_CSV)).entries == load_csv(io.StringIO(FIG_CSV)).entries
+
+
+def test_load_csv_ignores_a_leading_bom_in_a_file(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(BOM_CSV.encode("utf-8"))
+    assert _block_texts(load_csv(path)) == ["10.0.0.0/8-8", "202.127.16.0/20-22"]
+    assert load_csv(path).source == str(path)
 
 
 def test_load_csv_bad_row_past_header_raises():
