@@ -30,10 +30,7 @@ from .bmcodec import (
     encode_batch,
     make_node_number,
     make_subtree_id,
-    nearest_hanging_level,
     stm_decode,
-    stm_insert,
-    subtree_height,
 )
 from .hybrid import HybridConfig, hybrid_encode
 from .levelopt import CostModel, optimize_levels
@@ -71,13 +68,10 @@ __all__ = [
     "load_csv",
     "make_node_number",
     "make_subtree_id",
-    "nearest_hanging_level",
     "optimize_levels",
     "parse_prefix",
     "scatter_degree",
     "stm_decode",
-    "stm_insert",
-    "subtree_height",
     "sweep_parameters",
     "synthetic_scattered",
 ]

@@ -98,13 +98,6 @@ class HangingLevels:
         return max(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def nearest_hanging_level(cfg: HangingLevels, prefixlen: int) -> int:
-    """Largest profile level <= prefixlen."""
-    if not 0 <= prefixlen <= cfg.width:
-        raise ValueError(f"prefixlen {prefixlen} out of range")
-    return cfg.level_of[prefixlen]
-
-
 def subtree_height(cfg: HangingLevels, level: int) -> int:
     """Levels spanned by the sub-tree rooted at a profile level.
 

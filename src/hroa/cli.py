@@ -162,7 +162,7 @@ def cmd_decode(args) -> int:
         raise wire.FramingError(f"{reader.pending} trailing bytes are not a whole PDU")
     rows: set[Vrp] = set()
     for pdu in pdus:
-        if not isinstance(pdu, (wire.PrefixPdu, wire.SubTreePdu, wire.SubTreeAggPdu)):
+        if not isinstance(pdu, sync._PAYLOAD_TYPES):
             continue  # framing PDUs of a captured response carry no rows
         asn, blocks, prefixes = sync.decode_payload_pdu(pdu, cfg)
         rows.update(Vrp(asn, b) for b in blocks)

@@ -62,7 +62,7 @@ class HybridConfig:
     hanging: Mapping[int, HangingLevels] = field(default_factory=_default_hanging)
 
     def __post_init__(self) -> None:
-        if self.delta_l_threshold < 0:
+        if not self.delta_l_threshold >= 0:  # NaN included
             raise ValueError("threshold must be >= 0")
         if math.isfinite(self.delta_l_threshold):
             if self.delta_l_threshold > DEFAULT_EXPANSION_CAP:

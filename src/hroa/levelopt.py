@@ -117,13 +117,9 @@ def optimize_levels(
     return levels, total
 
 
-def simulate_profile_cost(
-    workload: Iterable[Prefix],
-    profile: HangingLevels,
-    model: CostModel | None = None,
-) -> int:
-    """Price a profile by actually encoding the workload block by block."""
-    model = model or CostModel()
+def simulate_profile_cost(workload: Iterable[Prefix], profile: HangingLevels) -> int:
+    """Price a profile under ``CostModel()`` by actually encoding the workload block by block."""
+    model = CostModel()
     blocks = encode_batch(profile, workload)
     return sum(
         model.block_size(b.family, subtree_height(profile, subtree_id_level(b.id)))

@@ -199,16 +199,18 @@ def parse_prefix(text: str, strict: bool = True) -> Prefix:
     return Prefix(family, int(net.network_address), net.prefixlen)
 
 
-def expand(block: AddressBlock, cap: int = DEFAULT_EXPANSION_CAP) -> set[Prefix]:
+def expand(block: AddressBlock) -> set[Prefix]:
     """Every prefix the block authorizes: the full sub-tree down to max_length.
 
-    Yields exactly 2^(height+1) - 1 prefixes; refuses heights above ``cap``.
+    Yields exactly 2^(height+1) - 1 prefixes; refuses heights above
+    ``DEFAULT_EXPANSION_CAP``.
     """
     root = block.prefix
     plen = root.prefixlen
     height = block.max_length - plen
-    if height > cap:
-        raise ExpansionCapError(f"block height {height} exceeds expansion cap {cap}")
+    if height > DEFAULT_EXPANSION_CAP:
+        raise ExpansionCapError(
+            f"block height {height} exceeds expansion cap {DEFAULT_EXPANSION_CAP}")
     out = {root}
     if height:
         family, bits, _ = root

@@ -3,8 +3,8 @@
 The only flow spoken here is the full snapshot: client sends Reset Query,
 cache answers Cache Response, every payload PDU of the selected scheme,
 then End of Data.  Payload bytes are pre-serialized once per (snapshot,
-scheme) so concurrent clients share one blob, optionally drained through
-a token bucket to emulate a slow link.
+scheme) so concurrent clients share one blob, optionally paced per
+connection to emulate a slow link.
 """
 
 from __future__ import annotations
@@ -31,12 +31,8 @@ log = logging.getLogger("hroa.sync")
 
 SCHEMES = ("sroa", "troa", "mroa", "hroa", "ahroa")
 SERVE_SCHEMES = ("mroa", "hroa", "ahroa")
-# what fetch hands to decode_payload_pdu once the cache response is in
+# what fetch and ``hroa decode`` hand to decode_payload_pdu
 _PAYLOAD_TYPES = (wire.PrefixPdu, wire.SubTreePdu, wire.SubTreeAggPdu)
-
-DEFAULT_REFRESH = 3600
-DEFAULT_RETRY = 600
-DEFAULT_EXPIRE = 7200
 
 
 class SyncError(Exception):
@@ -177,34 +173,6 @@ class SyncReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-class TokenBucket:
-    """Byte-rate shaper: consume() sleeps off any token debt.
-
-    Letting the balance go negative keeps a consume larger than the
-    capacity from blocking forever; the caller just pays the time back
-    before the next send goes out.
-    """
-
-    def __init__(self, rate_bytes_per_sec: float, capacity: float | None = None):
-        if rate_bytes_per_sec <= 0:
-            raise ValueError("rate must be positive")
-        self.rate = float(rate_bytes_per_sec)
-        self.capacity = float(capacity if capacity is not None else rate_bytes_per_sec / 10)
-        self._tokens = self.capacity
-        self._stamp = time.monotonic()
-        self._lock = threading.Lock()
-
-    def consume(self, amount: int) -> None:
-        with self._lock:
-            now = time.monotonic()
-            self._tokens = min(self.capacity, self._tokens + (now - self._stamp) * self.rate)
-            self._stamp = now
-            self._tokens -= amount
-            wait = -self._tokens / self.rate if self._tokens < 0 else 0.0
-        if wait > 0:
-            time.sleep(wait)
-
-
 def _error_report(text: str, echoed: bytes = b"") -> bytes:
     """A Corrupt Data (code 0) report, its echoed PDU cut short to fit the length cap."""
     room = wire.MAX_PDU_LEN - wire.ERROR_REPORT_OVERHEAD - len(text.encode("utf-8"))
@@ -212,7 +180,11 @@ def _error_report(text: str, echoed: bytes = b"") -> bytes:
 
 
 class RtrServer:
-    """Serves one snapshot under one scheme until closed."""
+    """Serves one snapshot under one scheme until closed.
+
+    ``bandwidth_bps`` paces each connection on its own; None or 0 sends
+    at full speed.
+    """
 
     def __init__(
         self,
@@ -224,25 +196,17 @@ class RtrServer:
     ):
         if scheme not in SERVE_SCHEMES:
             raise ValueError(f"serve scheme must be one of {SERVE_SCHEMES}")
+        if bandwidth_bps and not bandwidth_bps > 0:  # negative, or NaN
+            raise ValueError("bandwidth must be positive")
         self.snapshot = snapshot
         self.scheme = scheme
         # bandwidth is bits/sec to match how links are quoted
-        self._bucket = TokenBucket(bandwidth_bps / 8) if bandwidth_bps else None
+        self._rate = bandwidth_bps / 8 if bandwidth_bps else None
         pdus = payload_pdus(snapshot, scheme)
         self.payload_pdu_count = len(pdus)
         parts = [wire.serialize(wire.CacheResponse(snapshot.session_id))]
         parts += wire.serialize_each(pdus)
-        parts.append(
-            wire.serialize(
-                wire.EndOfData(
-                    snapshot.session_id,
-                    snapshot.serial,
-                    DEFAULT_REFRESH,
-                    DEFAULT_RETRY,
-                    DEFAULT_EXPIRE,
-                )
-            )
-        )
+        parts.append(wire.serialize(wire.EndOfData(snapshot.session_id, snapshot.serial)))
         self._response = b"".join(parts)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
@@ -253,6 +217,8 @@ class RtrServer:
             self._sock.close()
             raise
         self._closing = False
+        self._conns: set[socket.socket] = set()  # accepted and not yet closed
+        self._conns_lock = threading.Lock()
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
 
@@ -265,23 +231,30 @@ class RtrServer:
         return len(self._response)
 
     def _accept_loop(self) -> None:
-        while not self._closing:
+        while True:
             try:
                 conn, peer = self._sock.accept()
             except OSError:
                 return
+            with self._conns_lock:
+                if self._closing:  # accepted after close() shut the others down
+                    conn.close()
+                    return
+                self._conns.add(conn)
             threading.Thread(target=self._serve_conn, args=(conn, peer), daemon=True).start()
 
     def _send(self, conn: socket.socket, blob: bytes) -> None:
-        if self._bucket is None:
+        """Send the blob; paced, the chunk at offset ``at`` leaves at / rate s after the first."""
+        if not self._rate:
             conn.sendall(blob)
             return
         view = memoryview(blob)
-        while view:
-            chunk = view[:4096]
-            self._bucket.consume(len(chunk))
-            conn.sendall(chunk)
-            view = view[len(chunk):]
+        start = time.monotonic()
+        for at in range(0, len(blob), 4096):
+            delay = start + at / self._rate - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+            conn.sendall(view[at : at + 4096])
 
     def _serve_conn(self, conn: socket.socket, peer) -> None:
         reader = wire.PduReader()
@@ -317,15 +290,21 @@ class RtrServer:
                         return
         except OSError:
             return
+        finally:
+            with self._conns_lock:
+                self._conns.discard(conn)
 
     def close(self) -> None:
-        """Stop listening and wait for the accept thread to end."""
-        self._closing = True
-        try:
-            # wakes the accept() blocked in the accept thread; close alone does not
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+        """Stop listening, end every live connection and wait for the accept thread to end."""
+        with self._conns_lock:
+            self._closing = True
+            # wakes the accept() blocked in the accept thread, and the recv()
+            # of each connection's handler; close alone does neither
+            for sock in (self._sock, *self._conns):
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
         self._sock.close()
         self._accept_thread.join()
 

@@ -148,13 +148,9 @@ class CacheResponse(namedtuple("CacheResponse", "session_id version",
 
 class PrefixPdu(namedtuple("PrefixPdu", "flags prefix max_length asn version",
                            defaults=(DEFAULT_VERSION,))):
-    """Types 4 and 6: one VRP with an announce/withdraw flags byte."""
+    """Types 4 and 6: one VRP with an announce/withdraw flags byte (bit 0 set: announce)."""
 
     __slots__ = ()
-
-    @property
-    def announce(self) -> bool:
-        return bool(self.flags & 1)
 
 
 class EndOfData(namedtuple("EndOfData", "session_id serial refresh retry expire version",

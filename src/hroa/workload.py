@@ -114,12 +114,12 @@ class Workload:
         return Workload({a: set(v) for a, v in self.entries.items() if a != 0}, self.source)
 
 
-def load_csv(path_or_file, source: str = "") -> Workload:
+def load_csv(path_or_file) -> Workload:
     """Read a workload; accepts a path or an open text file."""
     if hasattr(path_or_file, "read"):
-        return _load(path_or_file, source or getattr(path_or_file, "name", "<stream>"))
+        return _load(path_or_file, getattr(path_or_file, "name", "<stream>"))
     with open(path_or_file, newline="") as fh:
-        return _load(fh, source or str(path_or_file))
+        return _load(fh, str(path_or_file))
 
 
 def _load(fh, source: str) -> Workload:
@@ -157,45 +157,43 @@ def dump_csv(rows: Iterable[Vrp], fh=None) -> str | None:
     return None
 
 
-def synthetic_scattered(
-    vrp_count: int,
-    seed: int = 0,
-    roots_per_as: int = 2,
-    root_len: int = 20,
-    leaf_len: int = 24,
-    leaves_per_root: int = 16,
-) -> Workload:
+# synthetic_scattered's shape: each AS's random /20 sub-trees, and the /24
+# leaves that fill each of them
+_ROOTS_PER_AS = 2
+_ROOT_LEN = 20
+_LEAF_LEN = 24
+
+
+def synthetic_scattered(vrp_count: int, seed: int = 0) -> Workload:
     """A worst-case-for-maxLength workload: singleton blocks, shared sub-trees.
 
-    Every AS gets ``roots_per_as`` random /root_len sub-trees, each filled
-    with same-length leaf prefixes.  Same-length sets never merge into
-    taller blocks, so the minimal maxLength encoding stays one PDU per
-    prefix while all leaves of a sub-tree share one bitmap.
+    Every AS gets two random /20 sub-trees, each filled with its sixteen
+    /24 leaves (the last one with as many as ``vrp_count`` leaves room for).
+    Same-length sets never merge into taller blocks, so the minimal
+    maxLength encoding stays one PDU per prefix while all leaves of a
+    sub-tree share one bitmap.
     """
-    if not 0 < root_len < leaf_len <= 32:
-        raise ValueError("need 0 < root_len < leaf_len <= 32")
     if vrp_count < 1:
         raise ValueError("vrp_count must be >= 1")
     rng = random.Random(seed)
-    slots = 1 << (leaf_len - root_len)
-    leaves = min(leaves_per_root, slots)
+    slots = 1 << (_LEAF_LEN - _ROOT_LEN)
     w = Workload(source=f"synthetic:scattered:{vrp_count}")
     asn = 64500
     made = 0
     taken_roots: set[int] = set()
     while made < vrp_count:
         asn += 1
-        for _ in range(roots_per_as):
+        for _ in range(_ROOTS_PER_AS):
             if made >= vrp_count:
                 break
             while True:
-                root = rng.getrandbits(root_len) << (32 - root_len)
+                root = rng.getrandbits(_ROOT_LEN) << (32 - _ROOT_LEN)
                 if root not in taken_roots:
                     taken_roots.add(root)
                     break
-            for tail in rng.sample(range(slots), min(leaves, vrp_count - made)):
-                bits = root | (tail << (32 - leaf_len))
-                block = AddressBlock(Prefix(V4, bits, leaf_len), leaf_len)
+            for tail in rng.sample(range(slots), min(slots, vrp_count - made)):
+                bits = root | (tail << (32 - _LEAF_LEN))
+                block = AddressBlock(Prefix(V4, bits, _LEAF_LEN), _LEAF_LEN)
                 w.add(Vrp(asn, block))
                 made += 1
     return w

@@ -13,7 +13,6 @@ from hroa.bmcodec import (
     encode_batch,
     make_node_number,
     make_subtree_id,
-    nearest_hanging_level,
     stm_blocks,
     stm_decode,
     stm_insert,
@@ -85,10 +84,10 @@ def test_multiples_profile():
 
 
 def test_nearest_level_snaps_down():
-    assert nearest_hanging_level(V4_CFG, 20) == 20
-    assert nearest_hanging_level(V4_CFG, 24) == 20
-    assert nearest_hanging_level(V4_CFG, 4) == 0
-    assert nearest_hanging_level(V4_CFG, 32) == 30
+    assert V4_CFG.level_of[20] == 20
+    assert V4_CFG.level_of[24] == 20
+    assert V4_CFG.level_of[4] == 0
+    assert V4_CFG.level_of[32] == 30
 
 
 def test_worked_example_identifier():

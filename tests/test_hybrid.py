@@ -49,6 +49,8 @@ def test_config_validation():
     HybridConfig(delta_l_threshold=0)
     with pytest.raises(ValueError):
         HybridConfig(delta_l_threshold=-1)
+    with pytest.raises(ValueError):  # nan < 0 is false, but NaN is no threshold
+        HybridConfig(delta_l_threshold=math.nan)
     with pytest.raises(ValueError):
         HybridConfig(delta_l_threshold=25)
     with pytest.raises(ValueError):

@@ -69,7 +69,7 @@ def test_expand_cap():
     block = AddressBlock(parse_prefix("10.0.0.0/8"), 32)
     with pytest.raises(ExpansionCapError):
         expand(block)
-    assert len(expand(AddressBlock(parse_prefix("10.0.0.0/8"), 18), cap=10)) == 2**11 - 1
+    assert len(expand(AddressBlock(parse_prefix("10.0.0.0/8"), 18))) == 2**11 - 1
 
 
 def test_ordering_is_family_bits_len():

@@ -16,8 +16,8 @@ from hroa.sync import (
     ProtocolError,
     RtrServer,
     SyncReport,
-    TokenBucket,
     TransportError,
+    decode_payload_pdu,
     fetch,
     payload_pdus,
 )
@@ -423,31 +423,70 @@ def test_serve_scheme_whitelist():
             RtrServer(snap, scheme)
 
 
-def test_token_bucket_paces_throughput():
-    bucket = TokenBucket(8000, capacity=800)
-    t0 = time.monotonic()
-    total = 0
-    while total < 4000:
-        bucket.consume(800)
-        total += 800
-    elapsed = time.monotonic() - t0
-    assert elapsed >= 0.3  # 4000 bytes minus the initial burst at 8 kB/s
-    with pytest.raises(ValueError):
-        TokenBucket(0)
-
-
 def test_bandwidth_shaping_slows_fetch():
-    snap = _snapshot()
-    with RtrServer(snap, "hroa") as fast_server:
+    # 2,000 maxLength PDUs: a response of ten 4 kB chunks, so pacing shows
+    snap = CacheSnapshot.build(synthetic_scattered(2000, seed=3), session_id=1)
+    with RtrServer(snap, "mroa") as fast_server:
         _, fast = fetch(fast_server.endpoint)
     blob = fast_server.response_bytes
-    rate_bps = blob * 8 * 4  # a quarter second of payload, minus the burst
-    with RtrServer(snap, "hroa", bandwidth_bps=rate_bps) as slow_server:
+    rate_bps = blob * 8 * 4  # a quarter second of payload
+    with RtrServer(snap, "mroa", bandwidth_bps=rate_bps) as slow_server:
         t0 = time.monotonic()
         got, slow = fetch(slow_server.endpoint)
         elapsed = time.monotonic() - t0
     assert got == snap.authorized_map()
+    # the last chunk leaves no sooner than its offset / rate after the first
+    assert elapsed >= (blob - 4096) / (rate_bps / 8)
     assert elapsed > fast.elapsed
+
+
+@pytest.mark.parametrize("rate", [-1.0, math.nan])
+def test_bad_bandwidth_is_refused(rate):
+    with pytest.raises(ValueError, match="bandwidth must be positive"):
+        RtrServer(_snapshot(), "hroa", bandwidth_bps=rate)
+
+
+def test_zero_bandwidth_is_unlimited():
+    snap = _snapshot()
+    with RtrServer(snap, "hroa", bandwidth_bps=0) as server:
+        got, _ = fetch(server.endpoint)
+    assert got == snap.authorized_map()
+
+
+def test_close_ends_live_connections():
+    snap = _snapshot()
+    baseline = threading.active_count()
+    server = RtrServer(snap, "hroa")
+    with socket.create_connection(server.endpoint, timeout=5) as idle:
+        deadline = time.monotonic() + 5
+        # the accept thread, plus the idle connection's handler once accepted
+        while threading.active_count() < baseline + 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == baseline + 2
+        server.close()
+        deadline = time.monotonic() + 5
+        while threading.active_count() > baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= baseline
+        answer = b""
+        try:
+            idle.sendall(wire.serialize(wire.ResetQuery()))
+            while data := idle.recv(4096):
+                answer += data
+        except OSError:
+            pass  # a reset connection answers nothing either
+    assert answer == b""
+
+
+def test_decode_payload_pdu_reads_flags_bit_0():
+    p = parse_prefix("10.0.0.0/24")
+    cfg = HybridConfig()
+    for flags in (1, 3):
+        assert decode_payload_pdu(wire.PrefixPdu(flags, p, 24, 1), cfg) == (
+            1, (AddressBlock(p, 24),), set())
+    for flags in (0, 2):
+        with pytest.raises(wire.FramingError, match="withdrawal PDU"):
+            decode_payload_pdu(wire.PrefixPdu(flags, p, 24, 1), cfg)
 
 
 def test_report_json_round_trips():

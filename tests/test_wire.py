@@ -82,12 +82,6 @@ def test_version_is_a_keyword_defaulting_to_1(name):
     assert deserialize(serialize(other))[0] == other
 
 
-def test_prefix_pdu_announce_is_flags_bit_0():
-    p = parse_prefix("10.0.0.0/24")
-    assert PrefixPdu(1, p, 24, 1).announce and PrefixPdu(3, p, 24, 1).announce
-    assert not PrefixPdu(0, p, 24, 1).announce and not PrefixPdu(2, p, 24, 1).announce
-
-
 def test_subtree_pdu_is_20_bytes_with_no_flags_byte():
     raw = serialize(SubTreePdu(V4, 1878001, 54, 7497))
     assert len(raw) == 20

@@ -197,5 +197,3 @@ def test_synthetic_scattered_deterministic():
 def test_synthetic_scattered_validation():
     with pytest.raises(ValueError):
         synthetic_scattered(0)
-    with pytest.raises(ValueError):
-        synthetic_scattered(10, root_len=24, leaf_len=24)
