@@ -244,14 +244,14 @@ class RtrServer:
             threading.Thread(target=self._serve_conn, args=(conn, peer), daemon=True).start()
 
     def _send(self, conn: socket.socket, blob: bytes) -> None:
-        """Send the blob; paced, the chunk at offset ``at`` leaves at / rate s after the first."""
+        """Send the blob; paced, no chunk leaves sooner than its end offset / rate s after the start."""
         if not self._rate:
             conn.sendall(blob)
             return
         view = memoryview(blob)
         start = time.monotonic()
         for at in range(0, len(blob), 4096):
-            delay = start + at / self._rate - time.monotonic()
+            delay = start + min(at + 4096, len(blob)) / self._rate - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
             conn.sendall(view[at : at + 4096])
