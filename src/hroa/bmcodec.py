@@ -18,8 +18,9 @@ down.  A sub-tree of height h uses bitmap bits 1..2^h - 1 plus the flag.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable
 
 from .prefix import V4, V6, WIDTH, FamilyMismatchError, Prefix, _new_prefix
@@ -43,12 +44,14 @@ class HangingLevels:
     Gaps between consecutive levels (and the terminal gap to width+1) are
     capped at ``MAX_GAP`` so bitmaps stay bounded: a gap of h means
     2^h-bit bitmaps.  ``level_of[n]`` is the level a prefix of length n
-    hangs at, built once per profile.
+    hangs at, and ``height_at[l]`` the height of the sub-tree rooted at
+    level l (0 where l is no profile level), both built once per profile.
     """
 
     family: int
     levels: tuple[int, ...]
     level_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    height_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in WIDTH:
@@ -67,6 +70,10 @@ class HangingLevels:
         bounds = (*lv, self.width + 1)
         level_of = tuple(a for a, b in zip(bounds, bounds[1:]) for _ in range(a, b))
         object.__setattr__(self, "level_of", level_of)
+        height_at = [0] * self.width
+        for a, b in zip(bounds, bounds[1:]):
+            height_at[a] = b - a
+        object.__setattr__(self, "height_at", tuple(height_at))
 
     @classmethod
     def default(cls, family: int) -> "HangingLevels":
@@ -104,12 +111,10 @@ def subtree_height(cfg: HangingLevels, level: int) -> int:
     The sub-tree at level l holds prefixes of length l..l+h-1 where h is
     the distance to the next level (or to width+1 for the last).
     """
-    i = bisect_right(cfg.levels, level) - 1
-    if i < 0 or cfg.levels[i] != level:
+    heights = cfg.height_at
+    if not 0 <= level < len(heights) or not heights[level]:
         raise ValueError(f"{level} is not a profile level")
-    if i + 1 < len(cfg.levels):
-        return cfg.levels[i + 1] - level
-    return cfg.width + 1 - level
+    return heights[level]
 
 
 def make_subtree_id(prefix: Prefix, level: int) -> int:
@@ -135,32 +140,37 @@ def make_node_number(prefix: Prefix, level: int) -> int:
     return (1 << depth) | tail
 
 
-@dataclass(frozen=True, slots=True)
-class SubTreeBlock:
+class SubTreeBlock(namedtuple("SubTreeBlock", "family id bitmap")):
     """One encoded sub-tree: identifier and bitmap.
 
-    Its height is the profile's at the identifier's level; decode_block
-    checks the bitmap against it.
+    A named tuple, so it equals, hashes and sorts like its plain
+    ``(family, id, bitmap)`` tuple.  ``SubTreeBlock(...)`` checks its
+    fields; ``_new_subtree_block`` builds one unchecked, for fields that
+    are valid by construction.  Its height is the profile's at the
+    identifier's level; decode_block checks the bitmap against it.
     """
 
-    family: int
-    id: int
-    bitmap: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in WIDTH:
-            raise ValueError(f"bad family {self.family!r}")
-        if self.id < 1:
+    def __new__(cls, family: int, id: int, bitmap: int) -> "SubTreeBlock":
+        if family not in WIDTH:
+            raise ValueError(f"bad family {family!r}")
+        if id < 1:
             raise ValueError("identifier must be >= 1")
-        if self.bitmap < 0:
+        if bitmap < 0:
             raise ValueError("bitmap must be non-negative")
-        if self.bitmap >> 1 == 0:
+        if bitmap >> 1 == 0:
             raise ValueError("bitmap carries no sub-tree nodes")
+        return tuple.__new__(cls, (family, id, bitmap))
 
     @property
     def flag(self) -> int:
         """0 = announce, 1 = withdraw."""
         return self.bitmap & 1
+
+
+# Unchecked builder taking one (family, id, bitmap) tuple, for valid fields only.
+_new_subtree_block = partial(tuple.__new__, SubTreeBlock)
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,21 +211,22 @@ def encode_batch(
         sid = 1 << level | top >> depth
         node = 1 << depth | top & ((1 << depth) - 1)
         acc[sid] = acc.get(sid, 0) | 1 << node
-    return [SubTreeBlock(family, sid, bm | flag) for sid, bm in sorted(acc.items())]
+    return [_new_subtree_block((family, sid, bm | flag)) for sid, bm in sorted(acc.items())]
 
 
 def decode_block(cfg: HangingLevels, block: SubTreeBlock) -> tuple[int, set[Prefix]]:
     """Rebuild (flag, prefixes) from one block.  Inverse of encode_batch."""
-    if block.family != cfg.family:
-        raise FamilyMismatchError(f"block family v{block.family} vs cfg v{cfg.family}")
-    level = subtree_id_level(block.id)
+    family, sid, bitmap = block
+    if family != cfg.family:
+        raise FamilyMismatchError(f"block family v{family} vs cfg v{cfg.family}")
+    level = subtree_id_level(sid)
     height = subtree_height(cfg, level)  # raises if id level not in profile
-    if block.bitmap >> (1 << height):
+    if bitmap >> (1 << height):
         raise ValueError("bitmap has node bits beyond the sub-tree")
-    family, width = cfg.family, cfg.width
-    root = (block.id ^ (1 << level)) << (width - level)
+    width = cfg.width
+    root = (sid ^ (1 << level)) << (width - level)
     out = set()
-    rest = block.bitmap & ~1
+    rest = bitmap & ~1
     while rest:  # each set bit y >= 1 is node y: depth d = bit_length - 1, tail y - 2^d
         low = rest & -rest
         rest ^= low
@@ -223,7 +234,7 @@ def decode_block(cfg: HangingLevels, block: SubTreeBlock) -> tuple[int, set[Pref
         depth = y.bit_length() - 1
         n = level + depth
         out.add(_new_prefix((family, root | (y ^ (1 << depth)) << (width - n), n)))
-    return block.bitmap & 1, out
+    return bitmap & 1, out
 
 
 @dataclass(slots=True)

@@ -70,6 +70,8 @@ class HybridConfig:
         for fam in (V4, V6):
             if fam not in self.hanging:
                 raise ValueError(f"no hanging-level profile for v{fam}")
+            if self.hanging[fam].family != fam:
+                raise ValueError(f"v{fam} is given a v{self.hanging[fam].family} profile")
 
 
 def _compress(prefixes) -> list[AddressBlock]:
@@ -117,10 +119,11 @@ def hybrid_encode(
     ml: list[AddressBlock] = []
     short: dict[int, list[AddressBlock]] = {V4: [], V6: []}
     for b in blocks:
-        if b.height >= cfg.delta_l_threshold:
+        (family, _, prefixlen), max_length = b
+        if max_length - prefixlen >= cfg.delta_l_threshold:  # the block's height
             ml.append(b)
         else:
-            short[b.prefix.family].append(b)
+            short[family].append(b)
     bm: list[SubTreeBlock] = []
     for fam in (V4, V6):
         if short[fam]:

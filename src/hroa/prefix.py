@@ -19,6 +19,11 @@ v6 fast paths of ``parse_prefix``, the CSV row parser
 as ints first), bitmap decoding, minimal compression, the wire parser's
 prefix PDUs (``wire._prefix`` checks the prefix length and host bits as
 ints first) and the blocks ``sync.decode_payload_pdu`` makes of them.
+Other tuple-backed values follow the same rule: ``encode_batch`` builds
+its sub-tree blocks with ``bmcodec._new_subtree_block`` (each id has its
+leading 1 bit and each bitmap a node bit), and ``sync.payload_pdus``
+builds its prefix and sub-tree PDUs with ``wire._new_prefix_pdu`` and
+``wire._new_subtree_pdu`` (``wire.serialize`` checks every field it packs).
 """
 
 from __future__ import annotations

@@ -103,27 +103,30 @@ def payload_pdus(snapshot: CacheSnapshot, scheme: str) -> list[wire.RtrPdu]:
 
     Each maxLength block is a prefix PDU.  hroa sends each bitmap block as a
     sub-tree PDU; ahroa packs them per family, v4 first, ids ascending, into
-    as few aggregated PDUs as the PDU length cap allows.
+    as few aggregated PDUs as the PDU length cap allows.  Prefix and sub-tree
+    PDUs are built unchecked: ``wire.serialize`` checks every field it packs.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    new_prefix_pdu, new_subtree_pdu = wire._new_prefix_pdu, wire._new_subtree_pdu
+    announce, version = wire.ANNOUNCE, wire.DEFAULT_VERSION
     pdus: list[wire.RtrPdu] = []
     for asn, blocks in sorted(snapshot.blocks.items()):
         if scheme == "sroa":
             singles = set()
             for b in blocks:
                 singles |= expand(b)
-            pdus.extend(
-                wire.PrefixPdu(wire.ANNOUNCE, p, p.prefixlen, asn) for p in sorted(singles)
-            )
+            pdus += [
+                new_prefix_pdu((announce, p, p.prefixlen, asn, version)) for p in sorted(singles)
+            ]
             continue
         ml, bm = (blocks, ()) if scheme in ("troa", "mroa") else snapshot.payloads[asn]
-        pdus.extend(wire.PrefixPdu(wire.ANNOUNCE, b.prefix, b.max_length, asn) for b in ml)
+        pdus += [new_prefix_pdu((announce, p, max_length, asn, version)) for p, max_length in ml]
         if scheme == "hroa":
-            pdus.extend(wire.SubTreePdu(b.family, b.id, b.bitmap, asn) for b in bm)
+            pdus += [new_subtree_pdu((fam, sid, bitmap, asn, version)) for fam, sid, bitmap in bm]
         elif scheme == "ahroa":
             for fam in (V4, V6):
-                pairs = sorted((b.id, b.bitmap) for b in bm if b.family == fam)
+                pairs = sorted([(sid, bitmap) for family, sid, bitmap in bm if family == fam])
                 cap = wire.agg_capacity(fam)
                 pdus.extend(
                     wire.SubTreeAggPdu(fam, asn, tuple(pairs[at : at + cap]))

@@ -231,9 +231,11 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
                 lay = LAYOUT[family]
                 if not plen <= max_length <= WIDTH[family]:
                     raise FramingError(f"max_length {max_length} out of range")
+                if not 0 <= asn < 1 << 32:
+                    _check_u32(asn, "asn")
                 append(lay.prefix_struct.pack(
                     version, lay.prefix_type, 0, lay.prefix_len,
-                    flags, plen, max_length, 0, lay.addr_field(bits), _check_u32(asn, "asn"),
+                    flags, plen, max_length, 0, lay.addr_field(bits), asn,
                 ))
 
             elif isinstance(pdu, SubTreePdu):
@@ -241,28 +243,36 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
                 lay = LAYOUT[family]
                 if not 1 <= sid < 1 << (8 * lay.addr_bytes):
                     raise FramingError(f"sub-tree id {sid} out of range")
+                if not (0 <= bitmap < 1 << 32 and 0 <= asn < 1 << 32):
+                    _check_u32(bitmap, "bitmap")
+                    _check_u32(asn, "asn")
                 append(lay.subtree_struct.pack(
                     version, lay.subtree_type, 0, lay.subtree_len,
-                    lay.addr_field(sid), _check_u32(bitmap, "bitmap"), _check_u32(asn, "asn"),
+                    lay.addr_field(sid), bitmap, asn,
                 ))
 
             elif isinstance(pdu, SubTreeAggPdu):
-                lay = LAYOUT[pdu.family]
-                if not pdu.blocks:
+                family, asn, blocks, version = pdu
+                lay = LAYOUT[family]
+                if not blocks:
                     raise FramingError("aggregated PDU with no blocks")
-                total = lay.agg_len(len(pdu.blocks))
+                total = lay.agg_len(len(blocks))
                 if total > MAX_PDU_LEN:
                     raise FramingError(f"aggregated PDU of {total} bytes exceeds cap")
-                parts = [
-                    _HDR.pack(pdu.version, lay.agg_type, 0, total),
-                    _U32.pack(_check_u32(pdu.asn, "asn")),
-                ]
-                for sid, bitmap in pdu.blocks:
-                    if not 1 <= sid < 1 << (8 * lay.addr_bytes):
-                        raise FramingError(f"sub-tree id {sid} out of range")
-                    parts.append(sid.to_bytes(lay.addr_bytes, "big"))
-                    parts.append(_U32.pack(_check_u32(bitmap, "bitmap")))
-                append(b"".join(parts))
+                head = _HDR.pack(version, lay.agg_type, 0, total)
+                asn_field = _U32.pack(_check_u32(asn, "asn"))
+                ids, bitmaps = zip(*blocks)
+                top = 1 << (8 * lay.addr_bytes)
+                # one range check per aggregate; the walk only words the first error
+                if not (1 <= min(ids) and max(ids) < top
+                        and 0 <= min(bitmaps) and max(bitmaps) < 1 << 32):
+                    for sid, bitmap in blocks:
+                        if not 1 <= sid < top:
+                            raise FramingError(f"sub-tree id {sid} out of range")
+                        _check_u32(bitmap, "bitmap")
+                if lay.addr_bytes != 4:
+                    ids = [sid.to_bytes(lay.addr_bytes, "big") for sid in ids]
+                append(b"".join((head, asn_field, *map(lay.pair_struct.pack, ids, bitmaps))))
 
             elif isinstance(pdu, ResetQuery):
                 append(_HDR.pack(pdu.version, PDU_RESET_QUERY, 0, HEADER_BYTES))

@@ -2,6 +2,7 @@
 
 import importlib.util
 import io
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -9,18 +10,29 @@ from pathlib import Path
 import pytest
 
 import hroa
+import hroa.sync
+import hroa.workload
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-
-def _targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TARGETS
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("path, attr", [(t[0], t[1]) for t in _targets()])
+def _perfbench(name: str):
+    """Load perfbench/<name>.py; run.py imports gen, oracle and speed by bare name."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+TRACING = _perfbench("tracing")
+RUN = _perfbench("run")
+
+
+@pytest.mark.parametrize("path, attr", [(t[0], t[1]) for t in TRACING.TARGETS])
 def test_traced_entry_point_exists(path, attr):
     owner = hroa
     for part in path.split("."):
@@ -112,3 +124,31 @@ def test_publish_calls_traced_entry_points(monkeypatch):
     assert [str(b) for b in ml] == ["10.0.0.0/16-20"]
     assert {b.family for b in bm} == {4, 6}
     assert calls == {"workload.add": 5, "hybrid.expand": 2, "hybrid.encode_batch": 2}
+
+
+# small seed-1 inputs of each workload's shape; the mixed one's block heights
+# range from 1 to 12, over both families
+SMALL_ROWS = {
+    "scattered": lambda: RUN.gen.scattered_rows(1, ases=4),
+    "mixed": lambda: RUN.gen.mixed_rows(1, total=600)[0],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(RUN.WORKLOADS))
+def test_bench_calls_every_required_layer(workload):
+    # one traced publish and two syncs through the benchmark's own driver, so
+    # a dropped layer shows here and not only in a long --trace 1 run
+    spec = RUN.WORKLOADS[workload]
+    rows = SMALL_ROWS[spec.input]()
+    tracer = TRACING.Tracer(hroa)
+    bench = RUN.Bench(hroa, spec, [RUN.Serial(rows, RUN.gen.to_csv(rows))], 1, tracer)
+    try:
+        bench.publish(0, 1)
+        bench.sync_once()
+        bench.sync_once()
+    finally:
+        bench.close()
+    assert tracer.absent == []
+    assert RUN.uncalled_layers(tracer, spec) == []
+    assert bench.errors == []
+    assert len(bench.publishes) == 1 and len(bench.syncs) == 2

@@ -8,6 +8,7 @@ from hroa.bmcodec import (
     HangingLevels,
     Stm,
     SubTreeBlock,
+    _new_subtree_block,
     apply_roa,
     decode_block,
     encode_batch,
@@ -19,7 +20,7 @@ from hroa.bmcodec import (
     subtree_height,
     subtree_id_level,
 )
-from hroa.prefix import V4, V6, Prefix, parse_prefix
+from hroa.prefix import V4, V6, WIDTH, Prefix, parse_prefix
 
 V4_CFG = HangingLevels.default(V4)
 V6_CFG = HangingLevels.default(V6)
@@ -139,6 +140,8 @@ def test_decode_rejects_foreign_shapes():
         decode_block(V4_CFG, SubTreeBlock(V4, make_subtree_id(parse_prefix("192.0.0.0/4"), 4), 2))
     with pytest.raises(ValueError):
         decode_block(V6_CFG, SubTreeBlock(V4, 1878001, 54))
+    with pytest.raises(ValueError, match="40 is not a profile level"):  # past the v4 width
+        decode_block(V4_CFG, SubTreeBlock(V4, 1 << 40, 2))
 
 
 def test_block_validation():
@@ -251,3 +254,86 @@ def test_stm_sequence_matches_set_model(data):
         else:
             model |= chunk
     assert stm_decode(cache[0], cfg) == model
+
+
+# -- the tuple-backed block ------------------------------------------------------
+
+_FAMILIES = st.sampled_from((V4, V6))
+# valid fields: any id with its leading 1 bit, any bitmap with a node bit
+_BLOCK_FIELDS = st.tuples(
+    _FAMILIES,
+    st.one_of(st.integers(1, (1 << 129) - 1), st.sampled_from((1, 2, (1 << 128) - 1))),
+    st.one_of(st.integers(2, (1 << 40) - 1), st.sampled_from((2, 3, (1 << 32) - 1))),
+)
+
+
+def _value_error(build, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        build(*args)
+    return str(info.value)
+
+
+@given(_BLOCK_FIELDS)
+def test_new_subtree_block_builds_what_the_checked_constructor_builds(fields):
+    built, checked = _new_subtree_block(fields), SubTreeBlock(*fields)
+    assert type(built) is type(checked) is SubTreeBlock
+    assert built == checked == fields and hash(built) == hash(checked) == hash(fields)
+    assert repr(built) == repr(checked)
+    assert built.flag == checked.flag == fields[2] & 1
+
+
+@given(st.lists(_BLOCK_FIELDS, max_size=12))
+def test_new_subtree_block_sorts_as_checked_blocks_and_plain_tuples(rows):
+    built = sorted(map(_new_subtree_block, rows))
+    assert built == sorted(SubTreeBlock(*row) for row in rows)
+    assert [tuple(b) for b in built] == sorted(rows)
+
+
+@given(st.integers().filter(lambda f: f not in (V4, V6)), st.integers(), st.integers())
+def test_subtree_block_rejects_a_bad_family(family, sid, bitmap):
+    assert _value_error(SubTreeBlock, family, sid, bitmap) == f"bad family {family!r}"
+
+
+@given(_FAMILIES, st.integers(max_value=0), st.integers())
+def test_subtree_block_rejects_an_id_below_one(family, sid, bitmap):
+    assert _value_error(SubTreeBlock, family, sid, bitmap) == "identifier must be >= 1"
+
+
+@given(_FAMILIES, st.integers(min_value=1), st.integers(max_value=-1))
+def test_subtree_block_rejects_a_negative_bitmap(family, sid, bitmap):
+    assert _value_error(SubTreeBlock, family, sid, bitmap) == "bitmap must be non-negative"
+
+
+@given(_FAMILIES, st.integers(min_value=1), st.sampled_from((0, 1)))
+def test_subtree_block_rejects_a_bitmap_without_nodes(family, sid, bitmap):
+    assert _value_error(SubTreeBlock, family, sid, bitmap) == "bitmap carries no sub-tree nodes"
+
+
+@given(_FAMILIES, st.data())
+def test_encode_batch_builds_what_the_checked_constructor_builds(family, data):
+    width = WIDTH[family]
+    plens = st.integers(0, width)
+    prefixes = data.draw(st.lists(
+        plens.flatmap(lambda n: st.integers(0, (1 << n) - 1).map(
+            lambda top: Prefix(family, top << (width - n), n))),
+        min_size=1, max_size=12,
+    ))
+    withdraw = data.draw(st.booleans())
+    for block in encode_batch(HangingLevels.default(family), prefixes, withdraw):
+        checked = SubTreeBlock(*block)
+        assert type(block) is SubTreeBlock and block == checked
+        assert block.flag == withdraw
+
+
+@given(_FAMILIES, st.data())
+def test_height_table_matches_the_profile_gaps(family, data):
+    width = WIDTH[family]
+    step = data.draw(st.integers(1, 6))
+    cfg = HangingLevels.multiples_of(step, family)
+    bounds = (*cfg.levels, width + 1)
+    gaps = {a: b - a for a, b in zip(bounds, bounds[1:])}
+    for level in range(-2, width + 3):
+        if level in gaps:
+            assert subtree_height(cfg, level) == gaps[level]
+        else:
+            assert _value_error(subtree_height, cfg, level) == f"{level} is not a profile level"

@@ -55,6 +55,11 @@ def test_config_validation():
         HybridConfig(delta_l_threshold=25)
     with pytest.raises(ValueError):
         HybridConfig(hanging={V4: HangingLevels.default(V4)})
+    # each profile filed under the other family's key
+    with pytest.raises(ValueError, match="v4 is given a v6 profile"):
+        HybridConfig(hanging={V4: HangingLevels.default(V6), V6: HangingLevels.default(V4)})
+    with pytest.raises(ValueError, match="v6 is given a v4 profile"):
+        HybridConfig(hanging={V4: HangingLevels.default(V4), V6: HangingLevels.default(V4)})
 
 
 def test_worked_example_single_block():

@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -597,3 +598,61 @@ def test_reader_parses_runs_as_the_deserialize_walk(stream, index, how, value, s
         assert (reader.pending, reader.bytes_consumed) == (fed - whole, whole)
     assert err == walk_err
     assert got == walked
+
+
+# -- aggregate serialization -----------------------------------------------------
+
+_AGG_TYPE = {V4: 14, V6: 15}
+_ID_BYTES = {V4: 4, V6: 16}
+_EDGE_IDS = (1, (1 << 32) - 1, (1 << 128) - 1)
+_EDGE_BITMAPS = (0, (1 << 32) - 1)
+
+
+@st.composite
+def _agg_pdus(draw):
+    """v4 and v6 aggregates of 1-50 pairs at the field edges; now and then with bad pairs."""
+    family = draw(st.sampled_from((V4, V6)))
+    top = 1 << (8 * _ID_BYTES[family])
+    ids = st.one_of(st.sampled_from([i for i in _EDGE_IDS if i < top]), st.integers(1, top - 1))
+    bitmaps = st.one_of(st.sampled_from(_EDGE_BITMAPS), st.integers(0, (1 << 32) - 1))
+    pairs = draw(st.lists(st.tuples(ids, bitmaps), min_size=1, max_size=50))
+    if draw(st.integers(0, 3)) == 0:
+        bad_ids = st.sampled_from(sorted({0, -1, top, *(i for i in _EDGE_IDS if i >= top)}))
+        bad_bitmaps = st.sampled_from((-1, 1 << 32))
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(pairs) - 1))
+            sid, bitmap = pairs[at]
+            if draw(st.booleans()):
+                sid = draw(bad_ids)
+            else:
+                bitmap = draw(bad_bitmaps)
+            pairs[at] = (sid, bitmap)
+    return SubTreeAggPdu(family, draw(st.integers(0, (1 << 32) - 1)), tuple(pairs))
+
+
+def _agg_reference(pdu) -> bytes:
+    """The aggregate's bytes built pair by pair, raising on the first pair that does not fit."""
+    nbytes = _ID_BYTES[pdu.family]
+    body = b""
+    for sid, bitmap in pdu.blocks:
+        if not 1 <= sid < 1 << (8 * nbytes):
+            raise FramingError(f"sub-tree id {sid} out of range")
+        if not 0 <= bitmap < 1 << 32:
+            raise FramingError(f"bitmap {bitmap} does not fit 32 bits")
+        body += sid.to_bytes(nbytes, "big") + struct.pack(">I", bitmap)
+    head = struct.pack(">BBHII", 1, _AGG_TYPE[pdu.family], 0, 12 + len(body), pdu.asn)
+    return head + body
+
+
+@settings(max_examples=300)
+@given(_agg_pdus())
+def test_aggregate_serializes_as_its_pairs_one_by_one(pdu):
+    try:
+        want = _agg_reference(pdu)
+    except FramingError as exc:
+        with pytest.raises(FramingError) as info:
+            serialize(pdu)
+        assert str(info.value) == str(exc)  # names the first bad pair
+    else:
+        assert serialize(pdu) == want
+        assert deserialize(want) == (pdu, len(want))
