@@ -43,7 +43,7 @@ def _write(args, text: str) -> None:
 
 def _read_profile(path: str) -> tuple[int, HangingLevels]:
     """A profile JSON file, as optimize-levels writes it: its family and levels."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
             if not (isinstance(doc, dict) and doc.get("family") in ("v4", "v6")

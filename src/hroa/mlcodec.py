@@ -3,13 +3,16 @@
 A single (prefix, max_length) block can stand for many prefixes, but only
 when the whole sub-tree between the two depths is authorized.  The
 compressor below partitions an arbitrary authorized set into the fewest
-such complete trees; scatter degree then measures how fragmented an AS's
-holdings are (1.0 = nothing merges, 1/n = one block covers everything).
+such complete trees, with Python work per parent-child edge rather than
+per node where it can; scatter degree then measures how fragmented an
+AS's holdings are (1.0 = nothing merges, 1/n = one block covers everything).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from operator import and_
 from typing import Iterable
 
 from .prefix import (
@@ -20,6 +23,8 @@ from .prefix import (
     _new_block,
 )
 
+_LEAF = ((1,), 1)  # the (costs, best) of a node with no child in the set
+
 
 def compress_minimal(prefixes: Iterable[Prefix]) -> list[AddressBlock]:
     """Partition a prefix set into a minimum number of address blocks.
@@ -29,11 +34,13 @@ def compress_minimal(prefixes: Iterable[Prefix]) -> list[AddressBlock]:
     input.  No other disjoint block collection is smaller.  Output is
     sorted by (prefix, max_length).
 
-    One pass over the nodes, longest first, finds for each node the fewest
+    One pass over the levels, longest first, finds for each node the fewest
     blocks its component needs with a block of height h rooted there, for
-    every h the set completes, and keeps the smallest best h.  A second
-    pass, shortest first, emits the block each component root and each
-    node hanging below a block's last level starts.
+    every h the set completes, and keeps the smallest best h.  Each level
+    starts as all leaves, and only parents of nodes one level down are
+    revisited.  A second pass, shortest first, emits the block each
+    component root and each node hanging below a block's last level starts;
+    every node of a level with no level directly above it starts one.
     """
     by_len: dict[int, dict[int, Prefix]] = {}  # prefixlen -> bits -> prefix
     families = set()
@@ -51,20 +58,19 @@ def compress_minimal(prefixes: Iterable[Prefix]) -> list[AddressBlock]:
     # is rooted there with height h, for h up to the tallest complete tree
     # under it; best is the least of them.  Height h + 1 here is height h
     # at both children merged into one block.
-    counts: dict[int, dict[int, tuple[list[int], int]]] = {}
+    counts: dict[int, dict[int, tuple[tuple[int, ...], int]]] = {}
     for plen in sorted(by_len, reverse=True):
         kids = counts.get(plen + 1, {})
         right_bit = 1 << (width - plen - 1) if plen < width else 0
-        here = counts[plen] = {}
-        for bits in by_len[plen]:
+        here = counts[plen] = dict.fromkeys(by_len[plen], _LEAF)
+        for bits in set(map(and_, kids, repeat(~right_bit))).intersection(by_len[plen]):
             left = kids.get(bits)
             right = kids.get(bits | right_bit)
             if left is None or right is None:
-                best = 1 + (left[1] if left else 0) + (right[1] if right else 0)
-                here[bits] = ([best], best)
+                best = 1 + (left or right)[1]
+                here[bits] = ((best,), best)
             else:
-                costs = [1 + left[1] + right[1]]
-                costs += [a + b - 1 for a, b in zip(left[0], right[0])]
+                costs = (1 + left[1] + right[1], *[a + b - 1 for a, b in zip(left[0], right[0])])
                 here[bits] = (costs, min(costs))
 
     # ends[n][bits]: the last level of the block that holds node (bits, n).
@@ -72,11 +78,11 @@ def compress_minimal(prefixes: Iterable[Prefix]) -> list[AddressBlock]:
     ends: dict[int, dict[int, int]] = {}
     found: list[tuple[int, int, int]] = []
     for plen in sorted(counts):
-        above = ends.get(plen - 1, {})
+        above = ends.get(plen - 1)
         parent_mask = ~(1 << (width - plen))
         here = ends[plen] = {}
         for bits, (costs, best) in counts[plen].items():
-            end = above.get(bits & parent_mask, -1)
+            end = above.get(bits & parent_mask, -1) if above else -1
             if end < plen:
                 end = plen + costs.index(best)  # the smallest height among the best
                 found.append((bits, plen, end))

@@ -13,8 +13,9 @@ sorts like that plain tuple.  So is ``Vrp``, the tuple ``(asn, block)``.
 ``Prefix(...)``, ``AddressBlock(...)`` and ``Vrp(...)`` check their
 fields; the namedtuple helpers ``_make`` and ``_replace`` do not, and
 neither do ``_new_prefix``, ``_new_block`` and ``_new_vrp``, the builders
-for code that has already proven its output valid: ``expand``, the v4 and
-v6 fast paths of ``parse_prefix``, the CSV row parser
+for code that has already proven its output valid: ``expand``, the v4 fast
+path of ``parse_prefix`` (its address read by ``socket.inet_pton``) and the
+v6 one, the CSV row parser
 (``workload.parse_vrp_row`` checks the AS number and the max_length range
 as ints first), bitmap decoding, minimal compression, the wire parser's
 prefix PDUs (``wire._prefix`` checks the prefix length and host bits as
@@ -33,6 +34,7 @@ import re
 from collections import namedtuple
 from functools import partial
 from itertools import repeat
+from socket import AF_INET, inet_pton
 
 V4 = 4
 V6 = 6
@@ -126,9 +128,9 @@ class Vrp(namedtuple("Vrp", "asn block")):
 
 _new_vrp = partial(tuple.__new__, Vrp)
 
-# The canonical spelling of every number a prefix text holds: octets,
-# lengths and max_lengths.  A table hit rules out the signs, ``_``
-# separators, spaces, leading zeros and non-ASCII digits int() would take.
+# The canonical spelling of every length and max_length (and v4 octet, which
+# inet_pton reads).  A table hit rules out the signs, ``_`` separators,
+# spaces, leading zeros and non-ASCII digits int() would take.
 _DECIMAL = {str(i): i for i in range(256)}
 # Colon-separated groups of 1-4 hex digits, or nothing (either side of "::").
 _HEXTETS = re.compile(r"(?:[0-9A-Fa-f]{1,4}(?::[0-9A-Fa-f]{1,4})*)?")
@@ -137,18 +139,19 @@ _HEXTETS = re.compile(r"(?:[0-9A-Fa-f]{1,4}(?::[0-9A-Fa-f]{1,4})*)?")
 def _parse_v4(text: str, strict: bool) -> Prefix | None:
     """The plain ``a.b.c.d/n`` form, parsed without ipaddress; None for any other text.
 
-    Only text that spells each number canonically gets through.  A
-    host-bits error under ``strict`` is left to ipaddress too, which words it.
+    ``socket.inet_pton`` reads the address: exactly four 0-255 octets
+    without leading zeros, as ``_DECIMAL`` spells them.  ``_DECIMAL`` reads
+    the length.  A host-bits error under ``strict`` is left to ipaddress
+    too, which words it.
     """
     addr, _, plen = text.partition("/")
     try:
-        a, b, c, d = map(_DECIMAL.__getitem__, addr.split("."))
-    except (KeyError, ValueError):
+        bits = int.from_bytes(inet_pton(AF_INET, addr), "big")
+    except (OSError, ValueError):  # ValueError: a NUL or a lone surrogate
         return None
     n = _DECIMAL.get(plen, 33)
     if n > 32:
         return None
-    bits = a << 24 | b << 16 | c << 8 | d
     host = (1 << (32 - n)) - 1
     if bits & host:
         if strict:

@@ -3,8 +3,8 @@
 The row format is ``asn,prefix/len,max_length``.  An optional header line
 is skipped: the first row is one when its AS column holds no number.  The
 AS number may carry an ``AS`` prefix, extra columns are ignored, and an
-empty max_length means "equal to the prefix length".  One leading UTF-8
-byte order mark is ignored.
+empty max_length means "equal to the prefix length".  A path is read as
+UTF-8 whatever the locale, and one leading byte order mark is ignored.
 Prefixes are parsed leniently (stray host bits are masked off).
 """
 
@@ -118,8 +118,11 @@ def load_csv(path_or_file) -> Workload:
     """Read a workload; accepts a path or an open text file."""
     if hasattr(path_or_file, "read"):
         return _load(path_or_file, getattr(path_or_file, "name", "<stream>"))
-    with open(path_or_file, newline="") as fh:
-        return _load(fh, str(path_or_file))
+    with open(path_or_file, newline="", encoding="utf-8") as fh:
+        try:
+            return _load(fh, str(path_or_file))
+        except UnicodeDecodeError as exc:
+            raise PrefixFormatError(f"{path_or_file}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load(fh, source: str) -> Workload:

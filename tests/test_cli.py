@@ -521,6 +521,26 @@ def test_malformed_first_row_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("hroa: line 1: ")
 
 
+def test_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"AS1,10.0.0.0/8,8\nAS2,10.\xff.0.0/16,16\n")
+    assert main(["encode", str(bad), "--scheme", "mroa"]) == 2
+    assert capsys.readouterr().err == f"hroa: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
+def test_bom_csv_encodes_under_the_c_locale(tmp_path):
+    # neither UTF-8 mode nor locale coercion: open() would default to ASCII
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeffasn,prefix,max_length\nAS1,10.0.0.0/8,8\n".encode("utf-8"))
+    env = dict(CHILD_ENV, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hroa.cli", "encode", str(path), "--scheme", "mroa"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["pdu_count"] == 1
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["encode", str(tmp_path / "missing.csv")]) == 2
     bad = tmp_path / "bad.csv"

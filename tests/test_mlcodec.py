@@ -1,11 +1,22 @@
 import random
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hroa.mlcodec import compress_minimal, scatter_degree
-from hroa.prefix import V4, V6, WIDTH, AddressBlock, Prefix, expand, parse_prefix
+from hroa.prefix import (
+    V4,
+    V6,
+    WIDTH,
+    AddressBlock,
+    FamilyMismatchError,
+    Prefix,
+    _new_block,
+    expand,
+    parse_prefix,
+)
 from oracles import oracle_min_partition
 
 
@@ -175,3 +186,120 @@ def test_rejects_mixed_families():
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         compress_minimal(set())
+
+
+# compress_minimal as it read before its cost pass went edge by edge: the
+# reference the property below compares the current one against
+def _reference_compress(prefixes: Iterable[Prefix]) -> list[AddressBlock]:
+    """Partition a prefix set into a minimum number of address blocks.
+
+    Every returned block expands to prefixes of the input only, the
+    expansions are pairwise disjoint, and their union is exactly the
+    input.  No other disjoint block collection is smaller.  Output is
+    sorted by (prefix, max_length).
+
+    One pass over the nodes, longest first, finds for each node the fewest
+    blocks its component needs with a block of height h rooted there, for
+    every h the set completes, and keeps the smallest best h.  A second
+    pass, shortest first, emits the block each component root and each
+    node hanging below a block's last level starts.
+    """
+    by_len: dict[int, dict[int, Prefix]] = {}  # prefixlen -> bits -> prefix
+    families = set()
+    for p in prefixes:
+        families.add(p.family)
+        by_len.setdefault(p.prefixlen, {})[p.bits] = p
+    if not by_len:
+        raise ValueError("empty prefix set")
+    if len(families) != 1:
+        raise FamilyMismatchError("compress_minimal needs a single family")
+    width = WIDTH[families.pop()]
+
+    # counts[n][bits] = (costs, best): costs[h] is the block count of the
+    # component hanging at node (bits, n) when the block holding the node
+    # is rooted there with height h, for h up to the tallest complete tree
+    # under it; best is the least of them.  Height h + 1 here is height h
+    # at both children merged into one block.
+    counts: dict[int, dict[int, tuple[list[int], int]]] = {}
+    for plen in sorted(by_len, reverse=True):
+        kids = counts.get(plen + 1, {})
+        right_bit = 1 << (width - plen - 1) if plen < width else 0
+        here = counts[plen] = {}
+        for bits in by_len[plen]:
+            left = kids.get(bits)
+            right = kids.get(bits | right_bit)
+            if left is None or right is None:
+                best = 1 + (left[1] if left else 0) + (right[1] if right else 0)
+                here[bits] = ([best], best)
+            else:
+                costs = [1 + left[1] + right[1]]
+                costs += [a + b - 1 for a, b in zip(left[0], right[0])]
+                here[bits] = (costs, min(costs))
+
+    # ends[n][bits]: the last level of the block that holds node (bits, n).
+    # A node starts a block unless its parent's block goes on below the parent.
+    ends: dict[int, dict[int, int]] = {}
+    found: list[tuple[int, int, int]] = []
+    for plen in sorted(counts):
+        above = ends.get(plen - 1, {})
+        parent_mask = ~(1 << (width - plen))
+        here = ends[plen] = {}
+        for bits, (costs, best) in counts[plen].items():
+            end = above.get(bits & parent_mask, -1)
+            if end < plen:
+                end = plen + costs.index(best)  # the smallest height among the best
+                found.append((bits, plen, end))
+            here[bits] = end
+    found.sort()
+    return [_new_block((by_len[plen][bits], end)) for bits, plen, end in found]
+
+
+@st.composite
+def _compressible_sets(draw):
+    """Pieces placed in one height-6 region of the trie, so they overlap:
+    lone nodes, sibling pairs with and without their parent, chains down one
+    branch and full sub-trees of height 1-4, now and then with the /0 and a
+    full-width prefix.  The region is rooted at /0, at the deepest /len that
+    reaches full width, or anywhere between."""
+    family = draw(st.sampled_from((V4, V6)))
+    width = WIDTH[family]
+    top = draw(st.sampled_from((0, width - 6, draw(st.integers(0, width - 6)))))
+    base = draw(st.integers(0, (1 << top) - 1)) << (width - top) if top else 0
+
+    def node(depth):
+        step = draw(st.integers(0, (1 << depth) - 1))
+        return base | step << (width - top - depth), top + depth
+
+    def children(bits, plen):
+        return [(bits, plen + 1), (bits | 1 << (width - plen - 1), plen + 1)]
+
+    chosen = set()
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["lone", "pair", "family", "chain", "tree", "ends"]))
+        if kind == "ends":
+            chosen.add((0, 0))
+            chosen.add((draw(st.integers(0, (1 << width) - 1)), width))
+            continue
+        bits, plen = node(draw(st.integers(0, 5)))
+        if kind == "lone":
+            chosen.add((bits, plen))
+        elif kind in ("pair", "family"):
+            chosen.update(children(bits, plen))
+            if kind == "family":
+                chosen.add((bits, plen))
+        elif kind == "chain":
+            chosen.add((bits, plen))
+            for _ in range(draw(st.integers(1, top + 6 - plen))):
+                bits, plen = children(bits, plen)[draw(st.integers(0, 1))]
+                chosen.add((bits, plen))
+        else:
+            height = draw(st.integers(1, min(4, top + 6 - plen)))
+            chosen |= {(p.bits, p.prefixlen)
+                       for p in expand(AddressBlock(Prefix(family, bits, plen), plen + height))}
+    return {Prefix(family, bits, plen) for bits, plen in chosen}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_compressible_sets())
+def test_matches_the_node_by_node_reference(chosen):
+    assert compress_minimal(chosen) == _reference_compress(chosen)

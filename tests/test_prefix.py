@@ -1,6 +1,7 @@
 import copy
 import ipaddress
 import pickle
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +17,9 @@ from hroa.prefix import (
     Prefix,
     PrefixFormatError,
     Vrp,
+    _DECIMAL,
     _new_vrp,
+    _parse_v4,
     _parse_v6,
     block_order,
     expand,
@@ -223,8 +226,30 @@ _OTHER_TEXT = st.one_of(
 @example("2001:db8::/\uff18", True)
 @example("00000::/8", True)
 @example(" 2001:db8::/32\n", True)
+@example("1.2.3.4\x00/8", True)
+@example("1.2.3.4\x00/8", False)
+@example("1.2.3.\ud800/8", True)
+@example("1.2.3.\ud800/8", False)
+@example("1.2.3/8", True)
+@example("1.2.3/8", False)
+@example("0x1.2.3.4/8", True)
+@example("0x1.2.3.4/8", False)
+@example("1.2.3.4./8", True)
+@example("1.2.3.4./8", False)
+@example("1.2.3.04/8", True)
+@example("1.2.3.04/8", False)
 def test_parse_fast_path_agrees_with_ipaddress(text, strict):
     assert _outcome(parse_prefix, text, strict) == _outcome(_parse_via_ipaddress, text, strict)
+
+
+def test_v4_fast_path_takes_exactly_four_canonical_octets():
+    # every string of up to 7 characters over digits, dots and one non-digit
+    for size in range(8):
+        for chars in product("019.x", repeat=size):
+            addr = "".join(chars)
+            octets = addr.split(".")
+            canonical = len(octets) == 4 and all(o in _DECIMAL for o in octets)
+            assert (_parse_v4(addr + "/8", False) is not None) == canonical, addr
 
 
 @st.composite
