@@ -15,12 +15,10 @@ import sys
 
 from . import sync, wire
 from .bmcodec import HangingLevels
-from .hybrid import DEFAULT_HEIGHT_THRESHOLD, HybridConfig, check_wire_fit
+from .hybrid import DEFAULT_HEIGHT_THRESHOLD, HybridConfig, check_wire_fit, expand_all
 from .levelopt import optimize_levels
 from .mlcodec import scatter_degree
-from .prefix import (
-    V4, V6, WIDTH, AddressBlock, ExpansionCapError, Prefix, PrefixFormatError, Vrp, expand
-)
+from .prefix import V4, V6, WIDTH, AddressBlock, ExpansionCapError, PrefixFormatError, Vrp
 from .workload import Workload, dump_csv, load_csv
 
 _FAMILY_NAMES = {"v4": V4, "v6": V6}
@@ -110,10 +108,6 @@ def _snapshot(args, workload: Workload, cfg: HybridConfig) -> sync.CacheSnapshot
     )
 
 
-def _pdu_family(pdu) -> int:
-    return pdu.prefix.family if isinstance(pdu, wire.PrefixPdu) else pdu.family
-
-
 def cmd_encode(args) -> int:
     workload = load_csv(args.csv)
     cfg = _build_config(args)
@@ -121,28 +115,22 @@ def cmd_encode(args) -> int:
     pdus = sync.payload_pdus(snapshot, args.scheme)
     per_as: dict[int, dict[str, int]] = {}
     per_family = {"v4": {"pdu_count": 0, "bytes": 0}, "v6": {"pdu_count": 0, "bytes": 0}}
-    total = 0
-    blob = bytearray()
-    for pdu in pdus:
-        raw = wire.serialize(pdu)
-        blob.extend(raw)
-        total += len(raw)
-        asn = pdu.asn
-        fam = "v4" if _pdu_family(pdu) == V4 else "v6"
-        slot = per_as.setdefault(asn, {"pdu_count": 0, "bytes": 0})
-        slot["pdu_count"] += 1
-        slot["bytes"] += len(raw)
-        per_family[fam]["pdu_count"] += 1
-        per_family[fam]["bytes"] += len(raw)
+    raws = wire.serialize_each(pdus)
+    for pdu, raw in zip(pdus, raws):
+        family = pdu.prefix.family if isinstance(pdu, wire.PrefixPdu) else pdu.family
+        for slot in (per_as.setdefault(pdu.asn, {"pdu_count": 0, "bytes": 0}),
+                     per_family["v4" if family == V4 else "v6"]):
+            slot["pdu_count"] += 1
+            slot["bytes"] += len(raw)
     if args.out:
         with open(args.out, "wb") as fh:
-            fh.write(blob)
+            fh.write(b"".join(raws))
     print(
         json.dumps(
             {
                 "scheme": args.scheme,
                 "pdu_count": len(pdus),
-                "total_bytes": total,
+                "total_bytes": sum(map(len, raws)),
                 "per_family": per_family,
                 "per_as": {str(a): per_as[a] for a in sorted(per_as)},
             },
@@ -245,13 +233,10 @@ def cmd_optimize_levels(args) -> int:
     workload = load_csv(args.csv)
     family = _FAMILY_NAMES[args.family]
     threshold = _delta_l(args.delta_l)
-    prefixes: set[Prefix] = set()
-    for vrp in workload.vrps():
-        block = vrp.block
-        if block.prefix.family != family:
-            continue
-        if block.height < threshold:
-            prefixes |= expand(block)
+    prefixes = expand_all(
+        vrp.block for vrp in workload.vrps()
+        if vrp.block.prefix.family == family and vrp.block.height < threshold
+    )
     if not prefixes:
         raise ValueError(f"no {args.family} prefixes below the threshold")
     levels, cost = optimize_levels(prefixes)

@@ -13,13 +13,13 @@ sorts like that plain tuple.  So is ``Vrp``, the tuple ``(asn, block)``.
 ``Prefix(...)``, ``AddressBlock(...)`` and ``Vrp(...)`` check their
 fields; the namedtuple helpers ``_make`` and ``_replace`` do not, and
 neither do ``_new_prefix``, ``_new_block`` and ``_new_vrp``, the builders
-for code that has already proven its output valid: ``expand``, the v4 fast
-path of ``parse_prefix`` (its address read by ``socket.inet_pton``) and the
-v6 one, the CSV row parser
-(``workload.parse_vrp_row`` checks the AS number and the max_length range
-as ints first), bitmap decoding, minimal compression, the wire parser's
-prefix PDUs (``wire._prefix`` checks the prefix length and host bits as
-ints first) and the blocks ``sync.decode_payload_pdu`` makes of them.
+for code that has already proven its output valid: ``expand``, the fast
+path of ``parse_prefix`` (``_parse_fast``, its address read by
+``socket.inet_pton``), the CSV row parser (``workload._parse_row`` checks
+the AS number and the max_length range as ints first), bitmap decoding,
+minimal compression, the wire parser's prefix PDUs (``wire._prefix``
+checks the prefix length and host bits as ints first) and the blocks
+``sync.decode_payload_pdu`` makes of them.
 Other tuple-backed values follow the same rule: ``encode_batch`` builds
 its sub-tree blocks with ``bmcodec._new_subtree_block`` (each id has its
 leading 1 bit and each bitmap a node bit), and ``sync.payload_pdus``
@@ -30,11 +30,10 @@ builds its prefix and sub-tree PDUs with ``wire._new_prefix_pdu`` and
 from __future__ import annotations
 
 import ipaddress
-import re
 from collections import namedtuple
 from functools import partial
 from itertools import repeat
-from socket import AF_INET, inet_pton
+from socket import AF_INET, AF_INET6, inet_pton
 
 V4 = 4
 V6 = 6
@@ -109,12 +108,6 @@ _new_prefix = partial(tuple.__new__, Prefix)
 _new_block = partial(tuple.__new__, AddressBlock)
 
 
-def block_order(block: AddressBlock) -> tuple[int, int, int, int]:
-    """A block's sort order as flat ints: the same order as ``<``, cheaper than nested tuples."""
-    prefix = block.prefix
-    return prefix.family, prefix.bits, prefix.prefixlen, block.max_length
-
-
 class Vrp(namedtuple("Vrp", "asn block")):
     """A validated payload row: origin AS number plus one address block."""
 
@@ -128,67 +121,37 @@ class Vrp(namedtuple("Vrp", "asn block")):
 
 _new_vrp = partial(tuple.__new__, Vrp)
 
-# The canonical spelling of every length and max_length (and v4 octet, which
-# inet_pton reads).  A table hit rules out the signs, ``_`` separators,
-# spaces, leading zeros and non-ASCII digits int() would take.
+# The canonical spelling of every length and max_length.  A table hit rules
+# out the signs, ``_`` separators, spaces, leading zeros and non-ASCII digits
+# int() would take.
 _DECIMAL = {str(i): i for i in range(256)}
-# Colon-separated groups of 1-4 hex digits, or nothing (either side of "::").
-_HEXTETS = re.compile(r"(?:[0-9A-Fa-f]{1,4}(?::[0-9A-Fa-f]{1,4})*)?")
+_ADDRESS_FAMILY = {V4: AF_INET, V6: AF_INET6}
 
 
-def _parse_v4(text: str, strict: bool) -> Prefix | None:
-    """The plain ``a.b.c.d/n`` form, parsed without ipaddress; None for any other text.
+def _parse_fast(text: str, strict: bool, family: int) -> Prefix | None:
+    """``addr/n`` of one family, parsed without ipaddress; None for any text it does not take.
 
-    ``socket.inet_pton`` reads the address: exactly four 0-255 octets
-    without leading zeros, as ``_DECIMAL`` spells them.  ``_DECIMAL`` reads
-    the length.  A host-bits error under ``strict`` is left to ipaddress
-    too, which words it.
+    ``socket.inet_pton`` reads the address: for v4 exactly four 0-255
+    octets without leading zeros, for v6 groups of 1-4 hex digits, one
+    ``::`` at most and an optional embedded v4 tail.  ``_DECIMAL`` reads
+    the length.  Scope ids and every malformed address go to ipaddress,
+    which words the error; so does a host-bits error under ``strict``.
     """
     addr, _, plen = text.partition("/")
     try:
-        bits = int.from_bytes(inet_pton(AF_INET, addr), "big")
+        bits = int.from_bytes(inet_pton(_ADDRESS_FAMILY[family], addr), "big")
     except (OSError, ValueError):  # ValueError: a NUL or a lone surrogate
         return None
-    n = _DECIMAL.get(plen, 33)
-    if n > 32:
+    width = WIDTH[family]
+    n = _DECIMAL.get(plen, 256)
+    if n > width:
         return None
-    host = (1 << (32 - n)) - 1
+    host = (1 << (width - n)) - 1
     if bits & host:
         if strict:
             return None
         bits &= ~host
-    return _new_prefix((V4, bits, n))
-
-
-def _parse_v6(text: str, strict: bool) -> Prefix | None:
-    """The plain ``h:h::h/n`` forms, parsed without ipaddress; None for any other text.
-
-    Each group is 1-4 hex digits, one ``::`` at most stands for one or more
-    zero groups, and ``n`` is spelled canonically.  Scope ids, embedded v4
-    tails and every malformed address go to ipaddress, which words the
-    error; so does a host-bits error under ``strict``.
-    """
-    addr, _, plen = text.partition("/")
-    n = _DECIMAL.get(plen, 129)
-    head, skip, tail = addr.partition("::")
-    hi = head.split(":") if head else ()
-    lo = tail.split(":") if tail else ()
-    missing = 8 - len(hi) - len(lo)  # the groups "::" stands for
-    if (n > 128 or (missing < 1 if skip else missing)
-            or not _HEXTETS.fullmatch(head) or not _HEXTETS.fullmatch(tail)):
-        return None
-    bits = 0
-    for group in hi:
-        bits = bits << 16 | int(group, 16)
-    bits <<= 16 * missing
-    for group in lo:
-        bits = bits << 16 | int(group, 16)
-    host = (1 << (128 - n)) - 1
-    if bits & host:
-        if strict:
-            return None
-        bits &= ~host
-    return _new_prefix((V6, bits, n))
+    return _new_prefix((family, bits, n))
 
 
 def parse_prefix(text: str, strict: bool = True) -> Prefix:
@@ -196,7 +159,7 @@ def parse_prefix(text: str, strict: bool = True) -> Prefix:
     if "/" not in text:
         raise PrefixFormatError(f"missing /len in {text!r}")
     text = text.strip()
-    fast = _parse_v6(text, strict) if ":" in text else _parse_v4(text, strict)
+    fast = _parse_fast(text, strict, V6 if ":" in text else V4)
     if fast is not None:
         return fast
     try:

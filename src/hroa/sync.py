@@ -21,7 +21,7 @@ from typing import AbstractSet, Iterable, Mapping
 
 from . import wire
 from .bmcodec import HangingLevels, SubTreeBlock, decode_block
-from .hybrid import HybridConfig, canonical_blocks, check_wire_fit
+from .hybrid import HybridConfig, canonical_blocks, check_wire_fit, expand_all
 from .hybrid import hybrid_encode  # perfbench/tracing.py wraps it at this name
 from .mlcodec import compress_minimal  # noqa: F401  perfbench/tracing.py wraps it at this name
 from .prefix import V4, V6, AddressBlock, Prefix, _new_block, expand
@@ -89,13 +89,7 @@ class CacheSnapshot:
         return {asn: hybrid_encode(self.cfg, b) for asn, b in self.blocks.items()}
 
     def authorized_map(self) -> dict[int, set[Prefix]]:
-        out: dict[int, set[Prefix]] = {}
-        for asn, blocks in self.blocks.items():
-            acc: set[Prefix] = set()
-            for b in blocks:
-                acc |= expand(b)
-            out[asn] = acc
-        return out
+        return {asn: expand_all(blocks) for asn, blocks in self.blocks.items()}
 
 
 def payload_pdus(snapshot: CacheSnapshot, scheme: str) -> list[wire.RtrPdu]:
@@ -113,12 +107,8 @@ def payload_pdus(snapshot: CacheSnapshot, scheme: str) -> list[wire.RtrPdu]:
     pdus: list[wire.RtrPdu] = []
     for asn, blocks in sorted(snapshot.blocks.items()):
         if scheme == "sroa":
-            singles = set()
-            for b in blocks:
-                singles |= expand(b)
-            pdus += [
-                new_prefix_pdu((announce, p, p.prefixlen, asn, version)) for p in sorted(singles)
-            ]
+            pdus += [new_prefix_pdu((announce, p, p.prefixlen, asn, version))
+                     for p in sorted(expand_all(blocks))]
             continue
         ml, bm = (blocks, ()) if scheme in ("troa", "mroa") else snapshot.payloads[asn]
         pdus += [new_prefix_pdu((announce, p, max_length, asn, version)) for p, max_length in ml]
@@ -201,6 +191,9 @@ class RtrServer:
             raise ValueError(f"serve scheme must be one of {SERVE_SCHEMES}")
         if bandwidth_bps and not bandwidth_bps > 0:  # negative, or NaN
             raise ValueError("bandwidth must be positive")
+        # create_server closes its socket when bind raises OSError, not OverflowError
+        if not 0 <= port <= 0xFFFF:
+            raise ValueError(f"port {port} is outside 0..65535")
         self.snapshot = snapshot
         self.scheme = scheme
         # bandwidth is bits/sec to match how links are quoted
@@ -211,14 +204,7 @@ class RtrServer:
         parts += wire.serialize_each(pdus)
         parts.append(wire.serialize(wire.EndOfData(snapshot.session_id, snapshot.serial)))
         self._response = b"".join(parts)
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._sock.bind((host, port))
-            self._sock.listen(16)
-        except BaseException:
-            self._sock.close()
-            raise
+        self._sock = socket.create_server((host, port), backlog=16)
         self._closing = False
         self._conns: set[socket.socket] = set()  # accepted and not yet closed
         self._conns_lock = threading.Lock()

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator
 
+from .hybrid import expand_all
 from .prefix import (
     V4,
     WIDTH,
@@ -27,7 +28,6 @@ from .prefix import (
     _DECIMAL,
     _new_block,
     _new_vrp,
-    expand,
     parse_prefix,
 )
 
@@ -52,12 +52,8 @@ def _parse_asn(text: str) -> int:
     return asn
 
 
-def parse_vrp_row(row: list[str], lineno: int = 0) -> Vrp:
-    return _parse_row(row, lineno, {})
-
-
 def _parse_row(row: list[str], lineno: int, asns: dict[str, int]) -> Vrp:
-    """parse_vrp_row, reading the AS column through ``asns`` (AS text -> number)."""
+    """One CSV row as a VRP, reading the AS column through ``asns`` (AS text -> number)."""
     if len(row) < 2:
         raise PrefixFormatError(f"line {lineno}: expected asn,prefix/len,max_length")
     try:
@@ -105,10 +101,7 @@ class Workload:
         return sum(len(v) for v in self.entries.values())
 
     def prefixes_for(self, asn: int) -> set[Prefix]:
-        out: set[Prefix] = set()
-        for block in self.entries[asn]:
-            out |= expand(block)
-        return out
+        return expand_all(self.entries[asn])
 
     def without_as0(self) -> "Workload":
         return Workload({a: set(v) for a, v in self.entries.items() if a != 0}, self.source)
@@ -148,16 +141,14 @@ def _load(fh, source: str) -> Workload:
     return w
 
 
-def dump_csv(rows: Iterable[Vrp], fh=None) -> str | None:
-    """Write ``asn,prefix/len,max_length`` rows; returns text when fh is None."""
-    out = fh or io.StringIO()
+def dump_csv(rows: Iterable[Vrp]) -> str:
+    """``asn,prefix/len,max_length`` rows under a header line, as text."""
+    out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["asn", "prefix", "max_length"])
     for vrp in rows:
         writer.writerow([vrp.asn, str(vrp.block.prefix), vrp.block.max_length])
-    if fh is None:
-        return out.getvalue()
-    return None
+    return out.getvalue()
 
 
 # synthetic_scattered's shape: each AS's random /20 sub-trees, and the /24

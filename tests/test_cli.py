@@ -369,8 +369,15 @@ def test_fetch_against_live_server(fig_csv, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["encode", "--scheme", "sroa"], ["encode", "--scheme", "mroa"], ["stats", "--include-as0"]],
-    ids=["encode-sroa", "encode-mroa", "stats-include-as0"],
+    [
+        ["encode", "--scheme", "sroa"],
+        ["encode", "--scheme", "mroa"],
+        ["encode", "--scheme", "hroa", "--recompress"],
+        ["stats", "--include-as0"],
+        ["optimize-levels", "--delta-l", "inf"],
+    ],
+    ids=["encode-sroa", "encode-mroa", "encode-hroa-recompress", "stats-include-as0",
+         "optimize-levels-inf"],
 )
 def test_block_beyond_the_expansion_cap_exits_2(tmp_path, capsys, argv):
     path = tmp_path / "tall.csv"

@@ -19,9 +19,7 @@ from hroa.prefix import (
     Vrp,
     _DECIMAL,
     _new_vrp,
-    _parse_v4,
-    _parse_v6,
-    block_order,
+    _parse_fast,
     expand,
     parse_prefix,
 )
@@ -120,7 +118,7 @@ def test_expand_matches_oracle_and_cardinality(p, extra):
 
 
 def _parse_via_ipaddress(text: str, strict: bool) -> Prefix:
-    """parse_prefix as it reads every text without the v4 and v6 fast paths."""
+    """parse_prefix as it reads every text without its inet_pton fast path."""
     if "/" not in text:
         raise PrefixFormatError(f"missing /len in {text!r}")
     try:
@@ -238,6 +236,13 @@ _OTHER_TEXT = st.one_of(
 @example("1.2.3.4./8", False)
 @example("1.2.3.04/8", True)
 @example("1.2.3.04/8", False)
+@example("::ffff:1.2.3.4/128", True)
+@example("::1.2.3.4/128", True)
+@example("1:2:3:4:5:6:1.2.3.4/128", True)
+@example("1:2:3:4::5:6:7:8/128", True)
+@example("::ffff:01.2.3.4/128", True)
+@example("::%1/0", True)
+@example("00001::/16", True)
 def test_parse_fast_path_agrees_with_ipaddress(text, strict):
     assert _outcome(parse_prefix, text, strict) == _outcome(_parse_via_ipaddress, text, strict)
 
@@ -249,7 +254,7 @@ def test_v4_fast_path_takes_exactly_four_canonical_octets():
             addr = "".join(chars)
             octets = addr.split(".")
             canonical = len(octets) == 4 and all(o in _DECIMAL for o in octets)
-            assert (_parse_v4(addr + "/8", False) is not None) == canonical, addr
+            assert (_parse_fast(addr + "/8", False, V4) is not None) == canonical, addr
 
 
 @st.composite
@@ -260,11 +265,6 @@ def _blocks(draw):
     top = draw(st.integers(0, (1 << min(plen, 3)) - 1))  # few distinct roots, so keys tie
     prefix = Prefix(family, top << (width - min(plen, 3)), plen)
     return AddressBlock(prefix, draw(st.integers(plen, min(width, plen + 2))))
-
-
-@given(st.lists(_blocks(), max_size=12))
-def test_block_order_sorts_as_blocks_compare(blocks):
-    assert sorted(blocks, key=block_order) == sorted(blocks)
 
 
 # -- the value-type contract ----------------------------------------------------
@@ -358,15 +358,32 @@ def test_parse_fast_path_builds_what_the_checked_constructor_builds(p, strict):
     _assert_as_checked([parse_prefix(str(p), strict)])
 
 
-@given(_prefixes((V6,)), st.booleans(), st.booleans())
-def test_v6_fast_path_takes_compressed_and_exploded_spellings(p, exploded, upper):
+# a v4 prefix mapped into ::ffff:0:0/96
+_MAPPED = _prefixes((V4,)).map(lambda q: Prefix(V6, 0xFFFF << 32 | q.bits, 96 + q.prefixlen))
+
+
+@given(st.one_of(
+    st.tuples(_prefixes((V6,)), st.sampled_from(["compressed", "exploded"])),
+    st.tuples(_MAPPED, st.just("mapped")),
+), st.booleans())
+def test_v6_fast_path_takes_compressed_and_exploded_spellings(case, upper):
     # the differential test above means something only if the fast path runs
-    net = ipaddress.IPv6Network((p.bits, p.prefixlen))
-    text = net.exploded if exploded else str(net)
+    p, spelling = case
+    if spelling == "mapped":
+        text = f"::ffff:{ipaddress.IPv4Address(p.bits & 0xFFFFFFFF)}/{p.prefixlen}"
+    else:
+        net = ipaddress.IPv6Network((p.bits, p.prefixlen))
+        text = net.exploded if spelling == "exploded" else str(net)
     text = text.upper() if upper else text
-    fast = _parse_v6(text, True)
+    fast = _parse_fast(text, True, V6)
     assert fast == p
     _assert_as_checked([fast])
+
+
+@pytest.mark.parametrize(
+    "text", ["1:2:3:4::5:6:7:8/128", "::ffff:01.2.3.4/128", "::%1/0", "00001::/16"])
+def test_v6_fast_path_leaves_odd_spellings_to_ipaddress(text):
+    assert _parse_fast(text, False, V6) is None
 
 
 @given(st.lists(_prefixes(), min_size=1, max_size=10).map(

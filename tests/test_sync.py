@@ -132,6 +132,16 @@ def test_server_closes_its_socket_when_bind_fails(monkeypatch):
     assert len(made) == 1 and made[0].fileno() == -1
 
 
+@pytest.mark.parametrize("port", [-1, 0x10000])
+def test_server_refuses_a_port_out_of_range(monkeypatch, port):
+    made = []
+    real = socket.socket
+    monkeypatch.setattr(socket, "socket", lambda *a: made.append(real(*a)) or made[-1])
+    with pytest.raises(ValueError, match=f"port {port} is outside 0..65535"):
+        RtrServer(_snapshot(), "hroa", port=port)
+    assert all(s.fileno() == -1 for s in made)
+
+
 def test_loopback_fetch_all_schemes():
     snap = _snapshot()
     want = snap.authorized_map()

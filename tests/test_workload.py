@@ -8,9 +8,9 @@ from hroa.prefix import AddressBlock, PrefixFormatError, Vrp, parse_prefix
 from hroa.workload import (
     Workload,
     _parse_asn,
+    _parse_row,
     dump_csv,
     load_csv,
-    parse_vrp_row,
     synthetic_scattered,
 )
 
@@ -23,30 +23,30 @@ AS7497,202.127.20.0/22,
 
 
 def test_parse_row_variants():
-    assert parse_vrp_row(["7497", "202.127.16.0/20", "22"]) == Vrp(
+    assert _parse_row(["7497", "202.127.16.0/20", "22"], 0, {}) == Vrp(
         7497, AddressBlock(parse_prefix("202.127.16.0/20"), 22)
     )
-    assert parse_vrp_row(["AS7497", "202.127.16.0/20", ""]).block.max_length == 20
-    assert parse_vrp_row(["as7497", "202.127.16.0/20"]).asn == 7497
+    assert _parse_row(["AS7497", "202.127.16.0/20", ""], 0, {}).block.max_length == 20
+    assert _parse_row(["as7497", "202.127.16.0/20"], 0, {}).asn == 7497
     # lenient prefix parse masks stray host bits
-    assert parse_vrp_row(["1", "202.127.16.9/20", ""]).block.prefix == parse_prefix(
+    assert _parse_row(["1", "202.127.16.9/20", ""], 0, {}).block.prefix == parse_prefix(
         "202.127.16.0/20"
     )
 
 
 def test_parse_row_rejections():
     with pytest.raises(PrefixFormatError):
-        parse_vrp_row(["x", "10.0.0.0/8", ""], lineno=3)
+        _parse_row(["x", "10.0.0.0/8", ""], 3, {})
     with pytest.raises(PrefixFormatError):
-        parse_vrp_row(["1", "10.0.0.0", ""])
+        _parse_row(["1", "10.0.0.0", ""], 0, {})
     with pytest.raises(PrefixFormatError):
-        parse_vrp_row(["1", "10.0.0.0/8", "7"])  # max below prefixlen
+        _parse_row(["1", "10.0.0.0/8", "7"], 0, {})  # max below prefixlen
     with pytest.raises(PrefixFormatError):
-        parse_vrp_row(["1"])
+        _parse_row(["1"], 0, {})
 
 
 def _parse_row_with_checked_constructors(row, lineno):
-    """parse_vrp_row built from the checked Vrp and AddressBlock constructors."""
+    """_parse_row built from the checked Vrp and AddressBlock constructors."""
     if len(row) < 2:
         raise PrefixFormatError(f"line {lineno}: expected asn,prefix/len,max_length")
     try:
@@ -83,10 +83,10 @@ _MAX_TEXT = st.one_of(st.integers(0, 140).map(str), st.sampled_from(
 @example(("7497", "202.127.16.0/20", "+22"), 3)
 @example(("7497", "202.127.16.0/20", "19"), 3)
 @example(("7497", "2001:db8::/32", "200"), 3)
-def test_parse_vrp_row_agrees_with_checked_constructors(fields, keep):
+def test_parse_row_agrees_with_checked_constructors(fields, keep):
     # keep cuts the row short (a missing max_length column, or more) or adds a column
     row = [*fields, "extra"][:keep]
-    assert _row_outcome(parse_vrp_row, row) == _row_outcome(
+    assert _row_outcome(lambda row, lineno: _parse_row(row, lineno, {}), row) == _row_outcome(
         _parse_row_with_checked_constructors, row)
 
 
@@ -147,14 +147,14 @@ def test_load_csv_empty_rejected():
 
 def test_dedup_and_ordering():
     w = Workload()
-    v = parse_vrp_row(["1", "10.0.0.0/8", "9"])
+    v = _parse_row(["1", "10.0.0.0/8", "9"], 0, {})
     w.add(v)
     w.add(v)
-    w.add(parse_vrp_row(["1", "9.0.0.0/8", ""]))
+    w.add(_parse_row(["1", "9.0.0.0/8", ""], 0, {}))
     assert w.vrp_count() == 2
     assert [str(x.block.prefix) for x in w.vrps()] == ["9.0.0.0/8", "10.0.0.0/8"]
     # a repeated row among many: kept once
-    rows = [parse_vrp_row(["2", f"10.{i // 256}.{i % 256}.0/24", ""]) for i in range(3000)]
+    rows = [_parse_row(["2", f"10.{i // 256}.{i % 256}.0/24", ""], 0, {}) for i in range(3000)]
     for vrp in rows[:2000] + [rows[1000]] + rows[2000:] + rows[::7]:
         w.add(vrp)
     assert w.entries[2] == {v.block for v in rows}
