@@ -3,7 +3,7 @@
 Layers, bottom up: prefix trie primitives, the minimal maxLength
 compressor, the bitmap sub-tree codec, the hybrid split of each AS's
 canonical blocks, a hanging-level optimizer, the wire format, and the
-sync layer: the PDU framing of every scheme, the one payload decoder, the
+sync layer: the PDU framing of every scheme, the payload decoder, the
 parameter sweep and a reset-query server and client.
 """
 

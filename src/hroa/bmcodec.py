@@ -219,11 +219,15 @@ def decode_block(cfg: HangingLevels, block: SubTreeBlock) -> tuple[int, set[Pref
     family, sid, bitmap = block
     if family != cfg.family:
         raise FamilyMismatchError(f"block family v{family} vs cfg v{cfg.family}")
-    level = subtree_id_level(sid)
-    height = subtree_height(cfg, level)  # raises if id level not in profile
+    if sid < 1:
+        raise ValueError("identifier must be >= 1")
+    level = sid.bit_length() - 1  # subtree_id_level and subtree_height, inlined
+    height = cfg.height_at[level] if level < len(cfg.height_at) else 0
+    if not height:
+        raise ValueError(f"{level} is not a profile level")
     if bitmap >> (1 << height):
         raise ValueError("bitmap has node bits beyond the sub-tree")
-    width = cfg.width
+    width = WIDTH[family]
     root = (sid ^ (1 << level)) << (width - level)
     out = set()
     rest = bitmap & ~1

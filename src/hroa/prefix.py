@@ -19,11 +19,12 @@ path of ``parse_prefix`` (``_parse_fast``, its address read by
 the AS number and the max_length range as ints first), bitmap decoding,
 minimal compression, the wire parser's prefix PDUs (``wire._prefix``
 checks the prefix length and host bits as ints first) and the blocks
-``sync.decode_payload_pdu`` makes of them.
-Other tuple-backed values follow the same rule: ``encode_batch`` builds
-its sub-tree blocks with ``bmcodec._new_subtree_block`` (each id has its
-leading 1 bit and each bitmap a node bit), and ``sync.payload_pdus``
-builds its prefix and sub-tree PDUs with ``wire._new_prefix_pdu`` and
+``sync.fetch`` and ``sync.decode_payload_pdu`` make of them.
+Other tuple-backed values follow the same rule: ``encode_batch`` and
+``sync.decode_payload_pdu`` build their sub-tree blocks with
+``bmcodec._new_subtree_block`` (each bitmap has a node bit, and
+``decode_block`` checks each id), and ``sync.payload_pdus`` builds its
+prefix and sub-tree PDUs with ``wire._new_prefix_pdu`` and
 ``wire._new_subtree_pdu`` (``wire.serialize`` checks every field it packs).
 """
 
@@ -166,6 +167,8 @@ def parse_prefix(text: str, strict: bool = True) -> Prefix:
         net = ipaddress.ip_network(text, strict=strict)
     except ValueError as exc:
         raise PrefixFormatError(str(exc)) from None
+    if "%" in text:  # ipaddress takes a v6 scope id, which no VRP names; _parse_fast refuses it
+        raise PrefixFormatError(f"scope id not allowed in {text!r}")
     family = V4 if net.version == 4 else V6
     return Prefix(family, int(net.network_address), net.prefixlen)
 

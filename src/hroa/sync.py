@@ -1,10 +1,12 @@
 """Reset-query synchronization: cache server and fetch client.
 
 The only flow spoken here is the full snapshot: client sends Reset Query,
-cache answers Cache Response, every payload PDU of the selected scheme,
-then End of Data.  Payload bytes are pre-serialized once per (snapshot,
-scheme) so concurrent clients share one blob, optionally paced per
-connection to emulate a slow link.
+cache answers Cache Response, every payload PDU of the selected scheme, then
+End of Data.  Payload bytes are pre-serialized once per (snapshot, scheme)
+so concurrent clients share one blob, optionally paced per connection to
+emulate a slow link.  ``fetch`` expands prefix PDUs and hands sub-tree PDUs
+to ``decode_payload_pdu``; both look ``expand`` and ``decode_block`` up here
+at each call, where perfbench's tracer wraps them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping
 
 from . import wire
-from .bmcodec import HangingLevels, SubTreeBlock, decode_block
+from .bmcodec import HangingLevels, SubTreeBlock, _new_subtree_block, decode_block
 from .hybrid import HybridConfig, canonical_blocks, check_wire_fit, expand_all
 from .hybrid import hybrid_encode  # perfbench/tracing.py wraps it at this name
 from .mlcodec import compress_minimal  # noqa: F401  perfbench/tracing.py wraps it at this name
@@ -31,7 +33,6 @@ log = logging.getLogger("hroa.sync")
 
 SCHEMES = ("sroa", "troa", "mroa", "hroa", "ahroa")
 SERVE_SCHEMES = ("mroa", "hroa", "ahroa")
-# what fetch and ``hroa decode`` hand to decode_payload_pdu
 _PAYLOAD_TYPES = (wire.PrefixPdu, wire.SubTreePdu, wire.SubTreeAggPdu)
 
 
@@ -332,7 +333,9 @@ def decode_payload_pdu(
     out: AbstractSet[Prefix] = _NO_PREFIXES
     for sid, bitmap in pairs:
         try:
-            flag, prefixes = decode_block(levels, SubTreeBlock(family, sid, bitmap))
+            if bitmap < 2:  # no node bit: the checked constructor raises, in its own order
+                SubTreeBlock(family, sid, bitmap)
+            flag, prefixes = decode_block(levels, _new_subtree_block((family, sid, bitmap)))
         except ValueError as exc:
             raise wire.FramingError(f"bad sub-tree block: {exc}") from None
         if flag:
@@ -349,7 +352,11 @@ def fetch(
     cfg: HybridConfig | None = None,
     timeout: float = 30.0,
 ) -> tuple[dict[int, set[Prefix]], SyncReport]:
-    """Run one reset-query sync; returns (asn -> prefixes, transfer report)."""
+    """Run one reset-query sync; returns (asn -> prefixes, transfer report).
+
+    Each AS's first decoded set, fresh from ``expand`` or ``decode_block``,
+    becomes its map entry uncopied; later sets merge into it.
+    """
     cfg = cfg or HybridConfig()
     report = SyncReport()
     out: dict[int, set[Prefix]] = {}
@@ -358,6 +365,7 @@ def fetch(
     except OSError as exc:
         raise TransportError(f"connect {endpoint}: {exc}") from None
     reader = wire.PduReader()
+    payloads = 0
     got_cache_response = False
     done = False
     t0 = time.perf_counter()
@@ -382,18 +390,22 @@ def fetch(
                 for pdu in pdus:
                     kind = type(pdu)
                     if got_cache_response and kind in _PAYLOAD_TYPES:
-                        report.pdu_count += 1
-                        try:
-                            asn, blocks, prefixes = decode_payload_pdu(pdu, cfg)
-                        except wire.FramingError as exc:
-                            raise ProtocolError(str(exc)) from None
+                        payloads += 1
+                        if kind is wire.PrefixPdu:
+                            flags, prefix, max_length, asn, _ = pdu  # checked by wire._prefix
+                            if not flags & 1:
+                                raise ProtocolError("withdrawal PDU in an authorization payload")
+                            prefixes = expand(_new_block((prefix, max_length)))
+                        else:
+                            try:
+                                asn, _, prefixes = decode_payload_pdu(pdu, cfg)
+                            except wire.FramingError as exc:
+                                raise ProtocolError(str(exc)) from None
                         acc = out.get(asn)
                         if acc is None:
-                            acc = out[asn] = set()
-                        if prefixes:
+                            out[asn] = prefixes or set()  # never the shared _NO_PREFIXES
+                        else:
                             acc |= prefixes
-                        for block in blocks:
-                            acc |= expand(block)
                     elif kind is wire.ErrorReport:
                         raise CacheErrorReport(pdu)
                     elif not got_cache_response:
@@ -413,5 +425,6 @@ def fetch(
                         raise ProtocolError(f"unexpected PDU {kind.__name__} in payload")
     finally:
         report.elapsed = time.perf_counter() - t0
+    report.pdu_count = payloads
     report.decode_count = sum(len(s) for s in out.values())
     return out, report

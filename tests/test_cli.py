@@ -528,6 +528,13 @@ def test_malformed_first_row_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("hroa: line 1: ")
 
 
+def test_scope_id_in_a_row_exits_2(tmp_path, capsys):
+    bad = tmp_path / "zone.csv"
+    bad.write_text("64503,2001:db8::/32,\n64503,fe80::1%eth0/64,\n")
+    assert main(["encode", str(bad)]) == 2
+    assert capsys.readouterr().err == "hroa: line 2: scope id not allowed in 'fe80::1%eth0/64'\n"
+
+
 def test_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"AS1,10.0.0.0/8,8\nAS2,10.\xff.0.0/16,16\n")

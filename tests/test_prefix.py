@@ -125,6 +125,8 @@ def _parse_via_ipaddress(text: str, strict: bool) -> Prefix:
         net = ipaddress.ip_network(text.strip(), strict=strict)
     except ValueError as exc:
         raise PrefixFormatError(str(exc)) from None
+    if "%" in text:
+        raise PrefixFormatError(f"scope id not allowed in {text.strip()!r}")
     return Prefix(V4 if net.version == 4 else V6, int(net.network_address), net.prefixlen)
 
 

@@ -6,10 +6,11 @@ import time
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hroa import sync, wire
 from hroa.hybrid import HybridConfig
-from hroa.prefix import V4, AddressBlock, Prefix, parse_prefix
+from hroa.prefix import V4, V6, AddressBlock, Prefix, expand, parse_prefix
 from hroa.sync import (
     CacheErrorReport,
     CacheSnapshot,
@@ -369,6 +370,24 @@ BAD_PAYLOADS = {
         wire.serialize(wire.SubTreePdu(V4, 0b1101, 2, 64500)),
         "bad sub-tree block: 3 is not a profile level",
     ),
+    # id 0b100101: level 5, a profile level; the bitmap holds no node bit
+    "subtree-bitmap-0": (
+        wire.serialize(wire.SubTreePdu(V4, 0b100101, 0, 64500)),
+        "bad sub-tree block: bitmap carries no sub-tree nodes",
+    ),
+    "subtree-flag-only": (
+        wire.serialize(wire.SubTreePdu(V4, 0b100101, 1, 64500)),
+        "bad sub-tree block: bitmap carries no sub-tree nodes",
+    ),
+    "aggregate-withdrawal-block": (
+        wire.serialize(wire.SubTreeAggPdu(V4, 64500, ((0b100101, 2), (0b100110, 3)))),
+        "withdrawal block in an authorization payload",
+    ),
+    # a level-30 sub-tree has height 3, so node bits 1..7; bit 8 lies past it
+    "node-bits-beyond-height": (
+        wire.serialize(wire.SubTreePdu(V4, 1 << 30 | 5, 2 | 1 << 8, 64500)),
+        "bad sub-tree block: bitmap has node bits beyond the sub-tree",
+    ),
 }
 
 
@@ -489,6 +508,52 @@ def test_close_ends_live_connections():
         except OSError:
             pass  # a reset connection answers nothing either
     assert answer == b""
+
+
+def _reference_fold(response: bytes, cfg: HybridConfig) -> dict:
+    """decode_payload_pdu, then expand of each maxLength block, one payload PDU at a time."""
+    out = {}
+    for pdu in wire.PduReader().feed(response):
+        if isinstance(pdu, (wire.PrefixPdu, wire.SubTreePdu, wire.SubTreeAggPdu)):
+            asn, blocks, prefixes = decode_payload_pdu(pdu, cfg)
+            acc = out.setdefault(asn, set())
+            acc |= prefixes
+            for block in blocks:
+                acc |= expand(block)
+    return out
+
+
+@st.composite
+def _dual_stack_blocks(draw):
+    """Each AS's blocks, both families; few distinct roots, so sub-trees are shared."""
+    inputs = {}
+    for asn in draw(st.lists(st.integers(1, 2**32 - 1), min_size=1, max_size=4, unique=True)):
+        blocks = []
+        for _ in range(draw(st.integers(1, 6))):
+            family = draw(st.sampled_from((V4, V6)))
+            width = 32 if family == V4 else 128
+            height = draw(st.integers(0, 6))
+            plen = draw(st.integers(0, width - height))
+            bits = draw(st.integers(0, 15)) << (width - 4) & ~((1 << (width - plen)) - 1)
+            blocks.append(AddressBlock(Prefix(family, bits, plen), plen + height))
+        inputs[asn] = blocks
+    return inputs
+
+
+@settings(max_examples=20, deadline=None)
+@given(_dual_stack_blocks(), st.sampled_from(sync.SERVE_SCHEMES))
+def test_fetch_folds_like_the_per_pdu_decoder(inputs, scheme):
+    snap = _snapshot(inputs)
+    want = snap.authorized_map()
+    with RtrServer(snap, scheme) as server:
+        got, report = fetch(server.endpoint, timeout=5)
+        reference = _reference_fold(server._response, snap.cfg)
+    assert got == want == reference
+    assert (report.pdu_count, report.total_bytes, report.decode_count) == (
+        server.payload_pdu_count, server.response_bytes, sum(map(len, want.values())))
+    # each AS's value is its own set: an adopted set is never shared or frozen
+    assert all(type(prefixes) is set for prefixes in got.values())
+    assert len({id(prefixes) for prefixes in got.values()}) == len(got)
 
 
 def test_decode_payload_pdu_reads_flags_bit_0():
