@@ -33,7 +33,7 @@ from .bmcodec import (
     stm_decode,
 )
 from .hybrid import HybridConfig, hybrid_encode
-from .levelopt import CostModel, optimize_levels
+from .levelopt import optimize_levels
 from .sync import CacheSnapshot, RtrServer, SyncReport, fetch, sweep_parameters
 from .workload import Workload, load_csv, synthetic_scattered
 
@@ -45,7 +45,6 @@ __all__ = [
     "AddressBlock",
     "BitmapRoa",
     "CacheSnapshot",
-    "CostModel",
     "ExpansionCapError",
     "FamilyMismatchError",
     "HangingLevels",

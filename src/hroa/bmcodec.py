@@ -105,30 +105,11 @@ class HangingLevels:
         return max(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def subtree_height(cfg: HangingLevels, level: int) -> int:
-    """Levels spanned by the sub-tree rooted at a profile level.
-
-    The sub-tree at level l holds prefixes of length l..l+h-1 where h is
-    the distance to the next level (or to width+1 for the last).
-    """
-    heights = cfg.height_at
-    if not 0 <= level < len(heights) or not heights[level]:
-        raise ValueError(f"{level} is not a profile level")
-    return heights[level]
-
-
 def make_subtree_id(prefix: Prefix, level: int) -> int:
     """2^level + the prefix's first `level` bits."""
     if not 0 <= level <= prefix.prefixlen:
         raise ValueError(f"level {level} not above {prefix}")
     return (1 << level) | (prefix.bits >> (prefix.width - level))
-
-
-def subtree_id_level(subtree_id: int) -> int:
-    """Recover the hanging level from an identifier's leading 1 bit."""
-    if subtree_id < 1:
-        raise ValueError("identifier must be >= 1")
-    return subtree_id.bit_length() - 1
 
 
 def make_node_number(prefix: Prefix, level: int) -> int:
@@ -221,7 +202,7 @@ def decode_block(cfg: HangingLevels, block: SubTreeBlock) -> tuple[int, set[Pref
         raise FamilyMismatchError(f"block family v{family} vs cfg v{cfg.family}")
     if sid < 1:
         raise ValueError("identifier must be >= 1")
-    level = sid.bit_length() - 1  # subtree_id_level and subtree_height, inlined
+    level = sid.bit_length() - 1  # the identifier's leading 1 bit marks its level
     height = cfg.height_at[level] if level < len(cfg.height_at) else 0
     if not height:
         raise ValueError(f"{level} is not a profile level")

@@ -233,19 +233,23 @@ def cmd_optimize_levels(args) -> int:
     workload = load_csv(args.csv)
     family = _FAMILY_NAMES[args.family]
     threshold = _delta_l(args.delta_l)
-    prefixes = expand_all(
-        vrp.block for vrp in workload.vrps()
-        if vrp.block.prefix.family == family and vrp.block.height < threshold
-    )
-    if not prefixes:
+    # each AS's own prefixes: the wire sends one sub-tree per AS and root
+    by_as = {}
+    for asn, blocks in workload.entries.items():
+        prefixes = expand_all(
+            b for b in blocks if b.prefix.family == family and b.height < threshold
+        )
+        if prefixes:
+            by_as[asn] = prefixes
+    if not by_as:
         raise ValueError(f"no {args.family} prefixes below the threshold")
-    levels, cost = optimize_levels(prefixes)
+    levels, cost = optimize_levels(by_as)
     doc = {
         "family": args.family,
         "levels": list(levels),
         "cost_bytes": cost,
         "h_max": wire.MAX_SUBTREE_HEIGHT,
-        "prefix_count": len(prefixes),
+        "prefix_count": sum(map(len, by_as.values())),
     }
     text = json.dumps(doc, sort_keys=True)
     if args.out:

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from hroa.bmcodec import (
     BitmapRoa,
@@ -22,11 +23,12 @@ from hroa.bmcodec import (
     stm_decode,
 )
 from hroa.hybrid import HybridConfig
-from hroa.levelopt import CostModel, optimize_levels
+from hroa.levelopt import optimize_levels
 from hroa.mlcodec import compress_minimal, scatter_degree
 from hroa.prefix import V4, V6, AddressBlock, Prefix, expand, parse_prefix
 from hroa.sync import CacheSnapshot, RtrServer, decode_payload_pdu, fetch, payload_pdus
 from hroa.wire import (
+    LAYOUT,
     PduReader,
     PrefixPdu,
     SubTreeAggPdu,
@@ -198,7 +200,8 @@ def test_criterion_4_oracle_equivalence():
         assert covered == set(chosen)
 
     opt_cases = 200
-    model = CostModel()
+    # every sub-tree PDU of a family costs its fixed wire length
+    wire_price = SimpleNamespace(block_size=lambda family, height: LAYOUT[family].subtree_len)
     for _ in range(opt_cases):
         width = rng.randint(3, 12)
         h_max = rng.randint(2, 6)
@@ -207,8 +210,8 @@ def test_criterion_4_oracle_equivalence():
             n = rng.randint(0, width)
             prefixes.add(Prefix(V4, rng.getrandbits(n) << (32 - n) if n else 0, n))
         pairs = [(p.bits >> (32 - width), p.prefixlen) for p in prefixes]
-        want_cost, want_levels = oracle_optimize(pairs, width, model, V4, h_max)
-        levels, got_cost = optimize_levels(prefixes, model, h_max=h_max, width=width)
+        want_cost, want_levels = oracle_optimize(pairs, width, wire_price, V4, h_max)
+        levels, got_cost = optimize_levels({1: prefixes}, h_max=h_max, width=width)
         assert got_cost == want_cost
         assert levels == want_levels
     elapsed = time.perf_counter() - t0

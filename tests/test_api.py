@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "AddressBlock",
     "BitmapRoa",
     "CacheSnapshot",
-    "CostModel",
     "ExpansionCapError",
     "FamilyMismatchError",
     "HangingLevels",
@@ -49,9 +48,6 @@ SIGNATURES = {
     "CacheSnapshot": ("session_id", "serial", "blocks", "cfg"),
     "CacheSnapshot.build": ("inputs", "cfg", "session_id", "serial", "recompress"),
     "CacheSnapshot.authorized_map": (),
-    "CostModel": (),
-    "CostModel.bitmap_bytes": ("height",),
-    "CostModel.block_size": ("family", "height"),
     "HangingLevels": ("family", "levels"),
     "HangingLevels.default": ("family",),
     "HangingLevels.multiples_of": ("step", "family"),
@@ -85,7 +81,7 @@ SIGNATURES = {
     "load_csv": ("path_or_file",),
     "make_node_number": ("prefix", "level"),
     "make_subtree_id": ("prefix", "level"),
-    "optimize_levels": ("workload", "model", "h_max", "width"),
+    "optimize_levels": ("workload", "h_max", "width"),
     "parse_prefix": ("text", "strict"),
     "scatter_degree": ("prefixes",),
     "stm_decode": ("stm", "cfg"),

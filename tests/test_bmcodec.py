@@ -17,8 +17,6 @@ from hroa.bmcodec import (
     stm_blocks,
     stm_decode,
     stm_insert,
-    subtree_height,
-    subtree_id_level,
 )
 from hroa.prefix import V4, V6, WIDTH, Prefix, parse_prefix
 
@@ -35,10 +33,10 @@ FIG_PREFIXES = [
 
 def test_default_profiles():
     assert V4_CFG.levels == (0, 5, 10, 15, 20, 25, 30)
-    assert subtree_height(V4_CFG, 30) == 3
+    assert V4_CFG.height_at[30] == 3
     assert V6_CFG.levels[-1] == 125
-    assert subtree_height(V6_CFG, 125) == 4
-    assert all(subtree_height(V4_CFG, l) == 5 for l in V4_CFG.levels[:-1])
+    assert V6_CFG.height_at[125] == 4
+    assert all(V4_CFG.height_at[l] == 5 for l in V4_CFG.levels[:-1])
 
 
 def test_profile_validation():
@@ -81,7 +79,7 @@ def test_max_height_counts_the_terminal_gap():
 def test_multiples_profile():
     cfg = HangingLevels.multiples_of(4, V4)
     assert cfg.levels == tuple(range(0, 32, 4))
-    assert subtree_height(cfg, 28) == 5
+    assert cfg.height_at[28] == 5
 
 
 def test_nearest_level_snaps_down():
@@ -94,7 +92,8 @@ def test_nearest_level_snaps_down():
 def test_worked_example_identifier():
     p = parse_prefix("202.127.16.0/20")
     assert make_subtree_id(p, 20) == 1878001
-    assert subtree_id_level(1878001) == 20
+    # the identifier's leading 1 bit puts it at level 20: node 1 is the /20 itself
+    assert decode_block(V4_CFG, SubTreeBlock(V4, 1878001, 2)) == (0, {p})
 
 
 def test_worked_example_node_numbers():
@@ -332,8 +331,11 @@ def test_height_table_matches_the_profile_gaps(family, data):
     cfg = HangingLevels.multiples_of(step, family)
     bounds = (*cfg.levels, width + 1)
     gaps = {a: b - a for a, b in zip(bounds, bounds[1:])}
-    for level in range(-2, width + 3):
+    assert cfg.height_at == tuple(gaps.get(level, 0) for level in range(width))
+    # decode_block reads a block's height there and refuses any other level
+    for level in range(width + 3):
+        block = SubTreeBlock(family, 1 << level, 2)
         if level in gaps:
-            assert subtree_height(cfg, level) == gaps[level]
+            assert decode_block(cfg, block)[1] == {Prefix(family, 0, level)}
         else:
-            assert _value_error(subtree_height, cfg, level) == f"{level} is not a profile level"
+            assert _value_error(decode_block, cfg, block) == f"{level} is not a profile level"

@@ -285,8 +285,8 @@ def test_optimize_levels_profile_round_trip(fig_csv, tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["levels"] == [0, 5, 10, 15, 20, 23, 28]
-    assert doc["cost_bytes"] == 17
+    assert doc["levels"] == [0, 3, 8, 13, 18, 23, 28]
+    assert doc["cost_bytes"] == 20
     assert doc["family"] == "v4"
     assert doc["h_max"] == wire.MAX_SUBTREE_HEIGHT
     # the written profile feeds straight back into encode
@@ -299,13 +299,32 @@ def test_optimized_profile_serializes_any_input(tmp_path, capsys):
     path = tmp_path / "slash8.csv"
     path.write_text("AS1,10.0.0.0/8,13\n")
     profile = str(tmp_path / "profile.json")
-    code, _ = _run(
+    code, out = _run(
         capsys, ["optimize-levels", str(path), "--delta-l", "inf", "--out", profile]
     )
     assert code == 0
+    cost = json.loads(out)["cost_bytes"]
     code, out = _run(capsys, ["encode", str(path), "--levels", profile, "--delta-l", "inf"])
     assert code == 0
-    assert json.loads(out)["pdu_count"] == 3
+    doc = json.loads(out)
+    assert (doc["pdu_count"], doc["total_bytes"]) == (3, 60)
+    assert cost == 60
+
+
+def test_optimize_levels_prices_each_as_on_its_own(tmp_path, capsys):
+    # one /24 filed by two ASes: the wire sends two sub-tree PDUs
+    path = tmp_path / "two.csv"
+    path.write_text("1,10.0.0.0/24\n2,10.0.0.0/24\n")
+    profile = str(tmp_path / "profile.json")
+    code, out = _run(
+        capsys, ["optimize-levels", str(path), "--delta-l", "inf", "--out", profile]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["cost_bytes"], doc["prefix_count"]) == (40, 2)
+    code, out = _run(capsys, ["encode", str(path), "--levels", profile, "--delta-l", "inf"])
+    assert code == 0
+    assert (json.loads(out)["pdu_count"], json.loads(out)["total_bytes"]) == (2, 40)
 
 
 def test_sweep_default_grid_fits_the_wire(tmp_path, capsys):

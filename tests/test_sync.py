@@ -16,6 +16,7 @@ from hroa.sync import (
     CacheSnapshot,
     ProtocolError,
     RtrServer,
+    SyncError,
     SyncReport,
     TransportError,
     decode_payload_pdu,
@@ -256,12 +257,6 @@ def test_server_rejects_non_reset_pdus():
                 pdus.extend(reader.feed(data))
     assert isinstance(pdus[0], wire.ErrorReport)
     assert "reset query" in pdus[0].text
-    # and the client surfaces it as a typed failure
-    with RtrServer(snap, "hroa") as server:
-        with socket.create_connection(server.endpoint, timeout=5) as conn:
-            conn.sendall(wire.serialize(wire.EndOfData(1, 1)))
-            with pytest.raises(CacheErrorReport):
-                _drain_as_fetch(conn)
 
 
 def test_server_serves_the_query_before_a_malformed_pdu_in_one_segment():
@@ -280,17 +275,6 @@ def test_server_serves_the_query_before_a_malformed_pdu_in_one_segment():
     ]
     assert b"".join(map(wire.serialize, pdus[:3])) == server._response
     assert pdus[3].text == "PDU length 4 below header size"
-
-
-def _drain_as_fetch(conn):
-    reader = wire.PduReader()
-    while True:
-        data = conn.recv(4096)
-        if not data:
-            raise TransportError("closed")
-        for pdu in reader.feed(data):
-            if isinstance(pdu, wire.ErrorReport):
-                raise CacheErrorReport(pdu)
 
 
 def test_fetch_connect_failure():
@@ -333,14 +317,15 @@ def raw_cache():
     srv.listen(4)
     threads = []
 
-    def start(payload: bytes, connections: int):
+    def start(payload: bytes, connections: int, hang_up: bool = False):
         def run():
             for _ in range(connections):
                 conn, _ = srv.accept()
                 with conn:
                     conn.recv(4096)
                     conn.sendall(wire.serialize(wire.CacheResponse(7)) + payload)
-                    conn.recv(4096)  # until the client hangs up
+                    if not hang_up:
+                        conn.recv(4096)  # until the client hangs up
 
         t = threading.Thread(target=run, daemon=True)
         t.start()
@@ -402,6 +387,40 @@ def test_fetch_rejects_a_bad_payload_pdu(raw_cache, capsys, case):
     assert str(exc.value) == message
     assert main(["fetch", f"{host}:{port}", "--timeout", "5"]) == 3
     assert message in capsys.readouterr().err
+
+
+# responses that break off after the Cache Response (session id 7), and what fetch raises
+BROKEN_RESPONSES = {
+    "error-report": (
+        wire.serialize(wire.ErrorReport(2, b"", "no data available")),
+        CacheErrorReport,
+        "cache error 2: no data available",
+    ),
+    "session-changed": (
+        wire.serialize(wire.EndOfData(8, 1)),
+        ProtocolError,
+        "session id changed mid-response",
+    ),
+    "second-cache-response": (
+        wire.serialize(wire.CacheResponse(7)),
+        ProtocolError,
+        "unexpected PDU CacheResponse in payload",
+    ),
+    "hang-up": (b"", TransportError, "connection closed before end of data"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_RESPONSES))
+def test_fetch_fails_typed_on_a_broken_response(raw_cache, capsys, case):
+    from hroa.cli import main
+
+    payload, error, message = BROKEN_RESPONSES[case]
+    host, port = raw_cache(payload, connections=2, hang_up=case == "hang-up")
+    with pytest.raises(SyncError) as exc:
+        fetch((host, port), timeout=5)
+    assert (type(exc.value), str(exc.value)) == (error, message)
+    assert main(["fetch", f"{host}:{port}", "--timeout", "5"]) == 3
+    assert capsys.readouterr().err == f"hroa: {message}\n"
 
 
 def test_oversized_echo_still_gets_an_error_report(monkeypatch):
@@ -565,6 +584,12 @@ def test_decode_payload_pdu_reads_flags_bit_0():
     for flags in (0, 2):
         with pytest.raises(wire.FramingError, match="withdrawal PDU"):
             decode_payload_pdu(wire.PrefixPdu(flags, p, 24, 1), cfg)
+
+
+def test_decode_payload_pdu_refuses_a_pdu_that_is_no_payload():
+    with pytest.raises(wire.FramingError) as exc:
+        decode_payload_pdu(wire.EndOfData(1, 1), HybridConfig())
+    assert str(exc.value) == "unexpected PDU EndOfData in payload"
 
 
 def test_report_json_round_trips():

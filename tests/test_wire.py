@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hroa import wire
-from hroa.bmcodec import HangingLevels, encode_batch, subtree_height
+from hroa.bmcodec import HangingLevels, encode_batch
 from hroa.prefix import V4, V6, AddressBlock, Prefix, expand, parse_prefix
 from hroa.wire import (
     CacheResponse,
@@ -414,7 +414,7 @@ def test_complete_subtree_at_every_level_serializes(step, family):
     assert profile.max_height <= wire.MAX_SUBTREE_HEIGHT
     width = profile.width
     for level in profile.levels:
-        height = subtree_height(profile, level)
+        height = profile.height_at[level]
         root = Prefix(family, ((1 << level) - 1) << (width - level), level)
         (block,) = encode_batch(profile, expand(AddressBlock(root, level + height - 1)))
         assert block.bitmap == (1 << (1 << height)) - 2  # every node bit set
