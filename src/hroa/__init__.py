@@ -15,7 +15,6 @@ from .prefix import (
     FamilyMismatchError,
     Prefix,
     PrefixFormatError,
-    Vrp,
     expand,
     parse_prefix,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "Stm",
     "SubTreeBlock",
     "SyncReport",
-    "Vrp",
     "Workload",
     "apply_roa",
     "compress_minimal",

@@ -23,18 +23,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable
 
-from .prefix import V4, V6, WIDTH, FamilyMismatchError, Prefix, _new_prefix
+from .prefix import WIDTH, FamilyMismatchError, Prefix, _new_prefix
 
 # Gap cap of the in-memory codec.  The wire bitmap bounds sub-trees to
 # wire.MAX_SUBTREE_HEIGHT (5) levels, checked where a profile is chosen for
 # the wire; acceptance criterion 3's random profiles round-trip height-6
 # sub-trees without serializing them, so the codec itself allows 6.
 MAX_GAP = 6
-
-_DEFAULT_LEVELS = {
-    V4: tuple(range(0, 32, 5)),   # 0,5,...,30; terminal sub-tree height 3
-    V6: tuple(range(0, 128, 5)),  # 0,5,...,125; terminal height 4
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +72,8 @@ class HangingLevels:
 
     @classmethod
     def default(cls, family: int) -> "HangingLevels":
-        return cls(family, _DEFAULT_LEVELS[family])
+        """Levels 0, 5, 10, ...: terminal sub-tree height 3 for v4, 4 for v6."""
+        return cls.multiples_of(5, family)
 
     @classmethod
     def multiples_of(cls, step: int, family: int) -> "HangingLevels":

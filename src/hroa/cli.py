@@ -18,7 +18,7 @@ from .bmcodec import HangingLevels
 from .hybrid import DEFAULT_HEIGHT_THRESHOLD, HybridConfig, check_wire_fit, expand_all
 from .levelopt import optimize_levels
 from .mlcodec import scatter_degree
-from .prefix import V4, V6, WIDTH, AddressBlock, ExpansionCapError, PrefixFormatError, Vrp
+from .prefix import V4, V6, WIDTH, AddressBlock, ExpansionCapError, PrefixFormatError
 from .workload import Workload, dump_csv, load_csv
 
 _FAMILY_NAMES = {"v4": V4, "v6": V6}
@@ -55,7 +55,7 @@ def _read_profile(path: str) -> tuple[int, HangingLevels]:
 
 def _parse_levels_arg(values: list[str] | None) -> dict[int, HangingLevels]:
     """--levels accepts N,N,... inline or a profile JSON path, repeatable."""
-    hanging = {V4: HangingLevels.default(V4), V6: HangingLevels.default(V6)}
+    hanging = dict(HybridConfig().hanging)  # the default profiles
     for value in values or []:
         if os.path.exists(value):
             family, hanging[family] = _read_profile(value)
@@ -148,13 +148,13 @@ def cmd_decode(args) -> int:
     pdus = reader.feed(data)
     if reader.pending:
         raise wire.FramingError(f"{reader.pending} trailing bytes are not a whole PDU")
-    rows: set[Vrp] = set()
+    rows: set[tuple[int, AddressBlock]] = set()
     for pdu in pdus:
         if not isinstance(pdu, sync._PAYLOAD_TYPES):
             continue  # framing PDUs of a captured response carry no rows
         asn, blocks, prefixes = sync.decode_payload_pdu(pdu, cfg)
-        rows.update(Vrp(asn, b) for b in blocks)
-        rows.update(Vrp(asn, AddressBlock(p, p.prefixlen)) for p in prefixes)
+        rows.update((asn, b) for b in blocks)
+        rows.update((asn, AddressBlock(p, p.prefixlen)) for p in prefixes)
     _write(args, dump_csv(sorted(rows)))
     return 0
 
@@ -162,9 +162,10 @@ def cmd_decode(args) -> int:
 def cmd_stats(args) -> int:
     workload = load_csv(args.csv)
     hist: dict[str, dict[int, int]] = {"v4": {}, "v6": {}}
-    for vrp in workload.vrps():
-        fam = "v4" if vrp.block.prefix.family == V4 else "v6"
-        hist[fam][vrp.block.height] = hist[fam].get(vrp.block.height, 0) + 1
+    for blocks in workload.entries.values():
+        for block in blocks:
+            counts = hist["v4" if block.prefix.family == V4 else "v6"]
+            counts[block.height] = counts.get(block.height, 0) + 1
     scoped = workload if args.include_as0 else workload.without_as0()
     per_as = {}
     groups: dict[int, list[float]] = {}
@@ -314,7 +315,7 @@ def cmd_fetch(args) -> int:
     got, report = sync.fetch((host, int(port)), cfg, timeout=args.timeout)
     if args.out:
         rows = [
-            Vrp(asn, AddressBlock(p, p.prefixlen))
+            (asn, AddressBlock(p, p.prefixlen))
             for asn, prefixes in got.items()
             for p in prefixes
         ]

@@ -81,18 +81,6 @@ def expand_all(blocks: Iterable[AddressBlock]) -> set[Prefix]:
     return out
 
 
-def _compress(prefixes) -> list[AddressBlock]:
-    """Minimal blocks of a prefix set, one family at a time, in canonical order."""
-    by_family: dict[int, list[Prefix]] = {V4: [], V6: []}
-    for p in prefixes:
-        by_family[p.family].append(p)
-    out: list[AddressBlock] = []
-    for fam in (V4, V6):
-        if by_family[fam]:
-            out.extend(compress_minimal(by_family[fam]))
-    return out
-
-
 def canonical_blocks(items, recompress: bool = False) -> tuple[AddressBlock, ...]:
     """One AS's canonical address blocks, in canonical order.
 
@@ -103,11 +91,11 @@ def canonical_blocks(items, recompress: bool = False) -> tuple[AddressBlock, ...
     if not seq:
         raise ValueError("empty authorization set")
     if all(isinstance(x, Prefix) for x in seq):
-        return tuple(_compress(seq))
+        return tuple(compress_minimal(seq))
     if not all(isinstance(x, AddressBlock) for x in seq):
         raise TypeError("input must be all prefixes or all address blocks")
     if recompress:
-        return tuple(_compress(expand_all(seq)))
+        return tuple(compress_minimal(expand_all(seq)))
     return tuple(sorted(set(seq)))
 
 

@@ -18,7 +18,6 @@ from typing import Iterable
 from .prefix import (
     WIDTH,
     AddressBlock,
-    FamilyMismatchError,
     Prefix,
     _new_block,
 )
@@ -31,8 +30,23 @@ def compress_minimal(prefixes: Iterable[Prefix]) -> list[AddressBlock]:
 
     Every returned block expands to prefixes of the input only, the
     expansions are pairwise disjoint, and their union is exactly the
-    input.  No other disjoint block collection is smaller.  Output is
-    sorted by (prefix, max_length).
+    input.  No other disjoint block collection is smaller.  Each family
+    is compressed on its own, and the output is sorted by (prefix,
+    max_length): v4 blocks before v6 ones.
+    """
+    by_family: dict[int, dict[int, dict[int, Prefix]]] = {}  # family -> length -> bits -> prefix
+    for p in prefixes:
+        by_family.setdefault(p.family, {}).setdefault(p.prefixlen, {})[p.bits] = p
+    if not by_family:
+        raise ValueError("empty prefix set")
+    out: list[AddressBlock] = []
+    for family in sorted(by_family):
+        out += _compress_family(by_family[family], WIDTH[family])
+    return out
+
+
+def _compress_family(by_len: dict[int, dict[int, Prefix]], width: int) -> list[AddressBlock]:
+    """The minimal blocks of one family's prefixes, given as prefixlen -> bits -> prefix.
 
     One pass over the levels, longest first, finds for each node the fewest
     blocks its component needs with a block of height h rooted there, for
@@ -42,17 +56,6 @@ def compress_minimal(prefixes: Iterable[Prefix]) -> list[AddressBlock]:
     component root and each node hanging below a block's last level starts;
     every node of a level with no level directly above it starts one.
     """
-    by_len: dict[int, dict[int, Prefix]] = {}  # prefixlen -> bits -> prefix
-    families = set()
-    for p in prefixes:
-        families.add(p.family)
-        by_len.setdefault(p.prefixlen, {})[p.bits] = p
-    if not by_len:
-        raise ValueError("empty prefix set")
-    if len(families) != 1:
-        raise FamilyMismatchError("compress_minimal needs a single family")
-    width = WIDTH[families.pop()]
-
     # counts[n][bits] = (costs, best): costs[h] is the block count of the
     # component hanging at node (bits, n) when the block holding the node
     # is rooted there with height h, for h up to the tallest complete tree
@@ -94,12 +97,7 @@ def compress_minimal(prefixes: Iterable[Prefix]) -> list[AddressBlock]:
 def scatter_degree(prefixes: Iterable[Prefix]) -> Fraction:
     """Blocks-per-prefix ratio after minimal compression, as an exact rational.
 
-    Each family is compressed on its own, so a dual-stack set counts the
-    blocks of both.
+    A dual-stack set counts the blocks of both families.
     """
     pset = set(prefixes)
-    if not pset:
-        raise ValueError("empty prefix set")
-    families = {p.family for p in pset}
-    blocks = sum(len(compress_minimal(p for p in pset if p.family == f)) for f in families)
-    return Fraction(blocks, len(pset))
+    return Fraction(len(compress_minimal(pset)), len(pset))

@@ -9,17 +9,17 @@ sub-tree of prefixes between ``prefixlen`` and ``max_length``.
 Both are named tuples, so hashing, equality and ordering run in C: a
 prefix is the tuple ``(family, bits, prefixlen)`` and a block the tuple
 ``(prefix, max_length)``, and each compares equal to, hashes like and
-sorts like that plain tuple.  So is ``Vrp``, the tuple ``(asn, block)``.
-``Prefix(...)``, ``AddressBlock(...)`` and ``Vrp(...)`` check their
-fields; the namedtuple helpers ``_make`` and ``_replace`` do not, and
-neither do ``_new_prefix``, ``_new_block`` and ``_new_vrp``, the builders
-for code that has already proven its output valid: ``expand``, the fast
-path of ``parse_prefix`` (``_parse_fast``, its address read by
-``socket.inet_pton``), the CSV row parser (``workload._parse_row`` checks
-the AS number and the max_length range as ints first), bitmap decoding,
-minimal compression, the wire parser's prefix PDUs (``wire._prefix``
-checks the prefix length and host bits as ints first) and the blocks
-``sync.fetch`` and ``sync.decode_payload_pdu`` make of them.
+sorts like that plain tuple; a CSV row is the plain tuple ``(asn, block)``.
+``Prefix(...)`` and ``AddressBlock(...)`` check their fields; the
+namedtuple helpers ``_make`` and ``_replace`` do not, and neither do
+``_new_prefix`` and ``_new_block``, the builders for code that has already
+proven its output valid: ``expand``, the fast path of ``parse_prefix``
+(``_parse_fast``, its address read by ``socket.inet_pton``), the CSV row
+parser (``workload._parse_row`` checks the AS number and the max_length
+range as ints first), bitmap decoding, minimal compression, the wire
+parser's prefix PDUs (``wire._prefix`` checks the prefix length and host
+bits as ints first) and the blocks ``sync.fetch`` and
+``sync.decode_payload_pdu`` make of them.
 Other tuple-backed values follow the same rule: ``encode_batch`` and
 ``sync.decode_payload_pdu`` build their sub-tree blocks with
 ``bmcodec._new_subtree_block`` (each bitmap has a node bit, and
@@ -108,19 +108,6 @@ class AddressBlock(namedtuple("AddressBlock", "prefix max_length")):
 _new_prefix = partial(tuple.__new__, Prefix)
 _new_block = partial(tuple.__new__, AddressBlock)
 
-
-class Vrp(namedtuple("Vrp", "asn block")):
-    """A validated payload row: origin AS number plus one address block."""
-
-    __slots__ = ()
-
-    def __new__(cls, asn: int, block: AddressBlock) -> "Vrp":
-        if not 0 <= asn < 1 << 32:
-            raise ValueError(f"asn {asn} out of range")
-        return tuple.__new__(cls, (asn, block))
-
-
-_new_vrp = partial(tuple.__new__, Vrp)
 
 # The canonical spelling of every length and max_length.  A table hit rules
 # out the signs, ``_`` separators, spaces, leading zeros and non-ASCII digits

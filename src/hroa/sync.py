@@ -34,6 +34,7 @@ log = logging.getLogger("hroa.sync")
 SCHEMES = ("sroa", "troa", "mroa", "hroa", "ahroa")
 SERVE_SCHEMES = ("mroa", "hroa", "ahroa")
 _PAYLOAD_TYPES = (wire.PrefixPdu, wire.SubTreePdu, wire.SubTreeAggPdu)
+_CHUNK = 4096  # bytes a paced send hands to the socket at a time
 
 
 class SyncError(Exception):
@@ -177,7 +178,8 @@ class RtrServer:
     """Serves one snapshot under one scheme until closed.
 
     ``bandwidth_bps`` paces each connection on its own; None or 0 sends
-    at full speed.
+    at full speed.  A rate at which one chunk would wait longer than
+    ``threading.TIMEOUT_MAX`` is refused.
     """
 
     def __init__(
@@ -192,6 +194,9 @@ class RtrServer:
             raise ValueError(f"serve scheme must be one of {SERVE_SCHEMES}")
         if bandwidth_bps and not bandwidth_bps > 0:  # negative, or NaN
             raise ValueError("bandwidth must be positive")
+        if bandwidth_bps and _CHUNK * 8 / bandwidth_bps > threading.TIMEOUT_MAX:
+            raise ValueError(f"bandwidth {bandwidth_bps:g} bps is too low: one {_CHUNK}-byte "
+                             f"chunk would take over {threading.TIMEOUT_MAX:.3g} s")
         # create_server closes its socket when bind raises OSError, not OverflowError
         if not 0 <= port <= 0xFFFF:
             raise ValueError(f"port {port} is outside 0..65535")
@@ -206,7 +211,7 @@ class RtrServer:
         parts.append(wire.serialize(wire.EndOfData(snapshot.session_id, snapshot.serial)))
         self._response = b"".join(parts)
         self._sock = socket.create_server((host, port), backlog=16)
-        self._closing = False
+        self._closed = threading.Event()
         self._conns: set[socket.socket] = set()  # accepted and not yet closed
         self._conns_lock = threading.Lock()
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
@@ -227,30 +232,33 @@ class RtrServer:
             except OSError:
                 return
             with self._conns_lock:
-                if self._closing:  # accepted after close() shut the others down
+                if self._closed.is_set():  # accepted after close() shut the others down
                     conn.close()
                     return
                 self._conns.add(conn)
             threading.Thread(target=self._serve_conn, args=(conn, peer), daemon=True).start()
 
     def _send(self, conn: socket.socket, blob: bytes) -> None:
-        """Send the blob; paced, no chunk leaves sooner than its end offset / rate s after the start."""
+        """Send the blob; paced, no chunk leaves sooner than its end offset / rate s after the start.
+
+        A paced send stops when the server closes.
+        """
         if not self._rate:
             conn.sendall(blob)
             return
         view = memoryview(blob)
         start = time.monotonic()
-        for at in range(0, len(blob), 4096):
-            delay = start + min(at + 4096, len(blob)) / self._rate - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            conn.sendall(view[at : at + 4096])
+        for at in range(0, len(blob), _CHUNK):
+            delay = start + min(at + _CHUNK, len(blob)) / self._rate - time.monotonic()
+            if delay > 0 and self._closed.wait(delay):
+                return
+            conn.sendall(view[at : at + _CHUNK])
 
     def _serve_conn(self, conn: socket.socket, peer) -> None:
         reader = wire.PduReader()
         try:
             with conn:
-                while not self._closing:
+                while not self._closed.is_set():
                     data = conn.recv(4096)
                     if not data:
                         return
@@ -287,7 +295,7 @@ class RtrServer:
     def close(self) -> None:
         """Stop listening, end every live connection and wait for the accept thread to end."""
         with self._conns_lock:
-            self._closing = True
+            self._closed.set()
             # wakes the accept() blocked in the accept thread, and the recv()
             # of each connection's handler; close alone does neither
             for sock in (self._sock, *self._conns):

@@ -15,7 +15,7 @@ import io
 import random
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .hybrid import expand_all
 from .prefix import (
@@ -24,10 +24,8 @@ from .prefix import (
     AddressBlock,
     Prefix,
     PrefixFormatError,
-    Vrp,
     _DECIMAL,
     _new_block,
-    _new_vrp,
     parse_prefix,
 )
 
@@ -52,8 +50,8 @@ def _parse_asn(text: str) -> int:
     return asn
 
 
-def _parse_row(row: list[str], lineno: int, asns: dict[str, int]) -> Vrp:
-    """One CSV row as a VRP, reading the AS column through ``asns`` (AS text -> number)."""
+def _parse_row(row: list[str], lineno: int, asns: dict[str, int]) -> tuple[int, AddressBlock]:
+    """One CSV row as ``(asn, block)``, reading its AS column through ``asns`` (text -> number)."""
     if len(row) < 2:
         raise PrefixFormatError(f"line {lineno}: expected asn,prefix/len,max_length")
     try:
@@ -71,7 +69,7 @@ def _parse_row(row: list[str], lineno: int, asns: dict[str, int]) -> Vrp:
             raise ValueError(f"max_length {max_length} out of range for {prefix}")
     except (PrefixFormatError, ValueError) as exc:
         raise PrefixFormatError(f"line {lineno}: {exc}") from None
-    return _new_vrp((asn, _new_block((prefix, max_length))))
+    return asn, _new_block((prefix, max_length))
 
 
 @dataclass
@@ -79,10 +77,8 @@ class Workload:
     """Per-AS sets of address blocks."""
 
     entries: dict[int, set[AddressBlock]] = field(default_factory=dict)
-    source: str = ""
 
-    def add(self, vrp: Vrp) -> None:
-        asn, block = vrp
+    def add(self, asn: int, block: AddressBlock) -> None:
         blocks = self.entries.get(asn)
         if blocks is None:
             self.entries[asn] = {block}
@@ -92,11 +88,6 @@ class Workload:
     def asns(self) -> list[int]:
         return sorted(self.entries)
 
-    def vrps(self) -> Iterator[Vrp]:
-        for asn in self.asns():
-            for block in sorted(self.entries[asn]):
-                yield Vrp(asn, block)
-
     def vrp_count(self) -> int:
         return sum(len(v) for v in self.entries.values())
 
@@ -104,7 +95,7 @@ class Workload:
         return expand_all(self.entries[asn])
 
     def without_as0(self) -> "Workload":
-        return Workload({a: set(v) for a, v in self.entries.items() if a != 0}, self.source)
+        return Workload({a: set(v) for a, v in self.entries.items() if a != 0})
 
 
 def load_csv(path_or_file) -> Workload:
@@ -119,7 +110,7 @@ def load_csv(path_or_file) -> Workload:
 
 
 def _load(fh, source: str) -> Workload:
-    w = Workload(source=source)
+    w = Workload()
     add = w.add
     asns: dict[str, int] = {}  # every AS text a data row held, parsed once per load
     lines = iter(fh)
@@ -135,19 +126,19 @@ def _load(fh, source: str) -> Workload:
                 first_data = False
                 if _asn_number(row[0]) is None:
                     continue  # header line
-        add(_parse_row(row, lineno, asns))
+        add(*_parse_row(row, lineno, asns))
     if not w.entries:
         raise PrefixFormatError(f"{source}: no usable rows")
     return w
 
 
-def dump_csv(rows: Iterable[Vrp]) -> str:
-    """``asn,prefix/len,max_length`` rows under a header line, as text."""
+def dump_csv(rows: Iterable[tuple[int, AddressBlock]]) -> str:
+    """``(asn, block)`` rows as ``asn,prefix/len,max_length`` under a header line, as text."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["asn", "prefix", "max_length"])
-    for vrp in rows:
-        writer.writerow([vrp.asn, str(vrp.block.prefix), vrp.block.max_length])
+    for asn, (prefix, max_length) in rows:
+        writer.writerow([asn, str(prefix), max_length])
     return out.getvalue()
 
 
@@ -171,7 +162,7 @@ def synthetic_scattered(vrp_count: int, seed: int = 0) -> Workload:
         raise ValueError("vrp_count must be >= 1")
     rng = random.Random(seed)
     slots = 1 << (_LEAF_LEN - _ROOT_LEN)
-    w = Workload(source=f"synthetic:scattered:{vrp_count}")
+    w = Workload()
     asn = 64500
     made = 0
     taken_roots: set[int] = set()
@@ -188,6 +179,6 @@ def synthetic_scattered(vrp_count: int, seed: int = 0) -> Workload:
             for tail in rng.sample(range(slots), min(slots, vrp_count - made)):
                 bits = root | (tail << (32 - _LEAF_LEN))
                 block = AddressBlock(Prefix(V4, bits, _LEAF_LEN), _LEAF_LEN)
-                w.add(Vrp(asn, block))
+                w.add(asn, block)
                 made += 1
     return w

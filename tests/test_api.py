@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
     "Stm",
     "SubTreeBlock",
     "SyncReport",
-    "Vrp",
     "Workload",
     "apply_roa",
     "compress_minimal",
@@ -63,11 +62,9 @@ SIGNATURES = {
         "skipped_unknown",
     ),
     "SyncReport.to_json": (),
-    "Vrp": ("asn", "block"),
-    "Workload": ("entries", "source"),
-    "Workload.add": ("vrp",),
+    "Workload": ("entries",),
+    "Workload.add": ("asn", "block"),
     "Workload.asns": (),
-    "Workload.vrps": (),
     "Workload.vrp_count": (),
     "Workload.prefixes_for": ("asn",),
     "Workload.without_as0": (),

@@ -378,12 +378,91 @@ def test_fetch_against_live_server(fig_csv, tmp_path, capsys):
     assert report["decode_count"] == 4
     assert report["session_id"] == 5
     fetched = load_csv(outcsv)
-    assert {str(v.block.prefix) for v in fetched.vrps()} == {
+    assert {str(b.prefix) for b in fetched.entries[7497]} == {
         "202.127.16.0/20",
         "202.127.16.0/21",
         "202.127.16.0/22",
         "202.127.20.0/22",
     }
+
+
+# a tall v4 block, a short v4 block, a v6 block, a repeated row and a second AS
+DUAL_CSV = """asn,prefix,max_length
+64500,10.0.0.0/22,25
+64500,192.0.2.0/24,25
+64500,2001:db8::/32,33
+64500,192.0.2.0/24,25
+AS64501,198.51.100.0/24,
+64501,2001:db8:1::/48,48
+"""
+
+# decode writes maxLength blocks as they came and bitmap prefixes one row each
+DUAL_DECODED = {
+    "hroa": """asn,prefix,max_length
+64500,10.0.0.0/22,25
+64500,192.0.2.0/24,24
+64500,192.0.2.0/25,25
+64500,192.0.2.128/25,25
+64500,2001:db8::/32,32
+64500,2001:db8::/33,33
+64500,2001:db8:8000::/33,33
+64501,198.51.100.0/24,24
+64501,2001:db8:1::/48,48
+""",
+    "mroa": """asn,prefix,max_length
+64500,10.0.0.0/22,25
+64500,192.0.2.0/24,25
+64500,2001:db8::/32,33
+64501,198.51.100.0/24,24
+64501,2001:db8:1::/48,48
+""",
+}
+
+# fetch --out writes every prefix the cache authorizes, one row each
+DUAL_FETCHED = """asn,prefix,max_length
+64500,10.0.0.0/22,22
+64500,10.0.0.0/23,23
+64500,10.0.0.0/24,24
+64500,10.0.0.0/25,25
+64500,10.0.0.128/25,25
+64500,10.0.1.0/24,24
+64500,10.0.1.0/25,25
+64500,10.0.1.128/25,25
+64500,10.0.2.0/23,23
+64500,10.0.2.0/24,24
+64500,10.0.2.0/25,25
+64500,10.0.2.128/25,25
+64500,10.0.3.0/24,24
+64500,10.0.3.0/25,25
+64500,10.0.3.128/25,25
+64500,192.0.2.0/24,24
+64500,192.0.2.0/25,25
+64500,192.0.2.128/25,25
+64500,2001:db8::/32,32
+64500,2001:db8::/33,33
+64500,2001:db8:8000::/33,33
+64501,198.51.100.0/24,24
+64501,2001:db8:1::/48,48
+"""
+
+
+@pytest.mark.parametrize("scheme", ["hroa", "mroa"])
+def test_decode_writes_rows_byte_for_byte(tmp_path, capsys, scheme):
+    csv_path, pdus = tmp_path / "dual.csv", tmp_path / "dual.pdus"
+    csv_path.write_text(DUAL_CSV)
+    assert main(["encode", str(csv_path), "--scheme", scheme, "--out", str(pdus)]) == 0
+    capsys.readouterr()
+    assert _run(capsys, ["decode", str(pdus)]) == (0, DUAL_DECODED[scheme])
+
+
+def test_fetch_out_writes_rows_byte_for_byte(tmp_path, capsys):
+    csv_path, outcsv = tmp_path / "dual.csv", tmp_path / "fetched.csv"
+    csv_path.write_text(DUAL_CSV)
+    snap = sync.CacheSnapshot.build(load_csv(csv_path), session_id=5)
+    with sync.RtrServer(snap, "hroa") as server:
+        host, port = server.endpoint
+        assert main(["fetch", f"{host}:{port}", "--out", str(outcsv)]) == 0
+    assert outcsv.read_text() == DUAL_FETCHED
 
 
 @pytest.mark.parametrize(
@@ -473,8 +552,10 @@ def test_fetch_port_out_of_range_exits_1(capsys):
         (["--serial", "-1"], "--serial -1 is outside 0..4294967295"),
         (["--bandwidth", "0"], "--bandwidth '0': must be positive"),
         (["--bandwidth", "0mbps"], "--bandwidth '0mbps': must be positive"),
+        (["--bandwidth", "1e-300bps"],
+         "bandwidth 1e-300 bps is too low: one 4096-byte chunk would take over 9.22e+09 s"),
     ],
-    ids=["port", "session-id", "serial", "bandwidth", "bandwidth-unit"],
+    ids=["port", "session-id", "serial", "bandwidth", "bandwidth-unit", "bandwidth-too-low"],
 )
 def test_serve_settings_out_of_range_exit_1(fig_csv, capsys, monkeypatch, flags, message):
     monkeypatch.setattr(signal, "pause", lambda: None)  # a server that starts returns at once

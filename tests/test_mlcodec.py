@@ -178,11 +178,6 @@ def test_scatter_degree_empty_input():
         scatter_degree(set())
 
 
-def test_rejects_mixed_families():
-    with pytest.raises(ValueError):
-        compress_minimal({parse_prefix("10.0.0.0/8"), parse_prefix("2001:db8::/32")})
-
-
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         compress_minimal(set())
@@ -255,13 +250,13 @@ def _reference_compress(prefixes: Iterable[Prefix]) -> list[AddressBlock]:
 
 
 @st.composite
-def _compressible_sets(draw):
+def _compressible_sets(draw, family=None):
     """Pieces placed in one height-6 region of the trie, so they overlap:
     lone nodes, sibling pairs with and without their parent, chains down one
     branch and full sub-trees of height 1-4, now and then with the /0 and a
     full-width prefix.  The region is rooted at /0, at the deepest /len that
-    reaches full width, or anywhere between."""
-    family = draw(st.sampled_from((V4, V6)))
+    reaches full width, or anywhere between.  The family is drawn unless given."""
+    family = family or draw(st.sampled_from((V4, V6)))
     width = WIDTH[family]
     top = draw(st.sampled_from((0, width - 6, draw(st.integers(0, width - 6)))))
     base = draw(st.integers(0, (1 << top) - 1)) << (width - top) if top else 0
@@ -303,3 +298,9 @@ def _compressible_sets(draw):
 @given(_compressible_sets())
 def test_matches_the_node_by_node_reference(chosen):
     assert compress_minimal(chosen) == _reference_compress(chosen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_compressible_sets(V4), _compressible_sets(V6))
+def test_dual_stack_is_the_v4_blocks_then_the_v6_blocks(v4, v6):
+    assert compress_minimal(v4 | v6) == compress_minimal(v4) + compress_minimal(v6)

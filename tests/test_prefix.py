@@ -16,9 +16,7 @@ from hroa.prefix import (
     ExpansionCapError,
     Prefix,
     PrefixFormatError,
-    Vrp,
     _DECIMAL,
-    _new_vrp,
     _parse_fast,
     expand,
     parse_prefix,
@@ -410,21 +408,3 @@ def test_copy_and_pickle_round_trip(value):
                for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
     for got in copies:
         _same_value(got, value)
-
-
-@given(st.integers(0, (1 << 32) - 1), _blocks())
-def test_new_vrp_builds_what_the_checked_constructor_builds(asn, block):
-    _same_value(_new_vrp((asn, block)), Vrp(asn, block))
-
-
-@given(st.lists(st.tuples(st.integers(0, 3), _blocks()), max_size=12))
-def test_new_vrp_sorts_as_checked_vrps_and_plain_tuples(rows):
-    built = sorted(_new_vrp(row) for row in rows)
-    assert built == sorted(Vrp(*row) for row in rows)
-    assert [tuple(v) for v in built] == sorted(rows)
-
-
-@given(st.one_of(st.integers(max_value=-1), st.integers(min_value=1 << 32)), _blocks())
-@example(-1, AddressBlock(Prefix(V4, 0, 0), 0))
-def test_vrp_rejects_an_asn_out_of_range(asn, block):
-    assert _value_error(Vrp, asn, block) == f"asn {asn} out of range"

@@ -498,6 +498,29 @@ def test_bad_bandwidth_is_refused(rate):
         RtrServer(_snapshot(), "hroa", bandwidth_bps=rate)
 
 
+def test_a_bandwidth_too_low_to_pace_is_refused():
+    # one chunk would wait past threading.TIMEOUT_MAX, which no wait accepts
+    with pytest.raises(ValueError, match="bandwidth 1e-300 bps is too low"):
+        RtrServer(_snapshot(), "hroa", bandwidth_bps=1e-300)
+
+
+def test_close_ends_a_paced_send():
+    snap = _snapshot()
+    baseline = threading.active_count()
+    server = RtrServer(snap, "hroa", bandwidth_bps=8)  # the 52-byte response takes 52 s
+    with socket.create_connection(server.endpoint, timeout=5) as conn:
+        conn.sendall(wire.serialize(wire.ResetQuery()))
+        deadline = time.monotonic() + 5
+        while not server._conns and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)  # the connection thread reads the query and starts pacing
+        server.close()
+        deadline = time.monotonic() + 2
+        while threading.active_count() > baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= baseline
+
+
 def test_zero_bandwidth_is_unlimited():
     snap = _snapshot()
     with RtrServer(snap, "hroa", bandwidth_bps=0) as server:
