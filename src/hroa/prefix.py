@@ -17,8 +17,8 @@ proven its output valid: ``expand``, the fast path of ``parse_prefix``
 (``_parse_fast``, its address read by ``socket.inet_pton``), the CSV row
 parser (``workload._parse_row`` checks the AS number and the max_length
 range as ints first), bitmap decoding, minimal compression, the wire
-parser's prefix PDUs (``wire._prefix`` checks the prefix length and host
-bits as ints first) and the blocks ``sync.fetch`` and
+parser's prefix PDUs (``wire._prefix_builder`` checks the prefix length
+and host bits as ints first) and the blocks ``sync.fetch`` and
 ``sync.decode_payload_pdu`` make of them.
 Other tuple-backed values follow the same rule: ``encode_batch`` and
 ``sync.decode_payload_pdu`` build their sub-tree blocks with

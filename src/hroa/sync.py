@@ -4,9 +4,15 @@ The only flow spoken here is the full snapshot: client sends Reset Query,
 cache answers Cache Response, every payload PDU of the selected scheme, then
 End of Data.  Payload bytes are pre-serialized once per (snapshot, scheme)
 so concurrent clients share one blob, optionally paced per connection to
-emulate a slow link.  ``fetch`` expands prefix PDUs and hands sub-tree PDUs
-to ``decode_payload_pdu``; both look ``expand`` and ``decode_block`` up here
-at each call, where perfbench's tracer wraps them.
+emulate a slow link.  The cache keeps no serial history, so it answers a
+Serial Query with Cache Reset and keeps the connection open for the Reset
+Query that follows (RFC 8210).  It ends the connection without a reply on a
+router's Error Report, and with an Error Report on anything else: code 5
+(Unsupported PDU Type) echoing the PDU, or code 0 (Corrupt Data) for bytes
+that do not frame.  ``fetch`` handles prefix PDUs first, in a branch of
+their own, and hands sub-tree PDUs to ``decode_payload_pdu``; both look
+``expand`` and ``decode_block`` up here at each call, where perfbench's
+tracer wraps them.
 """
 
 from __future__ import annotations
@@ -168,10 +174,17 @@ class SyncReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _error_report(text: str, echoed: bytes = b"") -> bytes:
-    """A Corrupt Data (code 0) report, its echoed PDU cut short to fit the length cap."""
+# RFC 8210 error codes the server sends
+_CORRUPT_DATA = 0
+_UNSUPPORTED_PDU_TYPE = 5
+# the answer to a Serial Query while the cache keeps no history: reset instead
+_CACHE_RESET = wire._HDR.pack(wire.DEFAULT_VERSION, wire.PDU_CACHE_RESET, 0, wire.HEADER_BYTES)
+
+
+def _error_report(code: int, text: str, echoed: bytes = b"") -> bytes:
+    """An error report, its echoed PDU cut short to fit the length cap."""
     room = wire.MAX_PDU_LEN - wire.ERROR_REPORT_OVERHEAD - len(text.encode("utf-8"))
-    return wire.serialize(wire.ErrorReport(0, echoed[:room], text))
+    return wire.serialize(wire.ErrorReport(code, echoed[:room], text))
 
 
 class RtrServer:
@@ -267,7 +280,8 @@ class RtrServer:
                     except wire.FramingError as exc:
                         pdus, bad = exc.completed, exc  # serve what came before it
                     for pdu in pdus:
-                        if isinstance(pdu, wire.ResetQuery):
+                        kind = type(pdu)
+                        if kind is wire.ResetQuery:
                             t0 = time.perf_counter()
                             self._send(conn, self._response)
                             log.info(
@@ -278,13 +292,19 @@ class RtrServer:
                                 int((time.perf_counter() - t0) * 1e6),
                                 peer,
                             )
+                        elif kind is wire.UnknownPdu and pdu.pdu_type == wire.PDU_SERIAL_QUERY:
+                            conn.sendall(_CACHE_RESET)  # the router goes on with a Reset Query
+                        elif kind is wire.ErrorReport:
+                            return  # never answered with another report (RFC 8210 5.11)
                         else:
-                            conn.sendall(
-                                _error_report("only reset query is supported", wire.serialize(pdu))
-                            )
+                            conn.sendall(_error_report(
+                                _UNSUPPORTED_PDU_TYPE,
+                                "only reset query and serial query are supported",
+                                wire.serialize(pdu),
+                            ))
                             return
                     if bad is not None:
-                        conn.sendall(_error_report(str(bad)))
+                        conn.sendall(_error_report(_CORRUPT_DATA, str(bad)))
                         return
         except OSError:
             return
@@ -328,7 +348,7 @@ def decode_payload_pdu(
     if kind is wire.PrefixPdu:
         if not pdu.flags & 1:
             raise wire.FramingError("withdrawal PDU in an authorization payload")
-        # wire._prefix checked prefixlen <= max_length <= width when it parsed the PDU
+        # wire's prefix builder checked prefixlen <= max_length <= width
         return pdu.asn, (_new_block((pdu.prefix, pdu.max_length)),), _NO_PREFIXES
     if kind is wire.SubTreePdu:
         pairs: Iterable[tuple[int, int]] = ((pdu.subtree_id, pdu.bitmap),)
@@ -376,6 +396,9 @@ def fetch(
     payloads = 0
     got_cache_response = False
     done = False
+    # hot names as locals; expand and decode_block stay module lookups at each
+    # call, where the benchmark's tracer wraps them
+    prefix_pdu, new_block, out_get = wire.PrefixPdu, _new_block, out.get
     t0 = time.perf_counter()
     try:
         with conn:
@@ -397,23 +420,17 @@ def fetch(
                     raise ProtocolError(f"unparseable PDU: {exc}") from None
                 for pdu in pdus:
                     kind = type(pdu)
-                    if got_cache_response and kind in _PAYLOAD_TYPES:
-                        payloads += 1
-                        if kind is wire.PrefixPdu:
-                            flags, prefix, max_length, asn, _ = pdu  # checked by wire._prefix
-                            if not flags & 1:
-                                raise ProtocolError("withdrawal PDU in an authorization payload")
-                            prefixes = expand(_new_block((prefix, max_length)))
-                        else:
-                            try:
-                                asn, _, prefixes = decode_payload_pdu(pdu, cfg)
-                            except wire.FramingError as exc:
-                                raise ProtocolError(str(exc)) from None
-                        acc = out.get(asn)
-                        if acc is None:
-                            out[asn] = prefixes or set()  # never the shared _NO_PREFIXES
-                        else:
-                            acc |= prefixes
+                    # a payload PDU sets (asn, prefixes) and falls through to the merge below
+                    if kind is prefix_pdu and got_cache_response:
+                        flags, prefix, max_length, asn, _ = pdu  # checked by wire's prefix builder
+                        if not flags & 1:
+                            raise ProtocolError("withdrawal PDU in an authorization payload")
+                        prefixes = expand(new_block((prefix, max_length)))
+                    elif got_cache_response and kind in _PAYLOAD_TYPES:
+                        try:
+                            asn, _, prefixes = decode_payload_pdu(pdu, cfg)
+                        except wire.FramingError as exc:
+                            raise ProtocolError(str(exc)) from None
                     elif kind is wire.ErrorReport:
                         raise CacheErrorReport(pdu)
                     elif not got_cache_response:
@@ -421,6 +438,7 @@ def fetch(
                             raise ProtocolError(f"expected cache response, got {kind.__name__}")
                         got_cache_response = True
                         report.session_id = pdu.session_id
+                        continue
                     elif kind is wire.EndOfData:
                         if pdu.session_id != report.session_id:
                             raise ProtocolError("session id changed mid-response")
@@ -429,8 +447,15 @@ def fetch(
                         break
                     elif kind is wire.UnknownPdu:
                         report.skipped_unknown += 1
+                        continue
                     else:
                         raise ProtocolError(f"unexpected PDU {kind.__name__} in payload")
+                    payloads += 1
+                    acc = out_get(asn)
+                    if acc is None:
+                        out[asn] = prefixes or set()  # never the shared _NO_PREFIXES
+                    else:
+                        acc |= prefixes
     finally:
         report.elapsed = time.perf_counter() - t0
     report.pdu_count = payloads

@@ -35,15 +35,23 @@ Every fixed layout (types 2, 3, 4, 6, 7, 12, 13) has one precompiled
 ``Layout.subtree_struct`` per family, ``_HDR`` and ``_END_OF_DATA`` for the
 rest.  A v4 address or id is one 32-bit int field; a v6 one is 16 bytes, as
 struct has no 128-bit code.  ``serialize_each`` (behind ``serialize``) packs a
-fixed PDU with one call.  ``_parse`` (behind ``deserialize``) unpacks one PDU
-in place from the caller's buffer.  ``PduReader.feed`` unpacks a run of
-prefix or sub-tree PDUs of one type with one ``iter_unpack`` per window of
-at most ``_RUN_PDUS`` PDUs, over a copy of just that window, so what it
-copies stays linear in the stream however short its runs are.  It checks
-each PDU's type and length fields, and hands the first PDU that differs,
-or a partial tail, to ``_parse``.  Both pass the unpacked
-fields to the same per-type builder, which checks them as ints and builds
-the PDU and its ``Prefix`` with unchecked tuple builders.
+fixed PDU with one call.  A payload type (4, 6, 12, 13) is read by a second
+Struct of the same size built from the same body format,
+``Layout.prefix_read`` or ``Layout.subtree_read``: it reads the version and
+the body and skips the rest of the header, whose type and length are checked
+before it runs.  ``_parse`` (behind ``deserialize``) checks one PDU's header
+and unpacks it in place from the caller's buffer.  ``PduReader.feed`` takes
+a run of payload PDUs of one type a window of at most ``_RUN_PDUS`` PDUs at
+a time: stride slices of the window's type and length bytes count the
+leading PDUs that match, and one ``iter_unpack`` over a copy of just their
+bytes reads them, so what it copies stays linear in the stream however short
+its runs are.  The first PDU that does not match, or a partial tail, goes to
+``_parse``.  Both hand each unpacked tuple to the one builder of its type,
+which checks the fields as ints and builds the PDU and its ``Prefix`` with
+unchecked tuple builders.
+
+Types 1 (serial query) and 8 (cache reset) have codes here for the cache
+server, and parse as ``UnknownPdu``.
 """
 
 from __future__ import annotations
@@ -55,9 +63,11 @@ from typing import Iterable, Sequence
 
 from .prefix import V4, V6, WIDTH, _new_prefix
 
+PDU_SERIAL_QUERY = 1
 PDU_RESET_QUERY = 2
 PDU_CACHE_RESPONSE = 3
 PDU_END_OF_DATA = 7
+PDU_CACHE_RESET = 8
 PDU_ERROR_REPORT = 10
 
 DEFAULT_VERSION = 1
@@ -65,6 +75,9 @@ MAX_PDU_LEN = 65535
 ANNOUNCE = 1  # flags byte of an announcing prefix PDU
 
 _HDR_FMT = ">BBHI"  # version, type, 16-bit field, length
+# a header as the payload parser reads it: the version; the type and length
+# are checked before, the 16-bit field not at all
+_READ_HDR_FMT = ">B7x"
 _HDR = struct.Struct(_HDR_FMT)
 _END_OF_DATA = struct.Struct(_HDR_FMT + "IIII")  # serial, refresh, retry, expire
 _U32 = struct.Struct(">I")
@@ -88,7 +101,7 @@ class Layout:
 
     __slots__ = ("family", "addr_bytes", "prefix_type", "subtree_type", "agg_type",
                  "prefix_len", "pair_bytes", "subtree_len",
-                 "prefix_struct", "subtree_struct", "pair_struct")
+                 "prefix_struct", "subtree_struct", "prefix_read", "subtree_read", "pair_struct")
 
     def __init__(self, family: int, addr_bytes: int, prefix_type: int, subtree_type: int,
                  agg_type: int):
@@ -96,9 +109,13 @@ class Layout:
         self.addr_bytes = addr_bytes  # prefix address in types 4/6, sub-tree id in 12-15
         self.prefix_type, self.subtree_type, self.agg_type = prefix_type, subtree_type, agg_type
         addr = _ADDR_FMT[addr_bytes]
-        # header, then flags, len, maxlen, zero, address, asn
-        self.prefix_struct = struct.Struct(_HDR_FMT + "BBBB" + addr + "I")
-        self.subtree_struct = struct.Struct(_HDR_FMT + addr + "II")  # header, id, bitmap, asn
+        prefix_body = "BBBx" + addr + "I"  # flags, len, maxlen, zero, address, asn
+        subtree_body = addr + "II"  # id, bitmap, asn
+        self.prefix_struct = struct.Struct(_HDR_FMT + prefix_body)
+        self.subtree_struct = struct.Struct(_HDR_FMT + subtree_body)
+        # the parser's: the same bytes, read as the version and the body
+        self.prefix_read = struct.Struct(_READ_HDR_FMT + prefix_body)
+        self.subtree_read = struct.Struct(_READ_HDR_FMT + subtree_body)
         self.pair_struct = struct.Struct(">" + addr + "I")  # one (id, bitmap) pair
         self.prefix_len = self.prefix_struct.size
         self.subtree_len = self.subtree_struct.size
@@ -235,7 +252,7 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
                     _check_u32(asn, "asn")
                 append(lay.prefix_struct.pack(
                     version, lay.prefix_type, 0, lay.prefix_len,
-                    flags, plen, max_length, 0, lay.addr_field(bits), asn,
+                    flags, plen, max_length, lay.addr_field(bits), asn,
                 ))
 
             elif isinstance(pdu, SubTreePdu):
@@ -318,52 +335,70 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
 
 # -- parsing -------------------------------------------------------------------
 #
-# Each fixed type maps to its Struct and a builder that takes the tuple the
-# Struct unpacks: (version, type, 16-bit field, length, *body).  The prefix and
-# sub-tree builders check their fields with plain ints, then build the PDU (and
-# its Prefix) with the unchecked tuple builders below.
+# Each fixed type maps to the Struct it is read with and a builder that takes
+# the tuple the Struct unpacks.  A payload type is read by its Layout's read
+# struct, (version, *body); its builder checks the fields with plain ints, then
+# builds the PDU (and its Prefix) with the unchecked tuple builders below.
 
 _new_prefix_pdu = partial(tuple.__new__, PrefixPdu)
 _new_subtree_pdu = partial(tuple.__new__, SubTreePdu)
 
 
-def _prefix(fields: tuple, family: int = V4) -> PrefixPdu:
-    version, _, _, _, flags, plen, maxlen, _, bits, asn = fields
-    if family == V6:
-        bits = int.from_bytes(bits, "big")
-    width = WIDTH[family]
-    # Prefix's checks and texts; an unpacked address cannot overflow its width
-    if plen > width:
-        raise FramingError(f"prefixlen {plen} out of range for v{family}")
-    if bits & ((1 << (width - plen)) - 1):
-        raise FramingError(f"host bits set below /{plen}")
-    if not plen <= maxlen <= width:
+def _prefix_builder(lay: Layout):
+    """The builder of the family's prefix PDUs from ``lay.prefix_read`` fields."""
+    family, width, v6 = lay.family, WIDTH[lay.family], lay.addr_bytes != 4
+    host = [(1 << (width - plen)) - 1 for plen in range(width + 1)]  # host bits below /plen
+
+    def build(fields: tuple) -> PrefixPdu:
+        version, flags, plen, maxlen, bits, asn = fields
+        if v6:
+            bits = int.from_bytes(bits, "big")
+        # host[plen] is read only once plen <= width holds
+        if plen <= maxlen <= width and not bits & host[plen]:
+            return _new_prefix_pdu((flags, _new_prefix((family, bits, plen)), maxlen, asn, version))
+        # Prefix's checks and texts, in its order; an unpacked address cannot overflow its width
+        if plen > width:
+            raise FramingError(f"prefixlen {plen} out of range for v{family}")
+        if bits & host[plen]:
+            raise FramingError(f"host bits set below /{plen}")
         raise FramingError(f"max_length {maxlen} out of range")
-    return _new_prefix_pdu((flags, _new_prefix((family, bits, plen)), maxlen, asn, version))
+
+    return build
 
 
-def _subtree(fields: tuple, family: int = V4) -> SubTreePdu:
-    version, _, _, _, sid, bitmap, asn = fields
-    if family == V6:
-        sid = int.from_bytes(sid, "big")
-    if sid < 1:
-        raise FramingError("zero sub-tree id")
-    return _new_subtree_pdu((family, sid, bitmap, asn, version))
+def _subtree_builder(lay: Layout):
+    """The builder of the family's sub-tree PDUs from ``lay.subtree_read`` fields."""
+    family, v6 = lay.family, lay.addr_bytes != 4
+
+    def build(fields: tuple) -> SubTreePdu:
+        version, sid, bitmap, asn = fields
+        if v6:
+            sid = int.from_bytes(sid, "big")
+        if sid < 1:
+            raise FramingError("zero sub-tree id")
+        return _new_subtree_pdu((family, sid, bitmap, asn, version))
+
+    return build
 
 
+# the payload types a response carries in long runs, which feed parses a window
+# at a time: read struct, builder, and the type and length bytes it checks by
+# stride (every payload size fits the length field's low byte)
+_RUNS = {
+    ptype: (read, build, bytes((ptype,)), bytes((read.size,)))
+    for lay in LAYOUT.values()
+    for ptype, read, build in (
+        (lay.prefix_type, lay.prefix_read, _prefix_builder(lay)),
+        (lay.subtree_type, lay.subtree_read, _subtree_builder(lay)),
+    )
+}
 _FIXED = {
     PDU_RESET_QUERY: (_HDR, lambda f: ResetQuery(f[0])),
     PDU_CACHE_RESPONSE: (_HDR, lambda f: CacheResponse(f[2], f[0])),
     PDU_END_OF_DATA: (_END_OF_DATA, lambda f: EndOfData(f[2], *f[4:], f[0])),
-    LAYOUT[V4].prefix_type: (LAYOUT[V4].prefix_struct, _prefix),
-    LAYOUT[V6].prefix_type: (LAYOUT[V6].prefix_struct, partial(_prefix, family=V6)),
-    LAYOUT[V4].subtree_type: (LAYOUT[V4].subtree_struct, _subtree),
-    LAYOUT[V6].subtree_type: (LAYOUT[V6].subtree_struct, partial(_subtree, family=V6)),
+    **{ptype: (read, build) for ptype, (read, build, _, _) in _RUNS.items()},
 }
-# the payload types a response carries in long runs, which feed parses a run at a time
-_RUNS = {ptype: _FIXED[ptype] for lay in LAYOUT.values()
-         for ptype in (lay.prefix_type, lay.subtree_type)}
-# PDUs feed unpacks from one copy, which bounds what a run of one or two PDUs copies
+# the most PDUs of one window of a run, which bounds what a run of one or two PDUs copies
 _RUN_PDUS = 64
 
 
@@ -448,39 +483,50 @@ class PduReader:
     def feed(self, data: bytes) -> list[RtrPdu]:
         """Buffer a chunk; return every PDU it completed.
 
-        A malformed PDU raises FramingError carrying the PDUs completed
-        before it, so the caller can still act on them.
+        A run of payload PDUs of one type is checked a window at a time by
+        stride slices of its type and length bytes, and the matching ones are
+        unpacked with their read struct and mapped through their type's
+        builder; every other PDU goes through ``_parse``.  A malformed PDU
+        raises FramingError carrying the PDUs completed before it, so the
+        caller can still act on them; ``bytes_consumed`` then stops at the
+        bad PDU, which stays buffered.
         """
         buf = self._buf
         buf.extend(data)
         end = len(buf)
         out: list[RtrPdu] = []
         at = 0
-        append = out.append
         try:
             while at < end:
                 run = _RUNS.get(buf[at + 1]) if end - at >= HEADER_BYTES else None
                 if run is not None:
-                    # up to _RUN_PDUS PDUs of one fixed layout in one unpack, from a
-                    # copy of just those bytes, so no export of buf outlives the loop
-                    # and a short run copies little; a window that ran full goes on to
-                    # the next, and the first PDU of another type or length, or a
-                    # partial tail, goes to _parse
-                    layout, build = run
-                    ptype, size = buf[at + 1], layout.size
-                    stop = end - (end - at) % size
-                    window = min(stop, at + _RUN_PDUS * size)
-                    for fields in layout.iter_unpack(buf[at:window]):
-                        if fields[1] != ptype or fields[3] != size:
-                            break
-                        append(build(fields))
-                        at += size
-                    if at == window < stop:
-                        continue
-                    if at == end:
-                        break
+                    # a window of at most _RUN_PDUS whole PDUs: stride slices of
+                    # their type and length bytes count the leading PDUs of this
+                    # type and size, and one unpack reads them from a copy of
+                    # just their bytes, so no export of buf outlives the call
+                    read, build, ptype, size_byte = run
+                    size = read.size
+                    stop = min(end - (end - at) % size, at + _RUN_PDUS * size)
+                    good = (stop - at) // size - max(
+                        len(buf[at + 1 : stop : size].lstrip(ptype)),
+                        len(buf[at + 4 : stop : size].lstrip(b"\0")),
+                        len(buf[at + 5 : stop : size].lstrip(b"\0")),
+                        len(buf[at + 6 : stop : size].lstrip(b"\0")),
+                        len(buf[at + 7 : stop : size].lstrip(size_byte)),
+                    )
+                    if good:
+                        done = len(out)
+                        try:
+                            out.extend(map(build, read.iter_unpack(buf[at : at + good * size])))
+                        except FramingError:
+                            at += (len(out) - done) * size  # past the PDUs built before it
+                            raise
+                        at += good * size
+                        if at == stop:  # the window ran full: the next one, or what follows
+                            continue
+                # a PDU of another type or length, or a partial tail
                 pdu, used = _parse(buf, at, end)
-                append(pdu)
+                out.append(pdu)
                 at += used
         except TruncatedPdu:
             pass

@@ -243,20 +243,70 @@ def test_sequential_fetches_share_one_server():
             assert got == snap.authorized_map()
 
 
+def _exchange(server: RtrServer, raw: bytes) -> list:
+    """Send raw bytes on a new connection; the PDUs the server sends until it hangs up."""
+    with socket.create_connection(server.endpoint, timeout=5) as conn:
+        conn.sendall(raw)
+        reader = wire.PduReader()
+        pdus = []
+        while data := conn.recv(65536):
+            pdus.extend(reader.feed(data))
+    assert reader.pending == 0
+    return pdus
+
+
+def _wait_for_threads(baseline: int) -> None:
+    deadline = time.monotonic() + 5
+    while threading.active_count() > baseline and time.monotonic() < deadline:
+        time.sleep(0.01)  # connection threads end once they see the client hang up
+    assert threading.active_count() <= baseline
+
+
 def test_server_rejects_non_reset_pdus():
-    snap = _snapshot()
-    with RtrServer(snap, "hroa") as server:
+    # RFC 8210 Unsupported PDU Type (5), echoing the PDU; then the server hangs up
+    refused = [
+        wire.CacheResponse(1),
+        wire.PrefixPdu(1, parse_prefix("192.0.2.0/24"), 24, 64500),
+        wire.UnknownPdu(1, 99, bytes.fromhex("016300000000000cdeadbeef")),
+    ]
+    with RtrServer(_snapshot(), "hroa") as server:
+        baseline = threading.active_count()
+        for pdu in refused:
+            raw = wire.serialize(pdu)
+            (report,) = _exchange(server, raw)
+            assert type(report) is wire.ErrorReport
+            assert (report.error_code, report.echoed) == (5, raw)
+            assert report.text == "only reset query and serial query are supported"
+        _wait_for_threads(baseline)
+
+
+def test_server_answers_serial_query_with_cache_reset():
+    # version 1, type 1, session 0x1234, length 12, serial 41
+    serial_query = bytes.fromhex("010112340000000c00000029")
+    with RtrServer(_snapshot(), "hroa") as server:
+        baseline = threading.active_count()
         with socket.create_connection(server.endpoint, timeout=5) as conn:
-            conn.sendall(wire.serialize(wire.CacheResponse(1)))
-            reader = wire.PduReader()
-            pdus = []
-            while not pdus:
-                data = conn.recv(4096)
-                if not data:
-                    break
-                pdus.extend(reader.feed(data))
-    assert isinstance(pdus[0], wire.ErrorReport)
-    assert "reset query" in pdus[0].text
+            conn.sendall(serial_query)
+            reset = b""
+            while len(reset) < 8 and (data := conn.recv(8 - len(reset))):
+                reset += data
+            assert reset == bytes.fromhex("0108000000000008")  # Cache Reset
+            # the connection stays open for the router's Reset Query
+            conn.sendall(wire.serialize(wire.ResetQuery()))
+            want = len(server._response)
+            got = b""
+            while len(got) < want and (data := conn.recv(65536)):
+                got += data
+        assert got == server._response
+        _wait_for_threads(baseline)
+
+
+def test_server_does_not_answer_an_error_report():
+    # RFC 8210 5.11: an error report is never answered with another
+    with RtrServer(_snapshot(), "hroa") as server:
+        baseline = threading.active_count()
+        assert _exchange(server, wire.serialize(wire.ErrorReport(2, b"", "no data"))) == []
+        _wait_for_threads(baseline)
 
 
 def test_server_serves_the_query_before_a_malformed_pdu_in_one_segment():
@@ -424,27 +474,21 @@ def test_fetch_fails_typed_on_a_broken_response(raw_cache, capsys, case):
 
 
 def test_oversized_echo_still_gets_an_error_report(monkeypatch):
-    # a legal 65,516-byte error report from the client; echoing it whole
-    # would make the server's report 65,561 bytes, over the length cap
-    raw = wire.serialize(wire.ErrorReport(0, echoed=b"\x01" * 65500))
+    # a legal 65,516-byte PDU of an unknown type from the client; echoing it
+    # whole would make the server's report 65,579 bytes, over the length cap
+    raw = bytes.fromhex("016300000000ffec") + b"\x01" * 65508  # type 99, length 65,516
     assert len(raw) == 65516
     crashed = []
     monkeypatch.setattr(threading, "excepthook", crashed.append)
     with RtrServer(_snapshot(), "hroa") as server:
         baseline = threading.active_count()
-        with socket.create_connection(server.endpoint, timeout=5) as conn:
-            conn.sendall(raw)
-            reader = wire.PduReader()
-            pdus = []
-            while data := conn.recv(65536):
-                pdus.extend(reader.feed(data))
-        deadline = time.monotonic() + 5
-        while threading.active_count() > baseline and time.monotonic() < deadline:
-            time.sleep(0.01)
+        pdus = _exchange(server, raw)
+        _wait_for_threads(baseline)
     assert crashed == []
     assert len(pdus) == 1 and isinstance(pdus[0], wire.ErrorReport)
     report = pdus[0]
-    assert report.text == "only reset query is supported"
+    assert report.error_code == 5
+    assert report.text == "only reset query and serial query are supported"
     assert len(wire.serialize(report)) == wire.MAX_PDU_LEN
     assert raw.startswith(report.echoed)
 

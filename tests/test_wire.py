@@ -466,7 +466,11 @@ def _mutate(raw: bytearray, pdu, how: str, value: int) -> None:
     if isinstance(pdu, SubTreePdu) and how == "zero_id":
         addr = wire.LAYOUT[pdu.family].addr_bytes
         raw[8 : 8 + addr] = bytes(addr)
-    if how == "length":  # short, wrong for the type, or over the cap
+    if how == "version":  # not checked: a PDU carries it through
+        raw[0] = value % 256
+    elif how == "field16":  # not checked on payload PDUs
+        raw[2:4] = (value % (1 << 16)).to_bytes(2, "big")
+    elif how == "length":  # short, wrong for the type, or over the cap
         length = value % 80 if value % 2 else wire.MAX_PDU_LEN + value
         raw[4:8] = length.to_bytes(4, "big")
     elif how == "type":
@@ -564,7 +568,8 @@ def _run_stream(draw):
 @given(
     _run_stream(),
     st.integers(0, 299),  # which run PDU, modulo the run's length
-    st.sampled_from(("type", "length", "host_bits", "prefix_length", "max_length", "zero_id")),
+    st.sampled_from(("type", "length", "host_bits", "prefix_length", "max_length", "zero_id",
+                     "version", "field16")),
     st.integers(0, 1 << 16),
     st.lists(st.sampled_from((1, 19, 20, 21, 4096)) | st.integers(1, 700), min_size=1, max_size=6),
 )
@@ -591,6 +596,8 @@ def test_reader_parses_runs_as_the_deserialize_walk(stream, index, how, value, s
             # the PDUs completed before the bad one, and nothing else
             assert list(exc.completed) == walked[len(got) :]
             got.extend(exc.completed)
+            # consumed up to the bad PDU, which stays buffered
+            assert (reader.pending, reader.bytes_consumed) == (fed - bounds[-1], bounds[-1])
             err = str(exc)
             break
         whole = max(b for b in bounds if b <= fed)
