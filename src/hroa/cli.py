@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=sync.SCHEMES, default="hroa")
     p.add_argument("--out", help="write concatenated PDUs here")
     p.add_argument("--recompress", action="store_true",
-                   help="re-derive minimal blocks from expanded prefixes")
+                   help="re-derive minimal blocks from the filed ones")
     _add_cfg_flags(p)
     p.set_defaults(func=cmd_encode)
 
@@ -401,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fetch", help="sync from a cache and report transfer cost")
     p.add_argument("endpoint", help="host:port")
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=float, default=30.0,
+                   help="seconds the whole sync may take (default %(default)g)")
     p.add_argument("--out", help="write decoded rows as CSV here")
     _add_profile_flags(p)
     p.set_defaults(func=cmd_fetch)

@@ -94,9 +94,7 @@ def canonical_blocks(items, recompress: bool = False) -> tuple[AddressBlock, ...
         return tuple(compress_minimal(seq))
     if not all(isinstance(x, AddressBlock) for x in seq):
         raise TypeError("input must be all prefixes or all address blocks")
-    if recompress:
-        return tuple(compress_minimal(expand_all(seq)))
-    return tuple(sorted(set(seq)))
+    return tuple(compress_minimal(seq) if recompress else sorted(set(seq)))
 
 
 def hybrid_encode(

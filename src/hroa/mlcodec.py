@@ -2,10 +2,11 @@
 
 A single (prefix, max_length) block can stand for many prefixes, but only
 when the whole sub-tree between the two depths is authorized.  The
-compressor below partitions an arbitrary authorized set into the fewest
-such complete trees, with Python work per parent-child edge rather than
-per node where it can; scatter degree then measures how fragmented an
-AS's holdings are (1.0 = nothing merges, 1/n = one block covers everything).
+compressor below partitions an arbitrary authorized set, given as prefixes
+or as blocks it never expands, into the fewest such complete trees, with
+Python work per parent-child edge rather than per node where it can;
+scatter degree then measures how fragmented an AS's holdings are (1.0 =
+nothing merges, 1/n = one block covers everything).
 """
 
 from __future__ import annotations
@@ -16,37 +17,55 @@ from operator import and_
 from typing import Iterable
 
 from .prefix import (
+    DEFAULT_EXPANSION_CAP,
     WIDTH,
     AddressBlock,
     Prefix,
+    _cap_error,
     _new_block,
+    _new_prefix,
 )
 
 _LEAF = ((1,), 1)  # the (costs, best) of a node with no child in the set
 
 
-def compress_minimal(prefixes: Iterable[Prefix]) -> list[AddressBlock]:
+def compress_minimal(prefixes: Iterable[Prefix | AddressBlock]) -> list[AddressBlock]:
     """Partition a prefix set into a minimum number of address blocks.
 
     Every returned block expands to prefixes of the input only, the
     expansions are pairwise disjoint, and their union is exactly the
     input.  No other disjoint block collection is smaller.  Each family
     is compressed on its own, and the output is sorted by (prefix,
-    max_length): v4 blocks before v6 ones.
+    max_length): v4 blocks before v6 ones.  An address block in the input
+    stands for its expansion, which is never built, and is refused past the
+    expansion cap as ``expand`` refuses it.
     """
-    by_family: dict[int, dict[int, dict[int, Prefix]]] = {}  # family -> length -> bits -> prefix
-    for p in prefixes:
-        by_family.setdefault(p.family, {}).setdefault(p.prefixlen, {})[p.bits] = p
+    # family -> length -> bits -> the input's prefix, or None inside a block
+    by_family: dict[int, dict[int, dict[int, Prefix | None]]] = {}
+    for item in prefixes:
+        p, max_length = item if isinstance(item, AddressBlock) else (item, item[2])
+        family, bits, plen = p
+        by_len = by_family.setdefault(family, {})
+        by_len.setdefault(plen, {})[bits] = p
+        if max_length > plen:
+            if max_length - plen > DEFAULT_EXPANSION_CAP:
+                raise _cap_error(max_length - plen)
+            # the nodes of length n: the root's bits plus k steps of one /n
+            end, width = bits + (1 << (WIDTH[family] - plen)), WIDTH[family]
+            for n in range(plen + 1, max_length + 1):
+                by_len.setdefault(n, {}).update(dict.fromkeys(range(bits, end, 1 << (width - n))))
     if not by_family:
         raise ValueError("empty prefix set")
     out: list[AddressBlock] = []
     for family in sorted(by_family):
-        out += _compress_family(by_family[family], WIDTH[family])
+        out += _compress_family(by_family[family], family)
     return out
 
 
-def _compress_family(by_len: dict[int, dict[int, Prefix]], width: int) -> list[AddressBlock]:
-    """The minimal blocks of one family's prefixes, given as prefixlen -> bits -> prefix.
+def _compress_family(
+    by_len: dict[int, dict[int, Prefix | None]], family: int
+) -> list[AddressBlock]:
+    """The minimal blocks of one family's prefixes, given as prefixlen -> bits -> prefix or None.
 
     One pass over the levels, longest first, finds for each node the fewest
     blocks its component needs with a block of height h rooted there, for
@@ -56,6 +75,7 @@ def _compress_family(by_len: dict[int, dict[int, Prefix]], width: int) -> list[A
     component root and each node hanging below a block's last level starts;
     every node of a level with no level directly above it starts one.
     """
+    width = WIDTH[family]
     # counts[n][bits] = (costs, best): costs[h] is the block count of the
     # component hanging at node (bits, n) when the block holding the node
     # is rooted there with height h, for h up to the tallest complete tree
@@ -91,7 +111,8 @@ def _compress_family(by_len: dict[int, dict[int, Prefix]], width: int) -> list[A
                 found.append((bits, plen, end))
             here[bits] = end
     found.sort()
-    return [_new_block((by_len[plen][bits], end)) for bits, plen, end in found]
+    return [_new_block((by_len[plen][bits] or _new_prefix((family, bits, plen)), end))
+            for bits, plen, end in found]
 
 
 def scatter_degree(prefixes: Iterable[Prefix]) -> Fraction:

@@ -16,9 +16,11 @@ namedtuple helpers ``_make`` and ``_replace`` do not, and neither do
 proven its output valid: ``expand``, the fast path of ``parse_prefix``
 (``_parse_fast``, its address read by ``socket.inet_pton``), the CSV row
 parser (``workload._parse_row`` checks the AS number and the max_length
-range as ints first), bitmap decoding, minimal compression, the wire
-parser's prefix PDUs (``wire._prefix_builder`` checks the prefix length
-and host bits as ints first) and the blocks ``sync.fetch`` and
+range as ints first, and so does ``workload._load`` for the canonical
+rows it reads with ``_parse_fast`` itself), bitmap decoding, the roots of
+minimal compression that no input object supplies, the wire parser's
+prefix PDUs (``wire._prefix_builder`` checks the prefix length and host
+bits as ints first) and the blocks ``sync.fetch`` and
 ``sync.decode_payload_pdu`` make of them.
 Other tuple-backed values follow the same rule: ``encode_batch`` and
 ``sync.decode_payload_pdu`` build their sub-tree blocks with
@@ -55,6 +57,10 @@ class FamilyMismatchError(ValueError):
 
 class ExpansionCapError(ValueError):
     """A block is taller than the expansion cap."""
+
+
+def _cap_error(height: int) -> ExpansionCapError:
+    return ExpansionCapError(f"block height {height} exceeds expansion cap {DEFAULT_EXPANSION_CAP}")
 
 
 class Prefix(namedtuple("Prefix", "family bits prefixlen")):
@@ -170,8 +176,7 @@ def expand(block: AddressBlock) -> set[Prefix]:
     plen = root.prefixlen
     height = block.max_length - plen
     if height > DEFAULT_EXPANSION_CAP:
-        raise ExpansionCapError(
-            f"block height {height} exceeds expansion cap {DEFAULT_EXPANSION_CAP}")
+        raise _cap_error(height)
     out = {root}
     if height:
         family, bits, _ = root

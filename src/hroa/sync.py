@@ -269,17 +269,22 @@ class RtrServer:
 
     def _serve_conn(self, conn: socket.socket, peer) -> None:
         reader = wire.PduReader()
+        pending = bytearray()  # the received bytes, from the first PDU not yet handled
         try:
             with conn:
                 while not self._closed.is_set():
                     data = conn.recv(4096)
                     if not data:
                         return
+                    pending += data
                     try:
                         pdus, bad = reader.feed(data), None
                     except wire.FramingError as exc:
                         pdus, bad = exc.completed, exc  # serve what came before it
                     for pdu in pdus:
+                        # the PDU's bytes as the router sent them, cut out by their length field
+                        raw = bytes(pending[: wire._HDR.unpack_from(pending)[3]])
+                        del pending[: len(raw)]
                         kind = type(pdu)
                         if kind is wire.ResetQuery:
                             t0 = time.perf_counter()
@@ -300,7 +305,7 @@ class RtrServer:
                             conn.sendall(_error_report(
                                 _UNSUPPORTED_PDU_TYPE,
                                 "only reset query and serial query are supported",
-                                wire.serialize(pdu),
+                                raw,
                             ))
                             return
                     if bad is not None:
@@ -382,12 +387,14 @@ def fetch(
 ) -> tuple[dict[int, set[Prefix]], SyncReport]:
     """Run one reset-query sync; returns (asn -> prefixes, transfer report).
 
-    Each AS's first decoded set, fresh from ``expand`` or ``decode_block``,
+    ``timeout`` bounds the whole sync, from connect to End of Data.  Each
+    AS's first decoded set, fresh from ``expand`` or ``decode_block``,
     becomes its map entry uncopied; later sets merge into it.
     """
     cfg = cfg or HybridConfig()
     report = SyncReport()
     out: dict[int, set[Prefix]] = {}
+    deadline = time.monotonic() + timeout
     try:
         conn = socket.create_connection(endpoint, timeout=timeout)
     except OSError as exc:
@@ -408,6 +415,10 @@ def fetch(
                 raise TransportError(f"send: {exc}") from None
             while not done:
                 try:
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        raise TimeoutError("timed out")  # as a recv past the deadline words it
+                    conn.settimeout(left)
                     data = conn.recv(65536)
                 except OSError as exc:
                     raise TransportError(f"recv: {exc}") from None

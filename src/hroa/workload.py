@@ -5,7 +5,10 @@ is skipped: the first row is one when its AS column holds no number.  The
 AS number may carry an ``AS`` prefix, extra columns are ignored, and an
 empty max_length means "equal to the prefix length".  A path is read as
 UTF-8 whatever the locale, and one leading byte order mark is ignored.
-Prefixes are parsed leniently (stray host bits are masked off).
+Prefixes are parsed leniently (stray host bits are masked off).  A row in
+the canonical spelling, ``addr/len,max_length`` under an AS text an earlier
+row held, becomes its block in the ingest loop; every other row, and every
+error text, comes from ``_parse_row``.
 """
 
 from __future__ import annotations
@@ -20,12 +23,14 @@ from typing import Iterable
 from .hybrid import expand_all
 from .prefix import (
     V4,
+    V6,
     WIDTH,
     AddressBlock,
     Prefix,
     PrefixFormatError,
     _DECIMAL,
     _new_block,
+    _parse_fast,
     parse_prefix,
 )
 
@@ -113,13 +118,21 @@ def _load(fh, source: str) -> Workload:
     w = Workload()
     add = w.add
     asns: dict[str, int] = {}  # every AS text a data row held, parsed once per load
+    asn_of, decimal = asns.get, _DECIMAL.get
     lines = iter(fh)
     first = next(lines, "").removeprefix("\ufeff")  # a UTF-8 byte order mark
     first_data = True
     for lineno, row in enumerate(csv.reader(chain((first,), lines)), start=1):
-        # a row whose AS text an earlier data row held is data too: no blank,
-        # comment or header check needed
-        if not (row and row[0] in asns):
+        asn = asn_of(row[0]) if row else None
+        if asn is not None and len(row) > 2:
+            # a row whose AS text an earlier data row held is data too; in its
+            # canonical spelling (no host bits) it becomes its block here
+            prefix = _parse_fast(row[1], True, V6 if ":" in row[1] else V4)
+            max_length = decimal(row[2], -1)
+            if prefix is not None and prefix[2] <= max_length <= WIDTH[prefix[0]]:
+                add(asn, _new_block((prefix, max_length)))
+                continue
+        elif asn is None:
             if not "".join(row).strip() or row[0].strip().startswith("#"):
                 continue
             if first_data:

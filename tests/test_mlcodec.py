@@ -5,12 +5,14 @@ from typing import Iterable
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hroa.hybrid import expand_all
 from hroa.mlcodec import compress_minimal, scatter_degree
 from hroa.prefix import (
     V4,
     V6,
     WIDTH,
     AddressBlock,
+    ExpansionCapError,
     FamilyMismatchError,
     Prefix,
     _new_block,
@@ -304,3 +306,38 @@ def test_matches_the_node_by_node_reference(chosen):
 @given(_compressible_sets(V4), _compressible_sets(V6))
 def test_dual_stack_is_the_v4_blocks_then_the_v6_blocks(v4, v6):
     assert compress_minimal(v4 | v6) == compress_minimal(v4) + compress_minimal(v6)
+
+
+@st.composite
+def _block_lists(draw):
+    """A few small blocks under three shared /16s of either family; now and then a tall one."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 8))):
+        family = draw(st.sampled_from([V4, V4, V6]))
+        width = WIDTH[family]
+        if draw(st.integers(0, 15)) == 0:  # taller than the expansion cap
+            plen = draw(st.integers(0, 8))
+            height = draw(st.integers(21, 24))
+        else:
+            plen = draw(st.integers(16, 24))
+            height = draw(st.integers(0, 4))
+        bits = 0
+        if plen >= 16:  # under one of three /16s
+            bits = draw(st.integers(0, 2)) << (width - 16)
+            bits |= draw(st.integers(0, (1 << (plen - 16)) - 1)) << (width - plen)
+        blocks.append(AddressBlock(Prefix(family, bits, plen), plen + height))
+    return blocks
+
+
+def _compress_outcome(compress, blocks):
+    try:
+        return compress(blocks)
+    except ExpansionCapError as exc:
+        return f"ExpansionCapError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_block_lists())
+def test_blocks_compress_as_their_expansion(blocks):
+    assert _compress_outcome(compress_minimal, blocks) == _compress_outcome(
+        lambda b: compress_minimal(expand_all(b)), blocks)

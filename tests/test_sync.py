@@ -265,14 +265,16 @@ def _wait_for_threads(baseline: int) -> None:
 def test_server_rejects_non_reset_pdus():
     # RFC 8210 Unsupported PDU Type (5), echoing the PDU; then the server hangs up
     refused = [
-        wire.CacheResponse(1),
-        wire.PrefixPdu(1, parse_prefix("192.0.2.0/24"), 24, 64500),
-        wire.UnknownPdu(1, 99, bytes.fromhex("016300000000000cdeadbeef")),
+        wire.serialize(wire.CacheResponse(1)),
+        wire.serialize(wire.PrefixPdu(1, parse_prefix("192.0.2.0/24"), 24, 64500)),
+        bytes.fromhex("016300000000000cdeadbeef"),
+        # an IPv4 Prefix PDU with 0x1234 in its 16-bit field and 0x07 in its
+        # reserved byte, which the parser reads past: the echo keeps both
+        bytes.fromhex("0104123400000014" "01181807" "c0000200" "0000fbf4"),
     ]
     with RtrServer(_snapshot(), "hroa") as server:
         baseline = threading.active_count()
-        for pdu in refused:
-            raw = wire.serialize(pdu)
+        for raw in refused:
             (report,) = _exchange(server, raw)
             assert type(report) is wire.ErrorReport
             assert (report.error_code, report.echoed) == (5, raw)
@@ -471,6 +473,44 @@ def test_fetch_fails_typed_on_a_broken_response(raw_cache, capsys, case):
     assert (type(exc.value), str(exc.value)) == (error, message)
     assert main(["fetch", f"{host}:{port}", "--timeout", "5"]) == 3
     assert capsys.readouterr().err == f"hroa: {message}\n"
+
+
+def test_fetch_timeout_bounds_the_whole_sync(capsys):
+    from hroa.cli import main
+
+    # a cache that drip-feeds its response, one byte every 0.2 s, never stalls
+    # a single recv for a whole second, so only a whole-sync deadline ends it
+    srv = socket.create_server(("127.0.0.1", 0))
+    stop = threading.Event()
+
+    def drip():
+        for _ in range(2):
+            conn, _ = srv.accept()
+            with conn:
+                conn.recv(4096)
+                for byte in wire.serialize(wire.CacheResponse(7)) * 10:
+                    if stop.wait(0.2):
+                        break
+                    try:
+                        conn.sendall(bytes([byte]))
+                    except OSError:
+                        break
+
+    t = threading.Thread(target=drip, daemon=True)
+    t.start()
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(TransportError) as exc:
+            fetch(srv.getsockname(), timeout=1.0)
+        assert time.monotonic() - t0 < 1.5
+        assert str(exc.value) == "recv: timed out"
+        assert main(["fetch", "%s:%d" % srv.getsockname(), "--timeout", "1"]) == 3
+        assert capsys.readouterr().err == "hroa: recv: timed out\n"
+    finally:
+        stop.set()
+        srv.close()
+        t.join(timeout=5)
+    assert not t.is_alive()
 
 
 def test_oversized_echo_still_gets_an_error_report(monkeypatch):

@@ -1,12 +1,16 @@
+import csv
 import io
+import ipaddress
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hroa.mlcodec import scatter_degree
-from hroa.prefix import AddressBlock, PrefixFormatError, parse_prefix
+from hroa.prefix import V4, V6, AddressBlock, PrefixFormatError, parse_prefix
 from hroa.workload import (
     Workload,
+    _asn_number,
     _parse_asn,
     _parse_row,
     dump_csv,
@@ -198,3 +202,93 @@ def test_synthetic_scattered_deterministic():
 def test_synthetic_scattered_validation():
     with pytest.raises(ValueError):
         synthetic_scattered(0)
+
+
+def _reference_load(text):
+    """load_csv of a stream as a loop that sends every data row through _parse_row."""
+    w = Workload()
+    asns = {}
+    lines = iter(io.StringIO(text))
+    first = next(lines, "").removeprefix("\ufeff")
+    first_data = True
+    for lineno, row in enumerate(csv.reader(chain((first,), lines)), start=1):
+        if not (row and row[0] in asns):
+            if not "".join(row).strip() or row[0].strip().startswith("#"):
+                continue
+            if first_data:
+                first_data = False
+                if _asn_number(row[0]) is None:
+                    continue
+        w.add(*_parse_row(row, lineno, asns))
+    if not w.entries:
+        raise PrefixFormatError("<stream>: no usable rows")
+    return w
+
+
+@st.composite
+def _prefix_and_max(draw):
+    """A prefix and a max_length column: mostly canonical, with or without host bits."""
+    max_text = draw(st.one_of(st.integers(0, 130).map(str),
+                              st.sampled_from(["", " 9", "+9", "09", "x", "-1", "\uff19"])))
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(
+            ["10.0.0.0/08", "10.0.0.0/255.0.0.0", " 10.0.0.0/8", "10.0.0.0/8 ", "10.0.0.0",
+             "10.0.0.0/33", "1.2.3/8", "01.2.3.4/32", "2001:DB8:0::/32", "::ffff:10.0.0.0/104",
+             "2001:db8::1.2.3.4/126", "fe80::1%eth0/64", "::/129", "2001:db8::/+32", "",
+             "10.0.0.0/8/9", "10.0.0.0/\uff18", "10.0.0.\x00/8", "\ud800/8"])), max_text
+    family = draw(st.sampled_from([V4, V6]))
+    width = 32 if family == V4 else 128
+    plen = draw(st.one_of(st.integers(0, width), st.sampled_from([0, width - 1, width])))
+    bits = draw(st.integers(0, (1 << width) - 1))
+    if draw(st.booleans()):
+        bits &= ~((1 << (width - plen)) - 1)  # no host bits
+    if draw(st.integers(0, 4)):
+        max_text = str(plen + draw(st.integers(-1, 3)))
+    addr = ipaddress.IPv4Address(bits) if family == V4 else ipaddress.IPv6Address(bits)
+    return f"{addr}/{plen}", max_text
+
+
+# AS texts: three that parse, repeated, else one of the lenient or bad spellings
+_CSV_AS = st.sampled_from(["64500", "AS64500", "0"] * 6 + [
+    "as64500", " 64501", "64501 ", "AS 7", "+5", "4294967296", "x", ""])
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text from a grammar of data rows, blanks, comments, headers, quotes and a BOM."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(
+                ["", ",,,", "# a comment", "  #x,1,2", "asn,prefix,max_length"])))
+            continue
+        fields = [draw(_CSV_AS), *draw(_prefix_and_max())]
+        fields = fields[:draw(st.sampled_from([1, 2] + [3] * 8))]
+        fields += ["extra"] * draw(st.integers(0, 1))
+        if kind == 1:
+            fields = [f'"{f}"' for f in fields]
+        lines.append(",".join(fields))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def _load_outcome(load, text):
+    try:
+        return load(text).entries
+    except PrefixFormatError as exc:
+        return f"PrefixFormatError: {exc}"
+
+
+@settings(max_examples=600, deadline=None)
+@given(_csv_texts())
+@example("64500,10.0.0.0/8,8\n64500,10.0.0.1/32,32\n64500,10.0.0.0/8,\n")
+@example("64500,2001:db8::/32,48\n64500,2001:db8::/32,129\n64500,::1/128,128\n")
+@example("AS1,10.0.0.0/8,8\nAS1,bad/32,32\n")
+@example("1,10.0.0.0/8,8\n1,10.0.0.1/8,8\n")
+@example("1,10.0.0.0/8,8\n1,10.0.0.0/8,33\n")
+@example("1,10.0.0.0/8,8\n1,10.0.0.0/9,x\n")
+@example("1,10.0.0.0/8,8\n1,10.0.0.1/32,33\n")
+def test_load_csv_matches_a_parse_row_reference(text):
+    assert _load_outcome(lambda t: load_csv(io.StringIO(t)), text) == _load_outcome(
+        _reference_load, text)
