@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,8 +130,6 @@ def input_hashes() -> dict[str, str]:
 
 
 def main() -> int:
-    import tempfile
-
     inputs = {**FIXED_INPUTS, **generated_inputs()}
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name, text in inputs.items():
