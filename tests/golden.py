@@ -5,7 +5,9 @@
 writes the inputs and ``manifest.json`` under ``tests/data/golden/``.  The
 manifest records, for every command, its exit code, its stderr text and
 the sha256 of its stdout and of each ``--out`` file it wrote;
-``tests/test_golden.py`` replays it in process through ``cli.main``.  A
+``tests/test_golden.py`` replays it in process through ``cli.main``, and
+checks that its commands and the committed inputs are the ones this script
+lists and writes, so an edit here without a regenerate fails.  A
 changed manifest entry is a changed CLI output: regenerate it only for a
 change that means to alter that output, and name each changed entry and
 its reason in CHANGES.md.
@@ -84,6 +86,11 @@ def generated_inputs() -> dict[str, str]:
     }
 
 
+def input_texts() -> dict[str, str]:
+    """Every input of the corpus, by file name: the fixed ones, then the generated ones."""
+    return {**FIXED_INPUTS, **generated_inputs()}
+
+
 def commands(inputs) -> list[list[str]]:
     """Every command of the corpus, in run order; a decode follows the encode it reads."""
     out = []
@@ -96,6 +103,17 @@ def commands(inputs) -> list[list[str]]:
                 out.append(["decode", pdus])
         out.append(["stats", name])
         out.append(["stats", name, "--include-as0"])
+    for name in inputs:
+        stem = name.removesuffix(".csv")
+        for scheme in SCHEMES:
+            for delta_l in ("inf", "0"):
+                out.append(["encode", name, "--scheme", scheme, "--delta-l", delta_l,
+                            "--out", f"{stem}.{scheme}.d{delta_l}.pdus"])
+        out.append(["sweep", name])
+        out.append(["sweep", name, "--aggregate"])
+        for family in ("v4", "v6"):
+            out.append(["optimize-levels", name, "--family", family,
+                        "--out", f"{stem}.{family}.levels.json"])
     return out
 
 
@@ -130,7 +148,7 @@ def input_hashes() -> dict[str, str]:
 
 
 def main() -> int:
-    inputs = {**FIXED_INPUTS, **generated_inputs()}
+    inputs = input_texts()
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name, text in inputs.items():
         (GOLDEN / name).write_bytes(text.encode("utf-8"))

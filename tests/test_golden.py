@@ -5,8 +5,12 @@ import json
 import golden
 
 
+def _manifest() -> dict:
+    return json.loads(golden.MANIFEST.read_text())
+
+
 def test_golden_cli_corpus(tmp_path, monkeypatch):
-    doc = json.loads(golden.MANIFEST.read_text())
+    doc = _manifest()
     assert golden.input_hashes() == doc["inputs"]
     for name in doc["inputs"]:
         (tmp_path / name).write_bytes((golden.GOLDEN / name).read_bytes())
@@ -17,3 +21,15 @@ def test_golden_cli_corpus(tmp_path, monkeypatch):
         if (got := golden.record(want["argv"], tmp_path)) != want
     ]
     assert not drift, "\n".join(drift)
+
+
+def test_manifest_runs_the_commands_the_script_lists():
+    want = golden.commands(golden.input_texts())
+    assert [entry["argv"] for entry in _manifest()["commands"]] == want
+
+
+def test_committed_inputs_are_what_the_script_writes():
+    texts = golden.input_texts()
+    assert sorted(_manifest()["inputs"]) == sorted(texts)
+    for name, text in texts.items():
+        assert (golden.GOLDEN / name).read_bytes() == text.encode("utf-8"), name
