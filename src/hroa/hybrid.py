@@ -90,9 +90,10 @@ def canonical_blocks(items, recompress: bool = False) -> tuple[AddressBlock, ...
     seq = list(items)
     if not seq:
         raise ValueError("empty authorization set")
-    if all(isinstance(x, Prefix) for x in seq):
+    kinds = set(map(type, seq))
+    if all(issubclass(k, Prefix) for k in kinds):
         return tuple(compress_minimal(seq))
-    if not all(isinstance(x, AddressBlock) for x in seq):
+    if not all(issubclass(k, AddressBlock) for k in kinds):
         raise TypeError("input must be all prefixes or all address blocks")
     return tuple(compress_minimal(seq) if recompress else sorted(set(seq)))
 

@@ -36,17 +36,17 @@ def compress_minimal(prefixes: Iterable[Prefix | AddressBlock]) -> list[AddressB
     expansions are pairwise disjoint, and their union is exactly the
     input.  No other disjoint block collection is smaller.  Each family
     is compressed on its own, and the output is sorted by (prefix,
-    max_length): v4 blocks before v6 ones.  An address block in the input
-    stands for its expansion, which is never built, and is refused past the
-    expansion cap as ``expand`` refuses it.
+    max_length): v4 blocks before v6 ones.  An input block stands for its
+    expansion, which is never built, is refused past the expansion cap as
+    ``expand`` refuses it, and is returned as is where the output keeps it.
     """
-    # family -> length -> bits -> the input's prefix, or None inside a block
-    by_family: dict[int, dict[int, dict[int, Prefix | None]]] = {}
+    # family -> length -> bits -> the input object rooted there, or None inside a block
+    by_family: dict[int, dict[int, dict[int, Prefix | AddressBlock | None]]] = {}
     for item in prefixes:
         p, max_length = item if isinstance(item, AddressBlock) else (item, item[2])
         family, bits, plen = p
         by_len = by_family.setdefault(family, {})
-        by_len.setdefault(plen, {})[bits] = p
+        by_len.setdefault(plen, {})[bits] = item
         if max_length > plen:
             if max_length - plen > DEFAULT_EXPANSION_CAP:
                 raise _cap_error(max_length - plen)
@@ -63,18 +63,24 @@ def compress_minimal(prefixes: Iterable[Prefix | AddressBlock]) -> list[AddressB
 
 
 def _compress_family(
-    by_len: dict[int, dict[int, Prefix | None]], family: int
+    by_len: dict[int, dict[int, Prefix | AddressBlock | None]], family: int
 ) -> list[AddressBlock]:
-    """The minimal blocks of one family's prefixes, given as prefixlen -> bits -> prefix or None.
+    """The minimal blocks of one family, given as prefixlen -> bits -> input object or None.
 
     One pass over the levels, longest first, finds for each node the fewest
     blocks its component needs with a block of height h rooted there, for
-    every h the set completes, and keeps the smallest best h.  Each level
-    starts as all leaves, and only parents of nodes one level down are
-    revisited.  A second pass, shortest first, emits the block each
-    component root and each node hanging below a block's last level starts;
-    every node of a level with no level directly above it starts one.
+    every h the set completes, and keeps the smallest best h.  A second
+    pass, shortest first, emits the block each component root and each node
+    hanging below a block's last level starts.  Python work per node goes
+    only to the parents of nodes one level down and to levels under a level
+    or with such a parent; a family of one length, all input blocks, gets
+    none.  A kept input block is returned as is, not rebuilt.
     """
+    if len(by_len) == 1:
+        [level] = by_len.values()
+        nodes = list(map(level.__getitem__, sorted(level)))
+        if all(map(isinstance, nodes, repeat(AddressBlock))):
+            return nodes
     width = WIDTH[family]
     # counts[n][bits] = (costs, best): costs[h] is the block count of the
     # component hanging at node (bits, n) when the block holding the node
@@ -82,11 +88,13 @@ def _compress_family(
     # under it; best is the least of them.  Height h + 1 here is height h
     # at both children merged into one block.
     counts: dict[int, dict[int, tuple[tuple[int, ...], int]]] = {}
+    inner: dict[int, set[int]] = {}  # each length's nodes with a child in the set
     for plen in sorted(by_len, reverse=True):
         kids = counts.get(plen + 1, {})
         right_bit = 1 << (width - plen - 1) if plen < width else 0
         here = counts[plen] = dict.fromkeys(by_len[plen], _LEAF)
-        for bits in set(map(and_, kids, repeat(~right_bit))).intersection(by_len[plen]):
+        parents = inner[plen] = set(map(and_, kids, repeat(~right_bit))).intersection(by_len[plen])
+        for bits in parents:
             left = kids.get(bits)
             right = kids.get(bits | right_bit)
             if left is None or right is None:
@@ -102,6 +110,10 @@ def _compress_family(
     found: list[tuple[int, int, int]] = []
     for plen in sorted(counts):
         above = ends.get(plen - 1)
+        if above is None and not inner[plen]:  # every node a height-0 block of its own
+            ends[plen] = dict.fromkeys(counts[plen], plen)
+            found.extend(zip(counts[plen], repeat(plen), repeat(plen)))
+            continue
         parent_mask = ~(1 << (width - plen))
         here = ends[plen] = {}
         for bits, (costs, best) in counts[plen].items():
@@ -110,9 +122,15 @@ def _compress_family(
                 end = plen + costs.index(best)  # the smallest height among the best
                 found.append((bits, plen, end))
             here[bits] = end
-    found.sort()
-    return [_new_block((by_len[plen][bits] or _new_prefix((family, bits, plen)), end))
-            for bits, plen, end in found]
+    out: list[AddressBlock] = []
+    for bits, plen, end in sorted(found):
+        root = by_len[plen][bits]
+        if not isinstance(root, AddressBlock):  # an input prefix, or None inside a block
+            root = _new_block((root or _new_prefix((family, bits, plen)), end))
+        elif root[1] != end:
+            root = _new_block((root[0], end))
+        out.append(root)
+    return out
 
 
 def scatter_degree(prefixes: Iterable[Prefix]) -> Fraction:

@@ -92,7 +92,7 @@ ERROR_REPORT_OVERHEAD = HEADER_BYTES + 8
 
 
 # struct format of an address or sub-tree id: an int for v4; struct has no
-# 128-bit code, so v6 packs 16 bytes (Layout.addr_field)
+# 128-bit code, so v6 packs 16 bytes (the int's to_bytes, in serialize_each)
 _ADDR_FMT = {4: "I", 16: "16s"}
 
 
@@ -120,10 +120,6 @@ class Layout:
         self.prefix_len = self.prefix_struct.size
         self.subtree_len = self.subtree_struct.size
         self.pair_bytes = self.pair_struct.size
-
-    def addr_field(self, value: int) -> int | bytes:
-        """An address or id as its struct field packs it."""
-        return value if self.addr_bytes == 4 else value.to_bytes(self.addr_bytes, "big")
 
     def agg_len(self, pairs: int) -> int:
         return PAYLOAD_OVERHEAD + self.pair_bytes * pairs
@@ -252,7 +248,8 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
                     _check_u32(asn, "asn")
                 append(lay.prefix_struct.pack(
                     version, lay.prefix_type, 0, lay.prefix_len,
-                    flags, plen, max_length, lay.addr_field(bits), asn,
+                    flags, plen, max_length,
+                    bits if family == V4 else bits.to_bytes(16, "big"), asn,
                 ))
 
             elif isinstance(pdu, SubTreePdu):
@@ -265,7 +262,7 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
                     _check_u32(asn, "asn")
                 append(lay.subtree_struct.pack(
                     version, lay.subtree_type, 0, lay.subtree_len,
-                    lay.addr_field(sid), bitmap, asn,
+                    sid if family == V4 else sid.to_bytes(16, "big"), bitmap, asn,
                 ))
 
             elif isinstance(pdu, SubTreeAggPdu):
