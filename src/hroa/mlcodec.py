@@ -3,17 +3,17 @@
 A single (prefix, max_length) block can stand for many prefixes, but only
 when the whole sub-tree between the two depths is authorized.  The
 compressor below partitions an arbitrary authorized set, given as prefixes
-or as blocks it never expands, into the fewest such complete trees, with
-Python work per parent-child edge rather than per node where it can;
-scatter degree then measures how fragmented an AS's holdings are (1.0 =
-nothing merges, 1/n = one block covers everything).
+or as blocks it never expands, into the fewest such complete trees.  Only
+nodes that may merge, and emitted blocks, get Python work; kept input
+blocks are returned as is.  Scatter degree measures how fragmented an AS's
+holdings are (1.0 = nothing merges, 1/n = one block covers everything).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from operator import and_
+from operator import and_, is_
 from typing import Iterable
 
 from .prefix import (
@@ -69,18 +69,20 @@ def _compress_family(
 
     One pass over the levels, longest first, finds for each node the fewest
     blocks its component needs with a block of height h rooted there, for
-    every h the set completes, and keeps the smallest best h.  A second
-    pass, shortest first, emits the block each component root and each node
-    hanging below a block's last level starts.  Python work per node goes
-    only to the parents of nodes one level down and to levels under a level
-    or with such a parent; a family of one length, all input blocks, gets
-    none.  A kept input block is returned as is, not rebuilt.
+    every h the set completes, and keeps the smallest best h; only parents
+    of nodes one level down get Python work.  A second pass, shortest first,
+    emits the block each component root and each node hanging below a
+    block's last level starts; it takes a level with no level above it and
+    no parent in it whole.  A family of one length, all blocks or all
+    prefixes, needs neither pass.  Kept input blocks are returned as is.
     """
     if len(by_len) == 1:
-        [level] = by_len.values()
+        [(plen, level)] = by_len.items()
         nodes = list(map(level.__getitem__, sorted(level)))
         if all(map(isinstance, nodes, repeat(AddressBlock))):
             return nodes
+        if all(map(isinstance, nodes, repeat(Prefix))):
+            return list(map(_new_block, zip(nodes, repeat(plen))))
     width = WIDTH[family]
     # counts[n][bits] = (costs, best): costs[h] is the block count of the
     # component hanging at node (bits, n) when the block holding the node
@@ -88,13 +90,11 @@ def _compress_family(
     # under it; best is the least of them.  Height h + 1 here is height h
     # at both children merged into one block.
     counts: dict[int, dict[int, tuple[tuple[int, ...], int]]] = {}
-    inner: dict[int, set[int]] = {}  # each length's nodes with a child in the set
     for plen in sorted(by_len, reverse=True):
         kids = counts.get(plen + 1, {})
         right_bit = 1 << (width - plen - 1) if plen < width else 0
         here = counts[plen] = dict.fromkeys(by_len[plen], _LEAF)
-        parents = inner[plen] = set(map(and_, kids, repeat(~right_bit))).intersection(by_len[plen])
-        for bits in parents:
+        for bits in set(map(and_, kids, repeat(~right_bit))).intersection(by_len[plen]):
             left = kids.get(bits)
             right = kids.get(bits | right_bit)
             if left is None or right is None:
@@ -110,7 +110,7 @@ def _compress_family(
     found: list[tuple[int, int, int]] = []
     for plen in sorted(counts):
         above = ends.get(plen - 1)
-        if above is None and not inner[plen]:  # every node a height-0 block of its own
+        if above is None and all(map(is_, counts[plen].values(), repeat(_LEAF))):
             ends[plen] = dict.fromkeys(counts[plen], plen)
             found.extend(zip(counts[plen], repeat(plen), repeat(plen)))
             continue

@@ -310,12 +310,17 @@ def test_dual_stack_is_the_v4_blocks_then_the_v6_blocks(v4, v6):
 
 @st.composite
 def _block_lists(draw):
-    """A few small blocks under three shared /16s of either family; now and then a tall one."""
-    blocks = []
+    """A few small blocks under three shared /16s of either family; now and then a tall one,
+    a prefix in place of a block or a root repeated with another max_length.  Now and then
+    every root is of one length and height 0, so a family may have one length only."""
+    one_length = draw(st.integers(16, 24)) if draw(st.integers(0, 3)) == 0 else None
+    items = []
     for _ in range(draw(st.integers(1, 8))):
         family = draw(st.sampled_from([V4, V4, V6]))
         width = WIDTH[family]
-        if draw(st.integers(0, 15)) == 0:  # taller than the expansion cap
+        if one_length:
+            plen, height = one_length, 0
+        elif draw(st.integers(0, 15)) == 0:  # taller than the expansion cap
             plen = draw(st.integers(0, 8))
             height = draw(st.integers(21, 24))
         else:
@@ -325,8 +330,16 @@ def _block_lists(draw):
         if plen >= 16:  # under one of three /16s
             bits = draw(st.integers(0, 2)) << (width - 16)
             bits |= draw(st.integers(0, (1 << (plen - 16)) - 1)) << (width - plen)
-        blocks.append(AddressBlock(Prefix(family, bits, plen), plen + height))
-    return blocks
+        prefix = Prefix(family, bits, plen)
+        kind = draw(st.sampled_from(["block", "block", "prefix", "repeat"]))
+        items.append(prefix if kind == "prefix" else AddressBlock(prefix, plen + height))
+        if kind == "repeat":
+            items.append(AddressBlock(prefix, plen + draw(st.integers(0, 4))))
+    return items
+
+
+def _as_blocks(items):
+    return [x if isinstance(x, AddressBlock) else AddressBlock(x, x.prefixlen) for x in items]
 
 
 def _compress_outcome(compress, blocks):
@@ -338,6 +351,6 @@ def _compress_outcome(compress, blocks):
 
 @settings(max_examples=400, deadline=None)
 @given(_block_lists())
-def test_blocks_compress_as_their_expansion(blocks):
-    assert _compress_outcome(compress_minimal, blocks) == _compress_outcome(
-        lambda b: compress_minimal(expand_all(b)), blocks)
+def test_blocks_compress_as_their_expansion(items):
+    assert _compress_outcome(compress_minimal, items) == _compress_outcome(
+        lambda b: compress_minimal(expand_all(_as_blocks(b))), items)

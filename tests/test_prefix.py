@@ -386,10 +386,10 @@ def test_v6_fast_path_leaves_odd_spellings_to_ipaddress(text):
     assert _parse_fast(text, False, V6) is None
 
 
-@given(st.lists(_prefixes(), min_size=1, max_size=10).map(
-    lambda ps: [p for p in ps if p.family == ps[0].family]))
-def test_compress_minimal_blocks_are_checked_blocks(prefixes):
-    for block in compress_minimal(prefixes):
+@given(st.lists(st.one_of(_prefixes(), _blocks()), min_size=1, max_size=10))
+def test_compress_minimal_blocks_are_checked_blocks(items):
+    # an input block the output keeps is returned as is, so it is checked too
+    for block in compress_minimal(items):
         _same_value(block, AddressBlock(block.prefix, block.max_length))
 
 
