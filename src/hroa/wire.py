@@ -249,7 +249,7 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
                 append(lay.prefix_struct.pack(
                     version, lay.prefix_type, 0, lay.prefix_len,
                     flags, plen, max_length,
-                    bits if family == V4 else bits.to_bytes(16, "big"), asn,
+                    bits if family == V4 else bits.to_bytes(lay.addr_bytes, "big"), asn,
                 ))
 
             elif isinstance(pdu, SubTreePdu):
@@ -262,7 +262,7 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
                     _check_u32(asn, "asn")
                 append(lay.subtree_struct.pack(
                     version, lay.subtree_type, 0, lay.subtree_len,
-                    sid if family == V4 else sid.to_bytes(16, "big"), bitmap, asn,
+                    sid if family == V4 else sid.to_bytes(lay.addr_bytes, "big"), bitmap, asn,
                 ))
 
             elif isinstance(pdu, SubTreeAggPdu):
