@@ -3,9 +3,10 @@
 A single (prefix, max_length) block can stand for many prefixes, but only
 when the whole sub-tree between the two depths is authorized.  The
 compressor below partitions an arbitrary authorized set, given as prefixes
-or as blocks it never expands, into the fewest such complete trees.  Only
-nodes that may merge, and emitted blocks, get Python work; kept input
-blocks are returned as is.  Scatter degree measures how fragmented an AS's
+or as blocks it never expands, into the fewest such complete trees, with
+Python work per parent-child edge rather than per node where it can; blocks
+that all sit at one length cannot merge and are returned as is, with no
+per-node work.  Scatter degree then measures how fragmented an AS's
 holdings are (1.0 = nothing merges, 1/n = one block covers everything).
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from operator import and_, is_
+from operator import and_
 from typing import Iterable
 
 from .prefix import (
@@ -36,9 +37,10 @@ def compress_minimal(prefixes: Iterable[Prefix | AddressBlock]) -> list[AddressB
     expansions are pairwise disjoint, and their union is exactly the
     input.  No other disjoint block collection is smaller.  Each family
     is compressed on its own, and the output is sorted by (prefix,
-    max_length): v4 blocks before v6 ones.  An input block stands for its
-    expansion, which is never built, is refused past the expansion cap as
-    ``expand`` refuses it, and is returned as is where the output keeps it.
+    max_length): v4 blocks before v6 ones.  An address block in the input
+    stands for its expansion, which is never built, and is refused past the
+    expansion cap as ``expand`` refuses it.  A family given as height-0
+    blocks at one length is returned as those same blocks.
     """
     # family -> length -> bits -> the input object rooted there, or None inside a block
     by_family: dict[int, dict[int, dict[int, Prefix | AddressBlock | None]]] = {}
@@ -69,20 +71,20 @@ def _compress_family(
 
     One pass over the levels, longest first, finds for each node the fewest
     blocks its component needs with a block of height h rooted there, for
-    every h the set completes, and keeps the smallest best h; only parents
-    of nodes one level down get Python work.  A second pass, shortest first,
-    emits the block each component root and each node hanging below a
-    block's last level starts; it takes a level with no level above it and
-    no parent in it whole.  A family of one length, all blocks or all
-    prefixes, needs neither pass.  Kept input blocks are returned as is.
+    every h the set completes, and keeps the smallest best h.  Each level
+    starts as all leaves, and only parents of nodes one level down are
+    revisited.  A second pass, shortest first, emits the block each
+    component root and each node hanging below a block's last level starts;
+    every node of a level with no level directly above it starts one.  A
+    family of blocks at one length has no node with a parent or child in
+    the set: its input blocks are returned as is, in bit order, with
+    neither pass.
     """
     if len(by_len) == 1:
         [(plen, level)] = by_len.items()
         nodes = list(map(level.__getitem__, sorted(level)))
         if all(map(isinstance, nodes, repeat(AddressBlock))):
             return nodes
-        if all(map(isinstance, nodes, repeat(Prefix))):
-            return list(map(_new_block, zip(nodes, repeat(plen))))
     width = WIDTH[family]
     # counts[n][bits] = (costs, best): costs[h] is the block count of the
     # component hanging at node (bits, n) when the block holding the node
@@ -110,10 +112,6 @@ def _compress_family(
     found: list[tuple[int, int, int]] = []
     for plen in sorted(counts):
         above = ends.get(plen - 1)
-        if above is None and all(map(is_, counts[plen].values(), repeat(_LEAF))):
-            ends[plen] = dict.fromkeys(counts[plen], plen)
-            found.extend(zip(counts[plen], repeat(plen), repeat(plen)))
-            continue
         parent_mask = ~(1 << (width - plen))
         here = ends[plen] = {}
         for bits, (costs, best) in counts[plen].items():
@@ -122,15 +120,10 @@ def _compress_family(
                 end = plen + costs.index(best)  # the smallest height among the best
                 found.append((bits, plen, end))
             here[bits] = end
-    out: list[AddressBlock] = []
-    for bits, plen, end in sorted(found):
-        root = by_len[plen][bits]
-        if not isinstance(root, AddressBlock):  # an input prefix, or None inside a block
-            root = _new_block((root or _new_prefix((family, bits, plen)), end))
-        elif root[1] != end:
-            root = _new_block((root[0], end))
-        out.append(root)
-    return out
+    found.sort()
+    return [_new_block((root[0] if isinstance(root := by_len[plen][bits], AddressBlock)
+                        else root or _new_prefix((family, bits, plen)), end))
+            for bits, plen, end in found]
 
 
 def scatter_degree(prefixes: Iterable[Prefix]) -> Fraction:

@@ -25,8 +25,6 @@ import threading
 import time
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter
 from typing import AbstractSet, Iterable, Mapping
 
 from . import wire
@@ -121,9 +119,7 @@ def payload_pdus(snapshot: CacheSnapshot, scheme: str) -> list[wire.RtrPdu]:
                      for p in sorted(expand_all(blocks))]
             continue
         ml, bm = (blocks, ()) if scheme in ("troa", "mroa") else snapshot.payloads[asn]
-        if ml:
-            pdus += map(new_prefix_pdu, zip(repeat(announce), map(itemgetter(0), ml),
-                                            map(itemgetter(1), ml), repeat(asn), repeat(version)))
+        pdus += [new_prefix_pdu((announce, p, max_length, asn, version)) for p, max_length in ml]
         if scheme == "hroa":
             pdus += [new_subtree_pdu((fam, sid, bitmap, asn, version)) for fam, sid, bitmap in bm]
         elif scheme == "ahroa":

@@ -388,7 +388,7 @@ def test_v6_fast_path_leaves_odd_spellings_to_ipaddress(text):
 
 @given(st.lists(st.one_of(_prefixes(), _blocks()), min_size=1, max_size=10))
 def test_compress_minimal_blocks_are_checked_blocks(items):
-    # an input block the output keeps is returned as is, so it is checked too
+    # a one-length family of input blocks is returned as is, so those are checked too
     for block in compress_minimal(items):
         _same_value(block, AddressBlock(block.prefix, block.max_length))
 
