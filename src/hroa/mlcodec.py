@@ -81,10 +81,9 @@ def _compress_family(
     neither pass.
     """
     if len(by_len) == 1:
-        [(plen, level)] = by_len.items()
-        nodes = list(map(level.__getitem__, sorted(level)))
-        if all(map(isinstance, nodes, repeat(AddressBlock))):
-            return nodes
+        [level] = by_len.values()
+        if all(map(isinstance, level.values(), repeat(AddressBlock))):
+            return list(map(level.__getitem__, sorted(level)))
     width = WIDTH[family]
     # counts[n][bits] = (costs, best): costs[h] is the block count of the
     # component hanging at node (bits, n) when the block holding the node
