@@ -77,25 +77,18 @@ def optimize_levels(
     # best[l]: (sub-tree count, cut count, profile) covering levels [0, l)
     # with l the next cut.  Candidate order under tuple comparison
     # implements the tie-break: count, then fewer cuts, then
-    # lexicographically smaller.
-    best: list[tuple[int, int, tuple[int, ...]] | None] = [None] * width
-    best[0] = (0, 1, (0,))
+    # lexicographically smaller.  Each l has the candidate i = l - 1.
+    best: list[tuple[int, int, tuple[int, ...]]] = [(0, 1, (0,))]
     for l in range(1, width):
-        cands = []
-        for i in range(max(0, l - h_max), l):
-            prev = best[i]
-            if prev is None:
-                continue
-            cands.append((prev[0] + num[i][l], prev[1] + 1, prev[2] + (l,)))
-        if cands:
-            best[l] = min(cands)
+        best.append(min(
+            (best[i][0] + num[i][l], best[i][1] + 1, best[i][2] + (l,))
+            for i in range(max(0, l - h_max), l)
+        ))
 
-    finals = []
-    for c in range(max(0, width + 1 - h_max), width):
-        prev = best[c]
-        if prev is None:
-            continue
-        finals.append((prev[0] + num[c][width + 1], prev[1], prev[2]))
+    finals = [
+        (best[c][0] + num[c][width + 1], best[c][1], best[c][2])
+        for c in range(max(0, width + 1 - h_max), width)
+    ]
     if not finals:
         raise ValueError(f"no profile satisfies h_max={h_max} at width {width}")
     count, _, levels = min(finals)

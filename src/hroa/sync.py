@@ -9,10 +9,12 @@ Serial Query with Cache Reset and keeps the connection open for the Reset
 Query that follows (RFC 8210).  It ends the connection without a reply on a
 router's Error Report, and with an Error Report on anything else: code 5
 (Unsupported PDU Type) echoing the PDU, or code 0 (Corrupt Data) for bytes
-that do not frame.  ``fetch`` handles prefix PDUs first, in a branch of
-their own, and hands sub-tree PDUs to ``decode_payload_pdu``; both look
-``expand`` and ``decode_block`` up here at each call, where perfbench's
-tracer wraps them.
+that do not frame.  Each connection keeps one receive buffer and takes PDUs
+from its front with ``wire.deserialize``, so every PDU before a bad one is
+served first, and an echo is the PDU's bytes as the router sent them.
+``fetch`` handles prefix PDUs first, in a branch of their own, and hands
+sub-tree PDUs to ``decode_payload_pdu``; both look ``expand`` and
+``decode_block`` up here at each call, where perfbench's tracer wraps them.
 """
 
 from __future__ import annotations
@@ -177,8 +179,6 @@ class SyncReport:
 # RFC 8210 error codes the server sends
 _CORRUPT_DATA = 0
 _UNSUPPORTED_PDU_TYPE = 5
-# the answer to a Serial Query while the cache keeps no history: reset instead
-_CACHE_RESET = wire._HDR.pack(wire.DEFAULT_VERSION, wire.PDU_CACHE_RESET, 0, wire.HEADER_BYTES)
 
 
 def _error_report(code: int, text: str, echoed: bytes = b"") -> bytes:
@@ -219,10 +219,11 @@ class RtrServer:
         self._rate = bandwidth_bps / 8 if bandwidth_bps else None
         pdus = payload_pdus(snapshot, scheme)
         self.payload_pdu_count = len(pdus)
-        parts = [wire.serialize(wire.CacheResponse(snapshot.session_id))]
-        parts += wire.serialize_each(pdus)
-        parts.append(wire.serialize(wire.EndOfData(snapshot.session_id, snapshot.serial)))
-        self._response = b"".join(parts)
+        self._response = b"".join(wire.serialize_each([
+            wire.CacheResponse(snapshot.session_id),
+            *pdus,
+            wire.EndOfData(snapshot.session_id, snapshot.serial),
+        ]))
         self._sock = socket.create_server((host, port), backlog=16)
         self._closed = threading.Event()
         self._conns: set[socket.socket] = set()  # accepted and not yet closed
@@ -268,8 +269,7 @@ class RtrServer:
             conn.sendall(view[at : at + _CHUNK])
 
     def _serve_conn(self, conn: socket.socket, peer) -> None:
-        reader = wire.PduReader()
-        pending = bytearray()  # the received bytes, from the first PDU not yet handled
+        pending = bytearray()  # the received bytes, from the first PDU not yet served
         try:
             with conn:
                 while not self._closed.is_set():
@@ -277,14 +277,14 @@ class RtrServer:
                     if not data:
                         return
                     pending += data
-                    try:
-                        pdus, bad = reader.feed(data), None
-                    except wire.FramingError as exc:
-                        pdus, bad = exc.completed, exc  # serve what came before it
-                    for pdu in pdus:
-                        # the PDU's bytes as the router sent them, cut out by their length field
-                        raw = bytes(pending[: wire._HDR.unpack_from(pending)[3]])
-                        del pending[: len(raw)]
+                    while True:
+                        try:
+                            pdu, used = wire.deserialize(pending)
+                        except wire.TruncatedPdu:
+                            break  # wait for the rest
+                        except wire.FramingError as exc:
+                            conn.sendall(_error_report(_CORRUPT_DATA, str(exc)))
+                            return
                         kind = type(pdu)
                         if kind is wire.ResetQuery:
                             t0 = time.perf_counter()
@@ -298,19 +298,17 @@ class RtrServer:
                                 peer,
                             )
                         elif kind is wire.UnknownPdu and pdu.pdu_type == wire.PDU_SERIAL_QUERY:
-                            conn.sendall(_CACHE_RESET)  # the router goes on with a Reset Query
+                            conn.sendall(wire._CACHE_RESET)  # the router goes on with a Reset Query
                         elif kind is wire.ErrorReport:
                             return  # never answered with another report (RFC 8210 5.11)
                         else:
                             conn.sendall(_error_report(
                                 _UNSUPPORTED_PDU_TYPE,
                                 "only reset query and serial query are supported",
-                                raw,
+                                bytes(pending[:used]),  # the PDU as the router sent it
                             ))
                             return
-                    if bad is not None:
-                        conn.sendall(_error_report(_CORRUPT_DATA, str(bad)))
-                        return
+                        del pending[:used]
         except OSError:
             return
         finally:

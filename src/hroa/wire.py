@@ -59,7 +59,7 @@ from __future__ import annotations
 import struct
 from collections import namedtuple
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .prefix import V4, V6, WIDTH, _new_prefix
 
@@ -82,6 +82,8 @@ _HDR = struct.Struct(_HDR_FMT)
 _END_OF_DATA = struct.Struct(_HDR_FMT + "IIII")  # serial, refresh, retry, expire
 _U32 = struct.Struct(">I")
 HEADER_BYTES = _HDR.size
+# the answer to a Serial Query while the cache keeps no history: reset instead
+_CACHE_RESET = _HDR.pack(DEFAULT_VERSION, PDU_CACHE_RESET, 0, HEADER_BYTES)
 ASN_BYTES = 4
 BITMAP_BITS = 32
 MAX_SUBTREE_HEIGHT = BITMAP_BITS.bit_length() - 1  # height h needs 2^h bits: 5
@@ -135,11 +137,9 @@ _AGG_TYPES = {lay.agg_type: lay for lay in LAYOUT.values()}
 class FramingError(ValueError):
     """The bytes cannot be a PDU (bad length, range, or structure).
 
-    When ``PduReader.feed`` raises it, ``completed`` holds the whole PDUs
-    the chunk finished before the bad one.
+    A ``PduReader`` that raises it is spent: a caller that must act on the
+    PDUs before the bad one parses with ``deserialize``.
     """
-
-    completed: Sequence[RtrPdu] = ()
 
 
 class TruncatedPdu(Exception):
@@ -484,9 +484,7 @@ class PduReader:
         stride slices of its type and length bytes, and the matching ones are
         unpacked with their read struct and mapped through their type's
         builder; every other PDU goes through ``_parse``.  A malformed PDU
-        raises FramingError carrying the PDUs completed before it, so the
-        caller can still act on them; ``bytes_consumed`` then stops at the
-        bad PDU, which stays buffered.
+        raises FramingError, and the reader is spent.
         """
         buf = self._buf
         buf.extend(data)
@@ -512,12 +510,7 @@ class PduReader:
                         len(buf[at + 7 : stop : size].lstrip(size_byte)),
                     )
                     if good:
-                        done = len(out)
-                        try:
-                            out.extend(map(build, read.iter_unpack(buf[at : at + good * size])))
-                        except FramingError:
-                            at += (len(out) - done) * size  # past the PDUs built before it
-                            raise
+                        out.extend(map(build, read.iter_unpack(buf[at : at + good * size])))
                         at += good * size
                         if at == stop:  # the window ran full: the next one, or what follows
                             continue
@@ -527,13 +520,8 @@ class PduReader:
                 at += used
         except TruncatedPdu:
             pass
-        except FramingError as exc:
-            exc.completed = out
-            raise
-        finally:
-            if at:
-                del buf[:at]
-                self.bytes_consumed += at
+        del buf[:at]
+        self.bytes_consumed += at
         return out
 
     @property

@@ -18,7 +18,7 @@ from hroa.bmcodec import (
     stm_decode,
     stm_insert,
 )
-from hroa.prefix import V4, V6, WIDTH, Prefix, parse_prefix
+from hroa.prefix import V4, V6, WIDTH, FamilyMismatchError, Prefix, parse_prefix
 
 V4_CFG = HangingLevels.default(V4)
 V6_CFG = HangingLevels.default(V6)
@@ -141,6 +141,13 @@ def test_decode_rejects_foreign_shapes():
         decode_block(V6_CFG, SubTreeBlock(V4, 1878001, 54))
     with pytest.raises(ValueError, match="40 is not a profile level"):  # past the v4 width
         decode_block(V4_CFG, SubTreeBlock(V4, 1 << 40, 2))
+    with pytest.raises(ValueError, match="^identifier must be >= 1$"):  # built unchecked
+        decode_block(V4_CFG, _new_subtree_block((V4, 0, 2)))
+
+
+def test_encode_batch_rejects_a_prefix_of_the_other_family():
+    with pytest.raises(FamilyMismatchError, match="^2001:db8::/32 in a v4 batch$"):
+        encode_batch(V4_CFG, [FIG_PREFIXES[0], parse_prefix("2001:db8::/32")])
 
 
 def test_block_validation():

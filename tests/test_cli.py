@@ -455,6 +455,29 @@ def test_decode_writes_rows_byte_for_byte(tmp_path, capsys, scheme):
     assert _run(capsys, ["decode", str(pdus)]) == (0, DUAL_DECODED[scheme])
 
 
+@pytest.mark.parametrize("scheme", ["hroa", "mroa"])
+def test_decode_of_a_captured_response_skips_its_framing(tmp_path, capsys, scheme):
+    csv_path, pdus = tmp_path / "dual.csv", tmp_path / "dual.pdus"
+    csv_path.write_text(DUAL_CSV)
+    assert main(["encode", str(csv_path), "--scheme", scheme, "--out", str(pdus)]) == 0
+    capsys.readouterr()
+    snapshot = sync.CacheSnapshot.build(load_csv(str(csv_path)), recompress=scheme == "mroa")
+    with sync.RtrServer(snapshot, scheme) as server:
+        with socket.create_connection(server.endpoint, timeout=5) as conn:
+            conn.sendall(wire.serialize(wire.ResetQuery()))
+            response = b""
+            while len(response) < server.response_bytes and (data := conn.recv(65536)):
+                response += data
+    # Cache Response (8 bytes), the payload encode wrote, End of Data (24 bytes)
+    assert response[8:-24] == pdus.read_bytes()
+    captured = tmp_path / "response.pdus"
+    foreign = bytes.fromhex("014d000000000008")  # type 77, which decode does not know
+    captured.write_bytes(response[:-24] + foreign + response[-24:])
+    want = _run(capsys, ["decode", str(pdus)])
+    assert want == (0, DUAL_DECODED[scheme])
+    assert _run(capsys, ["decode", str(captured)]) == want
+
+
 def test_fetch_out_writes_rows_byte_for_byte(tmp_path, capsys):
     csv_path, outcsv = tmp_path / "dual.csv", tmp_path / "fetched.csv"
     csv_path.write_text(DUAL_CSV)

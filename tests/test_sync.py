@@ -303,6 +303,33 @@ def test_server_answers_serial_query_with_cache_reset():
         _wait_for_threads(baseline)
 
 
+def _recv_exactly(conn: socket.socket, size: int) -> bytes:
+    got = b""
+    while len(got) < size and (data := conn.recv(size - len(got))):
+        got += data
+    return got
+
+
+def test_server_answers_a_serial_and_a_reset_query_in_one_segment():
+    serial_query = bytes.fromhex("010112340000000c00000029")
+    with RtrServer(_snapshot(), "hroa") as server:
+        with socket.create_connection(server.endpoint, timeout=5) as conn:
+            conn.sendall(serial_query + wire.serialize(wire.ResetQuery()))
+            # Cache Reset, then the whole response
+            want = bytes.fromhex("0108000000000008") + server._response
+            assert _recv_exactly(conn, len(want)) == want
+
+
+def test_server_answers_a_reset_query_sent_one_byte_at_a_time():
+    with RtrServer(_snapshot(), "hroa") as server:
+        with socket.create_connection(server.endpoint, timeout=5) as conn:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in wire.serialize(wire.ResetQuery()):
+                conn.sendall(bytes([byte]))
+                time.sleep(0.01)  # lets the server see each byte on its own
+            assert _recv_exactly(conn, len(server._response)) == server._response
+
+
 def test_server_does_not_answer_an_error_report():
     # RFC 8210 5.11: an error report is never answered with another
     with RtrServer(_snapshot(), "hroa") as server:

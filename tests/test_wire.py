@@ -161,10 +161,9 @@ def test_payload_field_errors_name_the_field(pdu, at, byte, message):
     bad[at] = byte
     with pytest.raises(FramingError, match=f"^{message}$"):
         deserialize(bytes(bad))
-    # inside a run, the PDUs before the bad one are handed over
-    with pytest.raises(FramingError, match=f"^{message}$") as exc:
+    # inside a run, the reader raises the same text
+    with pytest.raises(FramingError, match=f"^{message}$"):
         PduReader().feed(good + bad + good)
-    assert list(exc.value.completed) == [pdu]
 
 
 def test_error_report_length_fields_must_agree():
@@ -175,6 +174,53 @@ def test_error_report_length_fields_must_agree():
     # a type-10 header claiming fewer than 16 bytes can never be valid
     with pytest.raises(FramingError):
         deserialize(bytes.fromhex("010a00030000000c") + b"\0" * 4)
+
+
+def _with(raw: bytes, at: int, value: bytes) -> bytes:
+    out = bytearray(raw)
+    out[at : at + len(value)] = value
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        # the second pair's id zeroed
+        (_with(serialize(SubTreeAggPdu(V4, 1, ((1, 2), (3, 4)))), 20, bytes(4)),
+         "zero sub-tree id in aggregate"),
+        (_with(serialize(SubTreeAggPdu(V6, 1, ((1, 2),))), 12, bytes(16)),
+         "zero sub-tree id in aggregate"),
+        # an echoed length of 100 in an 11-byte body
+        (_with(serialize(ErrorReport(3, b"\x01\x02", "x")), 8, (100).to_bytes(4, "big")),
+         "echoed PDU overruns error report"),
+        (_with(serialize(ErrorReport(3, b"", "x")), 16, b"\xff"),
+         "error text not utf-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
+    ],
+    ids=["v4-agg-zero-id", "v6-agg-zero-id", "echo-overrun", "text-not-utf8"],
+)
+def test_variable_length_errors_name_the_fault(raw, message):
+    with pytest.raises(FramingError) as exc:
+        deserialize(raw)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "pdu, message",
+    [
+        (PrefixPdu(1, parse_prefix("10.0.0.0/24"), 24, 1 << 32),
+         "asn 4294967296 does not fit 32 bits"),
+        (SubTreePdu(V4, 1, 1 << 32, 1), "bitmap 4294967296 does not fit 32 bits"),
+        (SubTreePdu(V6, 1, 2, -1), "asn -1 does not fit 32 bits"),
+        (ErrorReport(3, bytes(wire.MAX_PDU_LEN - wire.ERROR_REPORT_OVERHEAD), "x"),
+         "error report of 65536 bytes exceeds cap"),
+    ],
+    ids=["prefix-asn", "subtree-bitmap", "subtree-asn", "error-report-cap"],
+)
+def test_serialize_field_errors_name_the_field(pdu, message):
+    with pytest.raises(FramingError) as exc:
+        serialize(pdu)
+    assert str(exc.value) == message
 
 
 def test_serialize_range_checks():
@@ -495,7 +541,10 @@ def _walk(blob: bytes):
 
 
 def _fed(blob: bytes, steps: list[int]):
-    """The same through PduReader.feed in chunks of the given sizes, cycled."""
+    """The same through PduReader.feed in chunks of the given sizes, cycled.
+
+    On a FramingError, the PDUs are those of the chunks before the one that raised.
+    """
     reader, got, at, i = PduReader(), [], 0, 0
     try:
         while at < len(blob):
@@ -503,7 +552,6 @@ def _fed(blob: bytes, steps: list[int]):
             got.extend(reader.feed(blob[at : at + step]))
             at, i = at + step, i + 1
     except FramingError as exc:
-        got.extend(exc.completed)
         return got, str(exc), None
     return got, None, reader.pending
 
@@ -536,8 +584,8 @@ def test_reader_matches_deserialize_walk(pdus, mutations, steps):
     if walk_err is None:
         assert (fed, fed_left) == (walked, walk_left)
     else:
-        # a feed that raises hands over the PDUs it completed before the bad one
-        assert fed == walked
+        # the chunks before the one that raised gave the walk's first PDUs
+        assert fed == walked[: len(fed)]
 
 
 # --- runs of one layout, which feed parses with one unpack per chunk ------------
@@ -593,18 +641,15 @@ def test_reader_parses_runs_as_the_deserialize_walk(stream, index, how, value, s
         try:
             got.extend(reader.feed(chunk))
         except FramingError as exc:
-            # the PDUs completed before the bad one, and nothing else
-            assert list(exc.completed) == walked[len(got) :]
-            got.extend(exc.completed)
-            # consumed up to the bad PDU, which stays buffered
-            assert (reader.pending, reader.bytes_consumed) == (fed - bounds[-1], bounds[-1])
-            err = str(exc)
+            assert fed > bounds[-1]  # the chunk that raised reached the bad PDU
+            err = str(exc)  # the reader is spent
             break
         whole = max(b for b in bounds if b <= fed)
         assert got == walked[: bounds.index(whole)]
         assert (reader.pending, reader.bytes_consumed) == (fed - whole, whole)
     assert err == walk_err
-    assert got == walked
+    if err is None:
+        assert got == walked
 
 
 # -- aggregate serialization -----------------------------------------------------
