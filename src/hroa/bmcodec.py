@@ -60,15 +60,15 @@ class HangingLevels:
             raise ValueError("levels must be strictly ascending")
         if lv[-1] > self.width - 1:
             raise ValueError(f"last level {lv[-1]} exceeds {self.width - 1}")
-        if self.max_height > MAX_GAP:
-            raise ValueError(f"v{self.family} level gap {self.max_height} exceeds cap {MAX_GAP}")
         bounds = (*lv, self.width + 1)
-        level_of = tuple(a for a, b in zip(bounds, bounds[1:]) for _ in range(a, b))
-        object.__setattr__(self, "level_of", level_of)
         height_at = [0] * self.width
         for a, b in zip(bounds, bounds[1:]):
             height_at[a] = b - a
         object.__setattr__(self, "height_at", tuple(height_at))
+        if self.max_height > MAX_GAP:
+            raise ValueError(f"v{self.family} level gap {self.max_height} exceeds cap {MAX_GAP}")
+        level_of = tuple(a for a, b in zip(bounds, bounds[1:]) for _ in range(a, b))
+        object.__setattr__(self, "level_of", level_of)
 
     @classmethod
     def default(cls, family: int) -> "HangingLevels":
@@ -97,8 +97,7 @@ class HangingLevels:
     @property
     def max_height(self) -> int:
         """Height of the tallest sub-tree: the widest gap, terminal one included."""
-        bounds = (*self.levels, self.width + 1)
-        return max(b - a for a, b in zip(bounds, bounds[1:]))
+        return max(self.height_at)
 
 
 def make_subtree_id(prefix: Prefix, level: int) -> int:

@@ -54,8 +54,8 @@ def optimize_levels(
     profile.  ``width`` below the family width restricts the universe to
     shallow tries for constrained studies.
     """
-    if not 1 <= h_max <= MAX_GAP:
-        raise ValueError(f"h_max {h_max} is outside 1..{MAX_GAP}")
+    if not 2 <= h_max <= MAX_GAP:  # the terminal gap to width+1 is at least 2
+        raise ValueError(f"h_max {h_max} is outside 2..{MAX_GAP}")
     by_as = [(asn, list(prefixes)) for asn, prefixes in workload.items()]
     fams = {p.family for _, pl in by_as for p in pl}
     if not fams:
@@ -85,11 +85,8 @@ def optimize_levels(
             for i in range(max(0, l - h_max), l)
         ))
 
-    finals = [
+    count, _, levels = min(
         (best[c][0] + num[c][width + 1], best[c][1], best[c][2])
         for c in range(max(0, width + 1 - h_max), width)
-    ]
-    if not finals:
-        raise ValueError(f"no profile satisfies h_max={h_max} at width {width}")
-    count, _, levels = min(finals)
+    )
     return levels, count * wire.LAYOUT[family].subtree_len

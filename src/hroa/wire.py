@@ -39,16 +39,16 @@ fixed PDU with one call.  A payload type (4, 6, 12, 13) is read by a second
 Struct of the same size built from the same body format,
 ``Layout.prefix_read`` or ``Layout.subtree_read``: it reads the version and
 the body and skips the rest of the header, whose type and length are checked
-before it runs.  ``_parse`` (behind ``deserialize``) checks one PDU's header
-and unpacks it in place from the caller's buffer.  ``PduReader.feed`` takes
-a run of payload PDUs of one type a window of at most ``_RUN_PDUS`` PDUs at
-a time: stride slices of the window's type and length bytes count the
-leading PDUs that match, and one ``iter_unpack`` over a copy of just their
-bytes reads them, so what it copies stays linear in the stream however short
-its runs are.  The first PDU that does not match, or a partial tail, goes to
-``_parse``.  Both hand each unpacked tuple to the one builder of its type,
-which checks the fields as ints and builds the PDU and its ``Prefix`` with
-unchecked tuple builders.
+before it runs.  ``deserialize`` checks one PDU's header and unpacks it in
+place from the caller's buffer.  ``PduReader.feed`` takes a run of payload
+PDUs of one type a window of at most ``_RUN_PDUS`` PDUs at a time: stride
+slices of the window's type and length bytes count the leading PDUs that
+match, and one ``iter_unpack`` over a copy of just their bytes reads them, so
+what it copies stays linear in the stream however short its runs are.  The
+first PDU that does not match, or a partial tail, goes to ``deserialize``.
+Both hand each unpacked tuple to the one builder of its type, which checks
+the fields as ints and builds the PDU and its ``Prefix`` with unchecked tuple
+builders.
 
 Types 1 (serial query) and 8 (cache reset) have codes here for the cache
 server, and parse as ``UnknownPdu``.
@@ -431,16 +431,18 @@ def _parse_error_report(version: int, code: int, buf, at: int, length: int) -> E
     return ErrorReport(code, echoed, text, version=version)
 
 
-def _parse(buf, at: int, end: int) -> tuple[RtrPdu, int]:
-    """Parse the PDU at ``buf[at:end]``; returns (pdu, its length).
+def deserialize(buf: bytes | bytearray | memoryview, offset: int = 0) -> tuple[RtrPdu, int]:
+    """Parse one PDU at ``offset``; returns (pdu, bytes consumed).
 
-    Every header check lives here.  A fixed layout unpacks straight from
-    ``buf`` with its Struct; only variable-length PDUs copy bytes out.
+    Raises TruncatedPdu when the buffer holds only part of a PDU and
+    FramingError when the bytes cannot be valid.  Every header check lives
+    here.  A fixed layout unpacks straight from ``buf`` with its Struct; only
+    variable-length PDUs copy bytes out.
     """
-    avail = end - at
+    avail = len(buf) - offset
     if avail < HEADER_BYTES:
         raise TruncatedPdu(HEADER_BYTES)
-    version, ptype, field16, length = _HDR.unpack_from(buf, at)
+    version, ptype, field16, length = _HDR.unpack_from(buf, offset)
     if length < HEADER_BYTES:
         raise FramingError(f"PDU length {length} below header size")
     if length > MAX_PDU_LEN:
@@ -452,22 +454,13 @@ def _parse(buf, at: int, end: int) -> tuple[RtrPdu, int]:
         layout, build = fixed
         if length != layout.size:
             raise FramingError(f"type {ptype} PDU must be {layout.size} bytes, got {length}")
-        return build(layout.unpack_from(buf, at)), length
+        return build(layout.unpack_from(buf, offset)), length
     lay = _AGG_TYPES.get(ptype)
     if lay is not None:
-        return _parse_agg(lay, version, buf, at, length), length
+        return _parse_agg(lay, version, buf, offset, length), length
     if ptype == PDU_ERROR_REPORT:
-        return _parse_error_report(version, field16, buf, at, length), length
-    return UnknownPdu(version, ptype, bytes(buf[at : at + length])), length
-
-
-def deserialize(buf: bytes | bytearray | memoryview, offset: int = 0) -> tuple[RtrPdu, int]:
-    """Parse one PDU at ``offset``; returns (pdu, bytes consumed).
-
-    Raises TruncatedPdu when the buffer holds only part of a PDU and
-    FramingError when the bytes cannot be valid.
-    """
-    return _parse(buf, offset, len(buf))
+        return _parse_error_report(version, field16, buf, offset, length), length
+    return UnknownPdu(version, ptype, bytes(buf[offset : offset + length])), length
 
 
 class PduReader:
@@ -475,7 +468,6 @@ class PduReader:
 
     def __init__(self) -> None:
         self._buf = bytearray()
-        self.bytes_consumed = 0
 
     def feed(self, data: bytes) -> list[RtrPdu]:
         """Buffer a chunk; return every PDU it completed.
@@ -483,8 +475,8 @@ class PduReader:
         A run of payload PDUs of one type is checked a window at a time by
         stride slices of its type and length bytes, and the matching ones are
         unpacked with their read struct and mapped through their type's
-        builder; every other PDU goes through ``_parse``.  A malformed PDU
-        raises FramingError, and the reader is spent.
+        builder; every other PDU goes through ``deserialize``.  A malformed
+        PDU raises FramingError, and the reader is spent.
         """
         buf = self._buf
         buf.extend(data)
@@ -515,13 +507,12 @@ class PduReader:
                         if at == stop:  # the window ran full: the next one, or what follows
                             continue
                 # a PDU of another type or length, or a partial tail
-                pdu, used = _parse(buf, at, end)
+                pdu, used = deserialize(buf, at)
                 out.append(pdu)
                 at += used
         except TruncatedPdu:
             pass
         del buf[:at]
-        self.bytes_consumed += at
         return out
 
     @property

@@ -4,13 +4,16 @@
 
 writes the inputs and ``manifest.json`` under ``tests/data/golden/``.  The
 manifest records, for every command, its exit code, its stderr text and
-the sha256 of its stdout and of each ``--out`` file it wrote;
-``tests/test_golden.py`` replays it in process through ``cli.main``, and
-checks that its commands and the committed inputs are the ones this script
-lists and writes, so an edit here without a regenerate fails.  A
-changed manifest entry is a changed CLI output: regenerate it only for a
-change that means to alter that output, and name each changed entry and
-its reason in CHANGES.md.
+the sha256 of its stdout and of each ``--out`` file it wrote.  A ``serve``
+runs with its wait replaced by one ``fetch --out`` from it; its entry keeps
+serve's exit code and fetch's exit code, stderr and ``--out`` hash, but not
+serve's stderr, which names the port, nor fetch's stdout, whose report holds
+a random session id and the elapsed time.  ``tests/test_golden.py`` replays
+the manifest in process through ``cli.main``, and checks that its commands
+and the committed inputs are the ones this script lists and writes, so an
+edit here without a regenerate fails.  A changed manifest entry is a changed
+CLI output: regenerate it only for a change that means to alter that output,
+and name each changed entry and its reason in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import sys
 import tempfile
 from pathlib import Path
@@ -28,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden"
 MANIFEST = GOLDEN / "manifest.json"
 SCHEMES = ("sroa", "troa", "mroa", "hroa", "ahroa")
+SERVE_SCHEMES = ("mroa", "hroa", "ahroa")
 
 # hand-written inputs; the generated ones come from perfbench/gen.py at seed 1
 FIXED_INPUTS = {
@@ -114,6 +119,9 @@ def commands(inputs) -> list[list[str]]:
         for family in ("v4", "v6"):
             out.append(["optimize-levels", name, "--family", family,
                         "--out", f"{stem}.{family}.levels.json"])
+    for name in inputs:
+        for scheme in SERVE_SCHEMES:
+            out.append(["serve", name, "--scheme", scheme, "--port", "0"])
     return out
 
 
@@ -133,6 +141,8 @@ def run(argv: list[str]) -> tuple[int, str, str]:
 
 def record(argv: list[str], workdir: Path) -> dict:
     """What one command did, as a manifest entry; its --out path is relative to workdir."""
+    if argv[0] == "serve":
+        return record_serve(argv, workdir)
     code, stdout, stderr = run(argv)
     outs = {}
     if "--out" in argv:
@@ -141,6 +151,25 @@ def record(argv: list[str], workdir: Path) -> dict:
             outs[path.name] = _sha(path.read_bytes())
     return {"argv": argv, "exit": code, "stderr": stderr,
             "stdout_sha256": _sha(stdout.encode()), "outs": outs}
+
+
+def record_serve(argv: list[str], workdir: Path) -> dict:
+    """A ``serve`` whose wait is one ``fetch --out <stem>.<scheme>.fetch.csv`` from it."""
+    out = f"{argv[1].removesuffix('.csv')}.{argv[argv.index('--scheme') + 1]}.fetch.csv"
+    fetched = []
+
+    def fetch_once() -> None:
+        # serve's stderr so far is its one "serving ... on host:port" line
+        endpoint = sys.stderr.getvalue().split()[-1]
+        entry = record(["fetch", endpoint, "--out", out], workdir)
+        fetched.append({key: entry[key] for key in ("exit", "stderr", "outs")})
+
+    original, signal.pause = signal.pause, fetch_once
+    try:
+        code, _, _ = run(argv)
+    finally:
+        signal.pause = original
+    return {"argv": argv, "exit": code, "fetch": fetched[0] if fetched else None}
 
 
 def input_hashes() -> dict[str, str]:

@@ -104,8 +104,22 @@ def test_profile_respects_h_max():
         optimize_levels(FIG, h_max=0)
     # no HangingLevels accepts a gap over its cap, so neither does the optimizer
     for h_max in (7, 10):
-        with pytest.raises(ValueError, match=f"h_max {h_max} is outside 1..6"):
+        with pytest.raises(ValueError, match=f"h_max {h_max} is outside 2..6"):
             optimize_levels(FIG, h_max=h_max)
+
+
+def test_every_width_has_a_profile_within_h_max():
+    # the terminal gap to width+1 is at least 2, so every h_max from 2 up has
+    # a last cut to end on, down to one-level universes
+    root = {1: [parse_prefix("0.0.0.0/0")]}
+    for width in range(1, 13):
+        for h_max in range(2, 7):
+            levels, _ = optimize_levels(root, h_max=h_max, width=width)
+            bounds = (*levels, width + 1)
+            assert levels[0] == 0 and levels[-1] < width, (width, h_max, levels)
+            assert all(0 < b - a <= h_max for a, b in zip(bounds, bounds[1:])), (width, h_max)
+    with pytest.raises(ValueError, match=r"^h_max 1 is outside 2\.\.6$"):
+        optimize_levels(root, h_max=1)
 
 
 def test_optimum_beats_fixed_grids():
