@@ -7,11 +7,11 @@ so concurrent clients share one blob, optionally paced per connection to
 emulate a slow link.  The cache keeps no serial history, so it answers a
 Serial Query with Cache Reset and keeps the connection open for the Reset
 Query that follows (RFC 8210).  It ends the connection without a reply on a
-router's Error Report, and with an Error Report on anything else: code 5
-(Unsupported PDU Type) echoing the PDU, or code 0 (Corrupt Data) for bytes
-that do not frame.  Each connection keeps one receive buffer and takes PDUs
-from its front with ``wire.deserialize``, so every PDU before a bad one is
-served first, and an echo is the PDU's bytes as the router sent them.
+router's Error Report, and with an Error Report on anything else: code 4
+(Unsupported Protocol Version) for another version, code 5 (Unsupported PDU
+Type) for another type, or code 0 (Corrupt Data) for bytes that do not frame.
+Each connection takes PDUs from one receive buffer with ``wire.deserialize``:
+every PDU before a bad one is served, and an echo is the bytes the router sent.
 ``fetch`` handles prefix PDUs first, in a branch of their own, and hands
 sub-tree PDUs to ``decode_payload_pdu``; both look ``expand`` and
 ``decode_block`` up here at each call, where perfbench's tracer wraps them.
@@ -178,6 +178,7 @@ class SyncReport:
 
 # RFC 8210 error codes the server sends
 _CORRUPT_DATA = 0
+_UNSUPPORTED_VERSION = 4
 _UNSUPPORTED_PDU_TYPE = 5
 
 
@@ -286,6 +287,13 @@ class RtrServer:
                             conn.sendall(_error_report(_CORRUPT_DATA, str(exc)))
                             return
                         kind = type(pdu)
+                        if kind is wire.ErrorReport:
+                            return  # never answered with another report (RFC 8210 5.11)
+                        if pdu.version != wire.DEFAULT_VERSION:  # RFC 8210 section 7
+                            echo = bytes(pending[:used])  # the PDU as the router sent it
+                            text = f"only protocol version {wire.DEFAULT_VERSION} is supported"
+                            conn.sendall(_error_report(_UNSUPPORTED_VERSION, text, echo))
+                            return
                         if kind is wire.ResetQuery:
                             t0 = time.perf_counter()
                             self._send(conn, self._response)
@@ -299,8 +307,6 @@ class RtrServer:
                             )
                         elif kind is wire.UnknownPdu and pdu.pdu_type == wire.PDU_SERIAL_QUERY:
                             conn.sendall(wire._CACHE_RESET)  # the router goes on with a Reset Query
-                        elif kind is wire.ErrorReport:
-                            return  # never answered with another report (RFC 8210 5.11)
                         else:
                             conn.sendall(_error_report(
                                 _UNSUPPORTED_PDU_TYPE,
@@ -462,7 +468,7 @@ def fetch(
                     payloads += 1
                     acc = out_get(asn)
                     if acc is None:
-                        out[asn] = prefixes or set()  # never the shared _NO_PREFIXES
+                        out[asn] = prefixes
                     else:
                         acc |= prefixes
     finally:

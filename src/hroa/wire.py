@@ -40,12 +40,12 @@ Struct of the same size built from the same body format,
 ``Layout.prefix_read`` or ``Layout.subtree_read``: it reads the version and
 the body and skips the rest of the header, whose type and length are checked
 before it runs.  ``deserialize`` checks one PDU's header and unpacks it in
-place from the caller's buffer.  ``PduReader.feed`` takes a run of payload
-PDUs of one type a window of at most ``_RUN_PDUS`` PDUs at a time: stride
-slices of the window's type and length bytes count the leading PDUs that
-match, and one ``iter_unpack`` over a copy of just their bytes reads them, so
-what it copies stays linear in the stream however short its runs are.  The
-first PDU that does not match, or a partial tail, goes to ``deserialize``.
+place from the caller's buffer.  ``PduReader.feed`` finds a run of payload
+PDUs with their type's compiled pattern, which checks the type byte and length
+field of each whole PDU, at most ``_RUN_PDUS`` PDUs a match.  One
+``iter_unpack`` over a copy of just the matched bytes reads them, so what it
+copies stays linear in the stream however short its runs are.  A PDU the
+pattern does not match, or a partial tail, goes to ``deserialize``.
 Both hand each unpacked tuple to the one builder of its type, which checks
 the fields as ints and builds the PDU and its ``Prefix`` with unchecked tuple
 builders.
@@ -56,6 +56,7 @@ server, and parse as ``UnknownPdu``.
 
 from __future__ import annotations
 
+import re
 import struct
 from collections import namedtuple
 from functools import partial
@@ -378,11 +379,16 @@ def _subtree_builder(lay: Layout):
     return build
 
 
-# the payload types a response carries in long runs, which feed parses a window
-# at a time: read struct, builder, and the type and length bytes it checks by
-# stride (every payload size fits the length field's low byte)
+def _run_match(ptype: int, size: int):
+    """The match of a run of whole PDUs of this type and length, at any version and 16-bit field."""
+    head = re.escape(bytes((ptype,))), re.escape(size.to_bytes(4, "big")), size - HEADER_BYTES
+    return re.compile(b"(?:.%s..%s.{%d})+" % head, re.DOTALL).match
+
+
+# the payload types a response carries in long runs, which feed reads a run at a
+# time: the match of a run, the read struct and the builder
 _RUNS = {
-    ptype: (read, build, bytes((ptype,)), bytes((read.size,)))
+    ptype: (_run_match(ptype, read.size), read, build)
     for lay in LAYOUT.values()
     for ptype, read, build in (
         (lay.prefix_type, lay.prefix_read, _prefix_builder(lay)),
@@ -393,9 +399,9 @@ _FIXED = {
     PDU_RESET_QUERY: (_HDR, lambda f: ResetQuery(f[0])),
     PDU_CACHE_RESPONSE: (_HDR, lambda f: CacheResponse(f[2], f[0])),
     PDU_END_OF_DATA: (_END_OF_DATA, lambda f: EndOfData(f[2], *f[4:], f[0])),
-    **{ptype: (read, build) for ptype, (read, build, _, _) in _RUNS.items()},
+    **{ptype: (read, build) for ptype, (_, read, build) in _RUNS.items()},
 }
-# the most PDUs of one window of a run, which bounds what a run of one or two PDUs copies
+# the most PDUs one match spans, which bounds the state re keeps for its repeats
 _RUN_PDUS = 64
 
 
@@ -472,11 +478,11 @@ class PduReader:
     def feed(self, data: bytes) -> list[RtrPdu]:
         """Buffer a chunk; return every PDU it completed.
 
-        A run of payload PDUs of one type is checked a window at a time by
-        stride slices of its type and length bytes, and the matching ones are
-        unpacked with their read struct and mapped through their type's
-        builder; every other PDU goes through ``deserialize``.  A malformed
-        PDU raises FramingError, and the reader is spent.
+        A run of payload PDUs of one type and length is found by its type's
+        pattern, at most ``_RUN_PDUS`` PDUs a match, and unpacked with its read
+        struct and mapped through its type's builder; every other PDU goes
+        through ``deserialize``.  A malformed PDU raises FramingError, and the
+        reader is spent.
         """
         buf = self._buf
         buf.extend(data)
@@ -487,25 +493,12 @@ class PduReader:
             while at < end:
                 run = _RUNS.get(buf[at + 1]) if end - at >= HEADER_BYTES else None
                 if run is not None:
-                    # a window of at most _RUN_PDUS whole PDUs: stride slices of
-                    # their type and length bytes count the leading PDUs of this
-                    # type and size, and one unpack reads them from a copy of
-                    # just their bytes, so no export of buf outlives the call
-                    read, build, ptype, size_byte = run
-                    size = read.size
-                    stop = min(end - (end - at) % size, at + _RUN_PDUS * size)
-                    good = (stop - at) // size - max(
-                        len(buf[at + 1 : stop : size].lstrip(ptype)),
-                        len(buf[at + 4 : stop : size].lstrip(b"\0")),
-                        len(buf[at + 5 : stop : size].lstrip(b"\0")),
-                        len(buf[at + 6 : stop : size].lstrip(b"\0")),
-                        len(buf[at + 7 : stop : size].lstrip(size_byte)),
-                    )
-                    if good:
-                        out.extend(map(build, read.iter_unpack(buf[at : at + good * size])))
-                        at += good * size
-                        if at == stop:  # the window ran full: the next one, or what follows
-                            continue
+                    match, read, build = run
+                    m = match(buf, at, at + _RUN_PDUS * read.size)
+                    if m:  # one unpack of a copy of just the run: no export of buf outlives it
+                        out.extend(map(build, read.iter_unpack(buf[at : m.end()])))
+                        at = m.end()
+                        continue
                 # a PDU of another type or length, or a partial tail
                 pdu, used = deserialize(buf, at)
                 out.append(pdu)

@@ -478,6 +478,20 @@ def test_decode_of_a_captured_response_skips_its_framing(tmp_path, capsys, schem
     assert _run(capsys, ["decode", str(captured)]) == want
 
 
+@pytest.mark.parametrize("command", ["decode", "stats", "sweep"])
+def test_out_writes_what_stdout_carries_and_prints_nothing(tmp_path, capsys, command):
+    csv_path, pdus, out = tmp_path / "dual.csv", tmp_path / "dual.pdus", tmp_path / "out"
+    csv_path.write_text(DUAL_CSV)
+    assert main(["encode", str(csv_path), "--out", str(pdus)]) == 0
+    argv = [command, str(pdus if command == "decode" else csv_path)]
+    capsys.readouterr()
+    code, want = _run(capsys, argv)
+    assert code == 0 and want
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == want.encode()
+
+
 def test_fetch_out_writes_rows_byte_for_byte(tmp_path, capsys):
     csv_path, outcsv = tmp_path / "dual.csv", tmp_path / "fetched.csv"
     csv_path.write_text(DUAL_CSV)

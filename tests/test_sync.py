@@ -338,6 +338,27 @@ def test_server_does_not_answer_an_error_report():
         _wait_for_threads(baseline)
 
 
+def test_server_refuses_another_protocol_version():
+    # RFC 8210 section 7: Unsupported Protocol Version (4), echoing the PDU;
+    # then the server hangs up.  A router's Error Report of any version gets no reply.
+    refused = [
+        bytes.fromhex("0002000000000008"),  # Reset Query, version 0
+        bytes.fromhex("0202000000000008"),  # Reset Query, version 2
+        bytes.fromhex("0702000000000008"),  # Reset Query, version 7
+        bytes.fromhex("020112340000000c00000029"),  # Serial Query, version 2
+    ]
+    with RtrServer(_snapshot(), "hroa") as server:
+        baseline = threading.active_count()
+        for raw in refused:
+            (report,) = _exchange(server, raw)
+            assert type(report) is wire.ErrorReport
+            assert (report.error_code, report.echoed, report.version) == (4, raw, 1)
+            assert report.text == "only protocol version 1 is supported"
+        report = wire.serialize(wire.ErrorReport(2, b"", "no data", version=0))
+        assert _exchange(server, report) == []
+        _wait_for_threads(baseline)
+
+
 def test_server_serves_the_query_before_a_malformed_pdu_in_one_segment():
     # a Reset Query and a PDU whose length (4) is below the header size, in one send
     snap = _snapshot()

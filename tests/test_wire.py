@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import pickle
 import random
@@ -649,6 +650,57 @@ def test_reader_parses_runs_as_the_deserialize_walk(stream, index, how, value, s
     assert err == walk_err
     if err is None:
         assert got == walked
+
+
+def _run_pdus(kind: str, fam: int, n: int) -> list:
+    """n prefix or sub-tree PDUs of one family, each a valid payload PDU."""
+    width = 32 if fam == V4 else 128
+    rng = random.Random(n)
+    run = []
+    for _ in range(n):
+        if kind == "prefix":
+            plen = rng.randint(0, width)
+            p = Prefix(fam, rng.getrandbits(plen) << (width - plen), plen)
+            run.append(PrefixPdu(1, p, rng.randint(plen, width), rng.getrandbits(32)))
+        else:
+            sid = rng.randint(1, (1 << width) - 1)
+            run.append(SubTreePdu(fam, sid, rng.getrandbits(32), rng.getrandbits(32)))
+    return run
+
+
+@pytest.mark.parametrize("kind", ["prefix", "subtree"])
+@pytest.mark.parametrize("fam", [V4, V6])
+@pytest.mark.parametrize("index", [63, 64, 65])
+@pytest.mark.parametrize("how", ["length", "same_size_type", "other_size_type"])
+def test_reader_breaks_a_run_at_the_match_bound_as_the_walk(kind, fam, index, how):
+    # a run of 130 PDUs spans more than two matches of _RUN_PDUS (64); the
+    # PDU just before, at or just after the first bound is broken
+    assert wire._RUN_PDUS == 64
+    lay, other = wire.LAYOUT[fam], wire.LAYOUT[V6 if fam == V4 else V4]
+    raws = [bytearray(serialize(p)) for p in _run_pdus(kind, fam, 130)]
+    raw = raws[index]
+    if how == "length":
+        raw[4:8] = (len(raw) + 1).to_bytes(4, "big")
+    elif how == "same_size_type":  # the family's other payload type: the run is cut, not the frame
+        raw[1] = lay.subtree_type if kind == "prefix" else lay.prefix_type
+    else:
+        raw[1] = other.prefix_type if kind == "prefix" else other.subtree_type
+    blob = b"".join(raws)
+    walked, walk_err, walk_left = _walk(blob)
+    ends = list(itertools.accumulate(len(r) for r in raws[: len(walked)]))
+    for step in (len(blob), 20):
+        reader, got, err = PduReader(), [], None
+        for at in range(0, len(blob), step):
+            try:
+                got.extend(reader.feed(blob[at : at + step]))
+            except FramingError as exc:
+                err = str(exc)
+                # what the raising chunk completed is lost; every PDU before it came out
+                assert got == walked[: sum(1 for end in ends if end <= at)]
+                break
+        assert err == walk_err
+        if err is None:
+            assert (got, reader.pending) == (walked, walk_left)
 
 
 # -- aggregate serialization -----------------------------------------------------
