@@ -40,13 +40,19 @@ class HangingLevels:
     capped at ``MAX_GAP`` so bitmaps stay bounded: a gap of h means
     2^h-bit bitmaps.  ``level_of[n]`` is the level a prefix of length n
     hangs at, and ``height_at[l]`` the height of the sub-tree rooted at
-    level l (0 where l is no profile level), both built once per profile.
+    level l (0 where l is no profile level).  ``fold[n]`` is what
+    ``encode_batch`` needs for a prefix of length n hanging at level l:
+    ``(width - n, n - l, 2^l, 2^(n-l), 2^(n-l) - 1)``, its address shift,
+    its depth in the sub-tree, the leading 1 bit of its sub-tree id and of
+    its node number, and the mask of its node bits.  All three tables are
+    built once per profile.
     """
 
     family: int
     levels: tuple[int, ...]
     level_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
     height_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    fold: tuple[tuple[int, int, int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in WIDTH:
@@ -69,6 +75,9 @@ class HangingLevels:
             raise ValueError(f"v{self.family} level gap {self.max_height} exceeds cap {MAX_GAP}")
         level_of = tuple(a for a, b in zip(bounds, bounds[1:]) for _ in range(a, b))
         object.__setattr__(self, "level_of", level_of)
+        object.__setattr__(self, "fold", tuple(
+            (self.width - n, n - l, 1 << l, 1 << (n - l), (1 << (n - l)) - 1)
+            for n, l in enumerate(level_of)))
 
     @classmethod
     def default(cls, family: int) -> "HangingLevels":
@@ -173,20 +182,18 @@ def encode_batch(
     Output is sorted by identifier.
     """
     flag = 1 if withdraw else 0
-    family, width, level_of = cfg.family, cfg.width, cfg.level_of
+    family, fold = cfg.family, cfg.fold
     acc: dict[int, int] = {}  # id -> bitmap
     for p in prefixes:
         fam, bits, n = p
         if fam != family:
             raise FamilyMismatchError(f"{p} in a v{family} batch")
-        level = level_of[n]
-        depth = n - level
-        top = bits >> (width - n)  # the prefix's n bits
+        shift, depth, id_lead, node_lead, node_mask = fold[n]
+        top = bits >> shift  # the prefix's n bits
         # make_subtree_id and make_node_number: a leading 1, then the first
         # `level` bits for the id and the `depth` bits after them for the node
-        sid = 1 << level | top >> depth
-        node = 1 << depth | top & ((1 << depth) - 1)
-        acc[sid] = acc.get(sid, 0) | 1 << node
+        sid = id_lead | top >> depth
+        acc[sid] = acc.get(sid, 0) | 1 << (node_lead | top & node_mask)
     return [_new_subtree_block((family, sid, bm | flag)) for sid, bm in sorted(acc.items())]
 
 

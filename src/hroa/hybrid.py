@@ -33,8 +33,8 @@ from .prefix import (
 DEFAULT_HEIGHT_THRESHOLD = 3
 
 
-def _default_hanging() -> dict[int, HangingLevels]:
-    return {V4: HangingLevels.default(V4), V6: HangingLevels.default(V6)}
+# the default profiles, built once: each HybridConfig() gets a new dict of these two
+_DEFAULT_HANGING = {V4: HangingLevels.default(V4), V6: HangingLevels.default(V6)}
 
 
 def check_wire_fit(hanging: Mapping[int, HangingLevels]) -> None:
@@ -58,7 +58,7 @@ class HybridConfig:
     """
 
     delta_l_threshold: float = DEFAULT_HEIGHT_THRESHOLD
-    hanging: Mapping[int, HangingLevels] = field(default_factory=_default_hanging)
+    hanging: Mapping[int, HangingLevels] = field(default_factory=_DEFAULT_HANGING.copy)
 
     def __post_init__(self) -> None:
         if not self.delta_l_threshold >= 0:  # NaN included

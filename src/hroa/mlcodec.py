@@ -47,8 +47,9 @@ def compress_minimal(prefixes: Iterable[Prefix | AddressBlock]) -> list[AddressB
     for item in prefixes:
         p, max_length = item if isinstance(item, AddressBlock) else (item, item[2])
         family, bits, plen = p
-        by_len = by_family.setdefault(family, {})
-        by_len.setdefault(plen, {})[bits] = item
+        # get, then create on a miss: setdefault alone would build an empty dict per item
+        by_len = by_family.get(family) or by_family.setdefault(family, {})
+        (by_len.get(plen) or by_len.setdefault(plen, {}))[bits] = item
         if max_length > plen:
             if max_length - plen > DEFAULT_EXPANSION_CAP:
                 raise _cap_error(max_length - plen)

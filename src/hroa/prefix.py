@@ -16,8 +16,9 @@ namedtuple helpers ``_make`` and ``_replace`` do not, and neither do
 proven its output valid: ``expand``, the fast path of ``parse_prefix``
 (``_parse_fast``, its address read by ``socket.inet_pton``), the CSV row
 parser (``workload._parse_row`` checks the AS number and the max_length
-range as ints first, and so does ``workload._load`` for the canonical
-rows it reads with ``_parse_fast`` itself), bitmap decoding, the roots of
+range as ints first; ``workload._load`` reads canonical rows itself, as
+``_parse_fast`` does, and checks the length, max_length and host bits as
+ints, the host bits against ``_HOST_MASK``), bitmap decoding, the roots of
 minimal compression that no input object supplies, the wire parser's
 prefix PDUs (``wire._prefix_builder`` checks the prefix length and host
 bits as ints first) and the blocks ``sync.fetch`` and
@@ -120,6 +121,9 @@ _new_block = partial(tuple.__new__, AddressBlock)
 # int() would take.
 _DECIMAL = {str(i): i for i in range(256)}
 _ADDRESS_FAMILY = {V4: AF_INET, V6: AF_INET6}
+# _HOST_MASK[family][n]: the host bits of a /n address, the ones a prefix leaves zero
+_HOST_MASK = {fam: tuple((1 << (width - n)) - 1 for n in range(width + 1))
+              for fam, width in WIDTH.items()}
 
 
 def _parse_fast(text: str, strict: bool, family: int) -> Prefix | None:
@@ -136,11 +140,10 @@ def _parse_fast(text: str, strict: bool, family: int) -> Prefix | None:
         bits = int.from_bytes(inet_pton(_ADDRESS_FAMILY[family], addr), "big")
     except (OSError, ValueError):  # ValueError: a NUL or a lone surrogate
         return None
-    width = WIDTH[family]
     n = _DECIMAL.get(plen, 256)
-    if n > width:
+    if n > WIDTH[family]:
         return None
-    host = (1 << (width - n)) - 1
+    host = _HOST_MASK[family][n]
     if bits & host:
         if strict:
             return None

@@ -15,6 +15,7 @@ every PDU before a bad one is served, and an echo is the bytes the router sent.
 ``fetch`` handles prefix PDUs first, in a branch of their own, and hands
 sub-tree PDUs to ``decode_payload_pdu``; both look ``expand`` and
 ``decode_block`` up here at each call, where perfbench's tracer wraps them.
+It refuses a Cache Response, payload PDU or End of Data of another version.
 """
 
 from __future__ import annotations
@@ -384,6 +385,13 @@ def decode_payload_pdu(
     return pdu.asn, (), out
 
 
+def _check_version(pdu: wire.RtrPdu) -> None:
+    """Refuse a PDU of another protocol version; fetch neither downgrades nor reads it."""
+    if pdu.version != wire.DEFAULT_VERSION:
+        raise ProtocolError(f"{type(pdu).__name__} of protocol version {pdu.version}; "
+                            f"only version {wire.DEFAULT_VERSION} is supported")
+
+
 def fetch(
     endpoint: tuple[str, int],
     cfg: HybridConfig | None = None,
@@ -391,9 +399,11 @@ def fetch(
 ) -> tuple[dict[int, set[Prefix]], SyncReport]:
     """Run one reset-query sync; returns (asn -> prefixes, transfer report).
 
-    ``timeout`` bounds the whole sync, from connect to End of Data.  Each
-    AS's first decoded set, fresh from ``expand`` or ``decode_block``,
-    becomes its map entry uncopied; later sets merge into it.
+    ``timeout`` bounds the whole sync, from connect to End of Data.  A Cache
+    Response, payload PDU or End of Data of another protocol version than
+    ``wire.DEFAULT_VERSION`` raises ProtocolError.  Each AS's first decoded
+    set, fresh from ``expand`` or ``decode_block``, becomes its map entry
+    uncopied; later sets merge into it.
     """
     cfg = cfg or HybridConfig()
     report = SyncReport()
@@ -410,6 +420,7 @@ def fetch(
     # hot names as locals; expand and decode_block stay module lookups at each
     # call, where the benchmark's tracer wraps them
     prefix_pdu, new_block, out_get = wire.PrefixPdu, _new_block, out.get
+    own_version = wire.DEFAULT_VERSION
     t0 = time.perf_counter()
     try:
         with conn:
@@ -437,11 +448,14 @@ def fetch(
                     kind = type(pdu)
                     # a payload PDU sets (asn, prefixes) and falls through to the merge below
                     if kind is prefix_pdu and got_cache_response:
-                        flags, prefix, max_length, asn, _ = pdu  # checked by wire's prefix builder
-                        if not flags & 1:
+                        # checked by wire's prefix builder
+                        flags, prefix, max_length, asn, version = pdu
+                        if not flags & 1 or version != own_version:
+                            _check_version(pdu)
                             raise ProtocolError("withdrawal PDU in an authorization payload")
                         prefixes = expand(new_block((prefix, max_length)))
                     elif got_cache_response and kind in _PAYLOAD_TYPES:
+                        _check_version(pdu)
                         try:
                             asn, _, prefixes = decode_payload_pdu(pdu, cfg)
                         except wire.FramingError as exc:
@@ -451,10 +465,12 @@ def fetch(
                     elif not got_cache_response:
                         if kind is not wire.CacheResponse:
                             raise ProtocolError(f"expected cache response, got {kind.__name__}")
+                        _check_version(pdu)
                         got_cache_response = True
                         report.session_id = pdu.session_id
                         continue
                     elif kind is wire.EndOfData:
+                        _check_version(pdu)
                         if pdu.session_id != report.session_id:
                             raise ProtocolError("session id changed mid-response")
                         report.serial = pdu.serial

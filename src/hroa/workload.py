@@ -6,9 +6,12 @@ AS number may carry an ``AS`` prefix, extra columns are ignored, and an
 empty max_length means "equal to the prefix length".  A path is read as
 UTF-8 whatever the locale, and one leading byte order mark is ignored.
 Prefixes are parsed leniently (stray host bits are masked off).  A row in
-the canonical spelling, ``addr/len,max_length`` under an AS text an earlier
-row held, becomes its block in the ingest loop; every other row, and every
-error text, comes from ``_parse_row``.
+the canonical spelling, ``addr/len,max_length`` with no host bits under an
+AS text an earlier row held, becomes its block in the ingest loop itself,
+with no call per row but ``Workload.add``: ``inet_pton`` reads the address,
+``prefix._DECIMAL`` the length and max_length, and ``prefix._HOST_MASK``
+tests the host bits.  Every other row, and every error text, comes from
+``_parse_row``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import io
 import random
 from dataclasses import dataclass, field
 from itertools import chain
+from socket import inet_pton
 from typing import Iterable
 
 from .hybrid import expand_all
@@ -28,9 +32,11 @@ from .prefix import (
     AddressBlock,
     Prefix,
     PrefixFormatError,
+    _ADDRESS_FAMILY,
     _DECIMAL,
+    _HOST_MASK,
     _new_block,
-    _parse_fast,
+    _new_prefix,
     parse_prefix,
 )
 
@@ -118,7 +124,7 @@ def _load(fh, source: str) -> Workload:
     w = Workload()
     add = w.add
     asns: dict[str, int] = {}  # every AS text a data row held, parsed once per load
-    asn_of, decimal = asns.get, _DECIMAL.get
+    asn_of, decimal, from_bytes = asns.get, _DECIMAL.get, int.from_bytes
     lines = iter(fh)
     first = next(lines, "").removeprefix("\ufeff")  # a UTF-8 byte order mark
     first_data = True
@@ -126,12 +132,20 @@ def _load(fh, source: str) -> Workload:
         asn = asn_of(row[0]) if row else None
         if asn is not None and len(row) > 2:
             # a row whose AS text an earlier data row held is data too; in its
-            # canonical spelling (no host bits) it becomes its block here
-            prefix = _parse_fast(row[1], True, V6 if ":" in row[1] else V4)
-            max_length = decimal(row[2], -1)
-            if prefix is not None and prefix[2] <= max_length <= WIDTH[prefix[0]]:
-                add(asn, _new_block((prefix, max_length)))
-                continue
+            # canonical spelling (no host bits) it becomes its block here, read
+            # as _parse_fast reads it with strict=True
+            addr, _, plen = row[1].partition("/")
+            family = V6 if ":" in addr else V4
+            try:
+                bits = from_bytes(inet_pton(_ADDRESS_FAMILY[family], addr), "big")
+            except (OSError, ValueError):  # ValueError: a NUL or a lone surrogate
+                pass
+            else:
+                n, max_length = decimal(plen, 256), decimal(row[2], -1)
+                # n <= max_length <= width first: only then is n an index of the mask table
+                if n <= max_length <= WIDTH[family] and not bits & _HOST_MASK[family][n]:
+                    add(asn, _new_block((_new_prefix((family, bits, n)), max_length)))
+                    continue
         elif asn is None:
             if not "".join(row).strip() or row[0].strip().startswith("#"):
                 continue

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hroa.bmcodec import (
+    MAX_GAP,
     BitmapRoa,
     HangingLevels,
     Stm,
@@ -329,6 +330,44 @@ def test_encode_batch_builds_what_the_checked_constructor_builds(family, data):
         checked = SubTreeBlock(*block)
         assert type(block) is SubTreeBlock and block == checked
         assert block.flag == withdraw
+
+
+def _reference_fold(cfg, prefixes, withdraw):
+    """encode_batch as the checked per-prefix helpers spell it, with the level found by a scan."""
+    acc = {}
+    for p in prefixes:
+        level = max(l for l in cfg.levels if l <= p.prefixlen)
+        sid = make_subtree_id(p, level)
+        acc[sid] = acc.get(sid, 0) | 1 << make_node_number(p, level)
+    return [SubTreeBlock(cfg.family, sid, bitmap | withdraw) for sid, bitmap in sorted(acc.items())]
+
+
+@st.composite
+def _profiles(draw, family):
+    """A multiples_of(step) profile, or an explicit one from random gaps of 1..MAX_GAP."""
+    width = WIDTH[family]
+    if draw(st.booleans()):
+        return HangingLevels.multiples_of(draw(st.integers(1, MAX_GAP)), family)
+    levels = [0]
+    while levels[-1] < width + 1 - MAX_GAP:  # until the terminal gap fits the cap
+        levels.append(min(levels[-1] + draw(st.integers(1, MAX_GAP)), width - 1))
+    return HangingLevels.explicit(family, draw(st.permutations(levels[1:])))
+
+
+@settings(max_examples=300)
+@given(_FAMILIES, st.data())
+def test_encode_batch_folds_as_the_checked_helpers_under_any_profile(family, data):
+    width = WIDTH[family]
+    cfg = data.draw(_profiles(family))
+    prefixes = data.draw(st.lists(
+        st.integers(0, width).flatmap(lambda n: st.integers(0, (1 << n) - 1).map(
+            lambda top: Prefix(family, top << (width - n), n))),
+        min_size=1, max_size=40,
+    ))
+    withdraw = data.draw(st.booleans())
+    blocks = encode_batch(cfg, prefixes, withdraw)
+    assert blocks == _reference_fold(cfg, prefixes, withdraw)
+    assert all(type(b) is SubTreeBlock and b.flag == withdraw for b in blocks)
 
 
 @given(_FAMILIES, st.data())

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hroa.bmcodec import HangingLevels, SubTreeBlock, decode_block
+from hroa import hybrid
 from hroa.hybrid import HybridConfig, canonical_blocks, hybrid_encode
 from hroa.prefix import V4, V6, AddressBlock, Prefix, expand, parse_prefix
 from hroa.sync import CacheSnapshot, SweepCell, decode_payload_pdu, payload_pdus, sweep_parameters
@@ -60,6 +61,15 @@ def test_config_validation():
         HybridConfig(hanging={V4: HangingLevels.default(V6), V6: HangingLevels.default(V4)})
     with pytest.raises(ValueError, match="v6 is given a v4 profile"):
         HybridConfig(hanging={V4: HangingLevels.default(V4), V6: HangingLevels.default(V4)})
+
+
+def test_default_config_reuses_the_module_default_profiles():
+    a, b = HybridConfig(), HybridConfig()
+    for fam in (V4, V6):
+        assert a.hanging[fam] is b.hanging[fam] is hybrid._DEFAULT_HANGING[fam]
+        assert a.hanging[fam] == HangingLevels.default(fam)
+    # each config gets a dict of its own, so changing one changes no other
+    assert a.hanging is not b.hanging and a.hanging is not hybrid._DEFAULT_HANGING
 
 
 def test_worked_example_single_block():

@@ -411,19 +411,25 @@ def test_fetch_requires_cache_response_first():
 
 @pytest.fixture
 def raw_cache():
-    """A scripted cache: each accepted connection gets Cache Response, then ``payload``."""
+    """A scripted cache: each accepted connection gets ``head``, then ``payload``.
+
+    ``head`` is a version-1 Cache Response of session 7 unless given.
+    """
     srv = socket.socket()
     srv.bind(("127.0.0.1", 0))
     srv.listen(4)
     threads = []
 
-    def start(payload: bytes, connections: int, hang_up: bool = False):
+    def start(payload: bytes, connections: int, hang_up: bool = False, head: bytes | None = None):
+        if head is None:
+            head = wire.serialize(wire.CacheResponse(7))
+
         def run():
             for _ in range(connections):
                 conn, _ = srv.accept()
                 with conn:
                     conn.recv(4096)
-                    conn.sendall(wire.serialize(wire.CacheResponse(7)) + payload)
+                    conn.sendall(head + payload)
                     if not hang_up:
                         conn.recv(4096)  # until the client hangs up
 
@@ -519,6 +525,56 @@ def test_fetch_fails_typed_on_a_broken_response(raw_cache, capsys, case):
     with pytest.raises(SyncError) as exc:
         fetch((host, port), timeout=5)
     assert (type(exc.value), str(exc.value)) == (error, message)
+    assert main(["fetch", f"{host}:{port}", "--timeout", "5"]) == 3
+    assert capsys.readouterr().err == f"hroa: {message}\n"
+
+
+_V1_PREFIX = wire.serialize(wire.PrefixPdu(1, parse_prefix("192.0.2.0/24"), 24, 64500))
+_V1_END = wire.serialize(wire.EndOfData(7, 1))
+
+# responses with one PDU of protocol version 0: (Cache Response, payload, what fetch raises)
+OTHER_VERSION_RESPONSES = {
+    "cache-response": (
+        wire.serialize(wire.CacheResponse(7, version=0)),
+        _V1_PREFIX + _V1_END,
+        "CacheResponse of protocol version 0; only version 1 is supported",
+    ),
+    # the middle PDU of a run of three prefix PDUs, which the reader parses as one run
+    "prefix-mid-payload": (
+        None,
+        _V1_PREFIX
+        + wire.serialize(wire.PrefixPdu(1, parse_prefix("192.0.3.0/24"), 24, 64500, version=0))
+        + wire.serialize(wire.PrefixPdu(1, parse_prefix("192.0.4.0/24"), 24, 64500))
+        + _V1_END,
+        "PrefixPdu of protocol version 0; only version 1 is supported",
+    ),
+    "subtree": (
+        None,
+        wire.serialize(wire.SubTreePdu(V4, 0b100101, 2, 64500, version=0)) + _V1_END,
+        "SubTreePdu of protocol version 0; only version 1 is supported",
+    ),
+    "aggregate": (
+        None,
+        wire.serialize(wire.SubTreeAggPdu(V4, 64500, ((0b100101, 2),), version=0)) + _V1_END,
+        "SubTreeAggPdu of protocol version 0; only version 1 is supported",
+    ),
+    "end-of-data": (
+        None,
+        _V1_PREFIX + wire.serialize(wire.EndOfData(7, 1, version=0)),
+        "EndOfData of protocol version 0; only version 1 is supported",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OTHER_VERSION_RESPONSES))
+def test_fetch_refuses_another_protocol_version(raw_cache, capsys, case):
+    from hroa.cli import main
+
+    head, payload, message = OTHER_VERSION_RESPONSES[case]
+    host, port = raw_cache(payload, connections=2, head=head)
+    with pytest.raises(ProtocolError) as exc:
+        fetch((host, port), timeout=5)
+    assert str(exc.value) == message
     assert main(["fetch", f"{host}:{port}", "--timeout", "5"]) == 3
     assert capsys.readouterr().err == f"hroa: {message}\n"
 

@@ -289,6 +289,19 @@ def _load_outcome(load, text):
 @example("1,10.0.0.0/8,8\n1,10.0.0.0/8,33\n")
 @example("1,10.0.0.0/8,8\n1,10.0.0.0/9,x\n")
 @example("1,10.0.0.0/8,8\n1,10.0.0.1/32,33\n")
+# each exit of the ingest loop's own parse, in a row after a known AS text:
+# inet_pton's ValueError on a NUL or a lone surrogate, a v6 row, host bits,
+# length texts past the width, not a number or not canonical, a max_length
+# below the length, and CRLF line ends
+@example("1,10.0.0.0/8,8\n1,10.0.0.\x00/8,8\n")
+@example("1,10.0.0.0/8,8\n1,\ud800/8,8\n")
+@example("1,10.0.0.0/8,8\n1,2001:db8::/32,48\n1,2001:db8::1/32,48\n")
+@example("1,10.0.0.0/8,8\n1,10.0.0.0/6,8\n")
+@example("1,10.0.0.0/8,8\n1,10.0.0.0/33,33\n")
+@example("1,10.0.0.0/8,8\n1,10.0.0.0/x,8\n")
+@example("1,10.0.0.0/8,8\n1,10.0.0.0/08,8\n")
+@example("1,10.0.0.0/8,8\n1,10.0.0.0/16,8\n")
+@example("1,10.0.0.0/8,8\r\n1,10.0.0.0/9,9\r\n1,10.0.0.0/9,\r\n")
 def test_load_csv_matches_a_parse_row_reference(text):
     assert _load_outcome(lambda t: load_csv(io.StringIO(t)), text) == _load_outcome(
         _reference_load, text)
