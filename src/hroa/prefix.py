@@ -13,15 +13,15 @@ sorts like that plain tuple; a CSV row is the plain tuple ``(asn, block)``.
 ``Prefix(...)`` and ``AddressBlock(...)`` check their fields; the
 namedtuple helpers ``_make`` and ``_replace`` do not, and neither do
 ``_new_prefix`` and ``_new_block``, the builders for code that has already
-proven its output valid: ``expand``, the fast path of ``parse_prefix``
-(``_parse_fast``, its address read by ``socket.inet_pton``), the CSV row
-parser (``workload._parse_row`` checks the AS number and the max_length
-range as ints first; ``workload._load`` reads canonical rows itself, as
-``_parse_fast`` does, and checks the length, max_length and host bits as
-ints, the host bits against ``_HOST_MASK``), bitmap decoding, the roots of
-minimal compression that no input object supplies, the wire parser's
-prefix PDUs (``wire._prefix_builder`` checks the prefix length and host
-bits as ints first) and the blocks ``sync.fetch`` and
+proven its output valid: ``expand``, the CSV reader (``workload._load``
+reads each canonical row itself, its address by ``socket.inet_pton``, and
+checks the length, max_length and host bits as ints, the host bits against
+``_HOST_MASK``; ``workload._parse_row`` reads every other row through
+``parse_prefix`` and checks the AS number and the max_length range as ints),
+bitmap decoding, the roots of minimal compression that no input object
+supplies, the wire parser's prefix PDUs (``wire._prefix_builder`` checks the
+prefix length and host bits as ints first, the host bits against
+``_HOST_MASK`` too) and the blocks ``sync.fetch`` and
 ``sync.decode_payload_pdu`` make of them.
 Other tuple-backed values follow the same rule: ``encode_batch`` and
 ``sync.decode_payload_pdu`` build their sub-tree blocks with
@@ -37,7 +37,6 @@ import ipaddress
 from collections import namedtuple
 from functools import partial
 from itertools import repeat
-from socket import AF_INET, AF_INET6, inet_pton
 
 V4 = 4
 V6 = 6
@@ -120,35 +119,9 @@ _new_block = partial(tuple.__new__, AddressBlock)
 # out the signs, ``_`` separators, spaces, leading zeros and non-ASCII digits
 # int() would take.
 _DECIMAL = {str(i): i for i in range(256)}
-_ADDRESS_FAMILY = {V4: AF_INET, V6: AF_INET6}
 # _HOST_MASK[family][n]: the host bits of a /n address, the ones a prefix leaves zero
 _HOST_MASK = {fam: tuple((1 << (width - n)) - 1 for n in range(width + 1))
               for fam, width in WIDTH.items()}
-
-
-def _parse_fast(text: str, strict: bool, family: int) -> Prefix | None:
-    """``addr/n`` of one family, parsed without ipaddress; None for any text it does not take.
-
-    ``socket.inet_pton`` reads the address: for v4 exactly four 0-255
-    octets without leading zeros, for v6 groups of 1-4 hex digits, one
-    ``::`` at most and an optional embedded v4 tail.  ``_DECIMAL`` reads
-    the length.  Scope ids and every malformed address go to ipaddress,
-    which words the error; so does a host-bits error under ``strict``.
-    """
-    addr, _, plen = text.partition("/")
-    try:
-        bits = int.from_bytes(inet_pton(_ADDRESS_FAMILY[family], addr), "big")
-    except (OSError, ValueError):  # ValueError: a NUL or a lone surrogate
-        return None
-    n = _DECIMAL.get(plen, 256)
-    if n > WIDTH[family]:
-        return None
-    host = _HOST_MASK[family][n]
-    if bits & host:
-        if strict:
-            return None
-        bits &= ~host
-    return _new_prefix((family, bits, n))
 
 
 def parse_prefix(text: str, strict: bool = True) -> Prefix:
@@ -156,14 +129,11 @@ def parse_prefix(text: str, strict: bool = True) -> Prefix:
     if "/" not in text:
         raise PrefixFormatError(f"missing /len in {text!r}")
     text = text.strip()
-    fast = _parse_fast(text, strict, V6 if ":" in text else V4)
-    if fast is not None:
-        return fast
     try:
         net = ipaddress.ip_network(text, strict=strict)
     except ValueError as exc:
         raise PrefixFormatError(str(exc)) from None
-    if "%" in text:  # ipaddress takes a v6 scope id, which no VRP names; _parse_fast refuses it
+    if "%" in text:  # ipaddress takes a v6 scope id, which no VRP names
         raise PrefixFormatError(f"scope id not allowed in {text!r}")
     family = V4 if net.version == 4 else V6
     return Prefix(family, int(net.network_address), net.prefixlen)

@@ -44,6 +44,7 @@ SCHEMES = ("sroa", "troa", "mroa", "hroa", "ahroa")
 SERVE_SCHEMES = ("mroa", "hroa", "ahroa")
 _PAYLOAD_TYPES = (wire.PrefixPdu, wire.SubTreePdu, wire.SubTreeAggPdu)
 _CHUNK = 4096  # bytes a paced send hands to the socket at a time
+_ACCEPT_RETRY_S = 0.05  # the pause after a failed accept() that close() did not cause
 
 
 class SyncError(Exception):
@@ -245,8 +246,10 @@ class RtrServer:
         while True:
             try:
                 conn, peer = self._sock.accept()
-            except OSError:
-                return
+            except OSError:  # close() shut the socket down, or, say, EMFILE
+                if self._closed.wait(_ACCEPT_RETRY_S):
+                    return
+                continue
             with self._conns_lock:
                 if self._closed.is_set():  # accepted after close() shut the others down
                     conn.close()
@@ -351,11 +354,13 @@ def decode_payload_pdu(
 ) -> tuple[int, tuple[AddressBlock, ...], AbstractSet[Prefix]]:
     """One payload PDU's AS, its maxLength blocks and its bitmap-decoded prefixes.
 
-    Raises wire.FramingError on a withdrawal, on a sub-tree block the
+    Raises wire.FramingError on a PDU of another protocol version than
+    ``wire.DEFAULT_VERSION``, on a withdrawal, on a sub-tree block the
     hanging-level profile cannot decode, and on a PDU that is no payload.
     """
     kind = type(pdu)
     if kind is wire.PrefixPdu:
+        _check_version(pdu, wire.FramingError)
         if not pdu.flags & 1:
             raise wire.FramingError("withdrawal PDU in an authorization payload")
         # wire's prefix builder checked prefixlen <= max_length <= width
@@ -366,6 +371,7 @@ def decode_payload_pdu(
         pairs = pdu.blocks
     else:
         raise wire.FramingError(f"unexpected PDU {kind.__name__} in payload")
+    _check_version(pdu, wire.FramingError)
     family = pdu.family
     levels = cfg.hanging[family]
     out: AbstractSet[Prefix] = _NO_PREFIXES
@@ -385,11 +391,11 @@ def decode_payload_pdu(
     return pdu.asn, (), out
 
 
-def _check_version(pdu: wire.RtrPdu) -> None:
-    """Refuse a PDU of another protocol version; fetch neither downgrades nor reads it."""
+def _check_version(pdu: wire.RtrPdu, error: type[Exception] = ProtocolError) -> None:
+    """Refuse a PDU of another protocol version; no reader here downgrades or reads it."""
     if pdu.version != wire.DEFAULT_VERSION:
-        raise ProtocolError(f"{type(pdu).__name__} of protocol version {pdu.version}; "
-                            f"only version {wire.DEFAULT_VERSION} is supported")
+        raise error(f"{type(pdu).__name__} of protocol version {pdu.version}; "
+                    f"only version {wire.DEFAULT_VERSION} is supported")
 
 
 def fetch(
@@ -455,7 +461,6 @@ def fetch(
                             raise ProtocolError("withdrawal PDU in an authorization payload")
                         prefixes = expand(new_block((prefix, max_length)))
                     elif got_cache_response and kind in _PAYLOAD_TYPES:
-                        _check_version(pdu)
                         try:
                             asn, _, prefixes = decode_payload_pdu(pdu, cfg)
                         except wire.FramingError as exc:

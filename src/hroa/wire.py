@@ -62,7 +62,7 @@ from collections import namedtuple
 from functools import partial
 from typing import Iterable
 
-from .prefix import V4, V6, WIDTH, _new_prefix
+from .prefix import V4, V6, WIDTH, _HOST_MASK, _new_prefix
 
 PDU_SERIAL_QUERY = 1
 PDU_RESET_QUERY = 2
@@ -345,7 +345,7 @@ _new_subtree_pdu = partial(tuple.__new__, SubTreePdu)
 def _prefix_builder(lay: Layout):
     """The builder of the family's prefix PDUs from ``lay.prefix_read`` fields."""
     family, width, v6 = lay.family, WIDTH[lay.family], lay.addr_bytes != 4
-    host = [(1 << (width - plen)) - 1 for plen in range(width + 1)]  # host bits below /plen
+    host = _HOST_MASK[family]
 
     def build(fields: tuple) -> PrefixPdu:
         version, flags, plen, maxlen, bits, asn = fields

@@ -5,13 +5,13 @@ is skipped: the first row is one when its AS column holds no number.  The
 AS number may carry an ``AS`` prefix, extra columns are ignored, and an
 empty max_length means "equal to the prefix length".  A path is read as
 UTF-8 whatever the locale, and one leading byte order mark is ignored.
-Prefixes are parsed leniently (stray host bits are masked off).  A row in
-the canonical spelling, ``addr/len,max_length`` with no host bits under an
-AS text an earlier row held, becomes its block in the ingest loop itself,
-with no call per row but ``Workload.add``: ``inet_pton`` reads the address,
-``prefix._DECIMAL`` the length and max_length, and ``prefix._HOST_MASK``
-tests the host bits.  Every other row, and every error text, comes from
-``_parse_row``.
+Prefixes are parsed leniently (stray host bits are masked off).  A data
+row in the canonical spelling, ``addr/len,max_length`` with no host bits,
+becomes its block in the ingest loop itself, with no call per row but
+``Workload.add``: the loop reads each AS text once, ``inet_pton`` reads the
+address, ``prefix._DECIMAL`` the length and max_length, and
+``prefix._HOST_MASK`` tests the host bits.  Every other row, and every
+error text, comes from ``_parse_row`` and ``prefix.parse_prefix``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import io
 import random
 from dataclasses import dataclass, field
 from itertools import chain
-from socket import inet_pton
+from socket import AF_INET, AF_INET6, inet_pton
 from typing import Iterable
 
 from .hybrid import expand_all
@@ -32,13 +32,14 @@ from .prefix import (
     AddressBlock,
     Prefix,
     PrefixFormatError,
-    _ADDRESS_FAMILY,
     _DECIMAL,
     _HOST_MASK,
     _new_block,
     _new_prefix,
     parse_prefix,
 )
+
+_ADDRESS_FAMILY = {V4: AF_INET, V6: AF_INET6}
 
 
 def _asn_number(text: str) -> int | None:
@@ -130,10 +131,19 @@ def _load(fh, source: str) -> Workload:
     first_data = True
     for lineno, row in enumerate(csv.reader(chain((first,), lines)), start=1):
         asn = asn_of(row[0]) if row else None
+        if asn is None:  # no earlier data row held this AS text
+            if not "".join(row).strip() or row[0].strip().startswith("#"):
+                continue
+            if first_data:
+                first_data = False
+                if _asn_number(row[0]) is None:
+                    continue  # header line
+            try:
+                asn = asns[row[0]] = _parse_asn(row[0])
+            except PrefixFormatError:
+                pass  # _parse_row words the error
         if asn is not None and len(row) > 2:
-            # a row whose AS text an earlier data row held is data too; in its
-            # canonical spelling (no host bits) it becomes its block here, read
-            # as _parse_fast reads it with strict=True
+            # in its canonical spelling (no host bits) a data row becomes its block here
             addr, _, plen = row[1].partition("/")
             family = V6 if ":" in addr else V4
             try:
@@ -146,13 +156,6 @@ def _load(fh, source: str) -> Workload:
                 if n <= max_length <= WIDTH[family] and not bits & _HOST_MASK[family][n]:
                     add(asn, _new_block((_new_prefix((family, bits, n)), max_length)))
                     continue
-        elif asn is None:
-            if not "".join(row).strip() or row[0].strip().startswith("#"):
-                continue
-            if first_data:
-                first_data = False
-                if _asn_number(row[0]) is None:
-                    continue  # header line
         add(*_parse_row(row, lineno, asns))
     if not w.entries:
         raise PrefixFormatError(f"{source}: no usable rows")

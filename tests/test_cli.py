@@ -15,8 +15,9 @@ import pytest
 
 import hroa
 from hroa import cli, sync, wire
+from hroa.bmcodec import HangingLevels, encode_batch
 from hroa.cli import _parse_bandwidth, main
-from hroa.prefix import V4, parse_prefix
+from hroa.prefix import V4, V6, parse_prefix
 from hroa.workload import load_csv
 
 FIG_CSV = """asn,prefix,max_length
@@ -118,6 +119,35 @@ def test_decode_rejects_invalid_payload(pdu, tmp_path, capsys):
     code, out = _run(capsys, ["decode", str(pdufile)])
     assert code == 2
     assert out == ""
+
+
+def _payload_pdus(family, text):
+    """One prefix, one sub-tree and one aggregate PDU of text's single prefix, version 1."""
+    prefix = parse_prefix(text)
+    [block] = encode_batch(HangingLevels.default(family), [prefix])
+    return {
+        "prefix": wire.PrefixPdu(1, prefix, prefix.prefixlen, 64500),
+        "subtree": wire.SubTreePdu(family, block.id, block.bitmap, 64500),
+        "aggregate": wire.SubTreeAggPdu(family, 64500, ((block.id, block.bitmap),)),
+    }
+
+
+@pytest.mark.parametrize("version", [0, 7])
+@pytest.mark.parametrize("kind", ["prefix", "subtree", "aggregate"])
+@pytest.mark.parametrize("family,text", [(V4, "10.0.0.0/8"), (V6, "2001:db8::/32")],
+                         ids=["v4", "v6"])
+def test_decode_refuses_another_protocol_version(family, text, kind, version, tmp_path, capsys):
+    pdu = _payload_pdus(family, text)[kind]
+    pdufile = tmp_path / "one.pdus"
+    pdufile.write_bytes(wire.serialize(pdu))
+    assert _run(capsys, ["decode", str(pdufile)]) == (0, f"asn,prefix,max_length\n64500,{text},"
+                                                          f"{text.rsplit('/', 1)[1]}\n")
+    pdufile.write_bytes(wire.serialize(pdu._replace(version=version)))
+    assert main(["decode", str(pdufile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"hroa: bad PDU data: {type(pdu).__name__} of protocol version "
+                            f"{version}; only version 1 is supported\n")
 
 
 def test_encode_dual_stack_as_with_recompress(tmp_path, capsys):

@@ -1,11 +1,14 @@
 import copy
+import io
 import ipaddress
 import pickle
 from itertools import product
+from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
+from hroa import workload
 from hroa.bmcodec import HangingLevels, decode_block, encode_batch
 from hroa.mlcodec import compress_minimal
 from hroa.prefix import (
@@ -17,10 +20,10 @@ from hroa.prefix import (
     Prefix,
     PrefixFormatError,
     _DECIMAL,
-    _parse_fast,
     expand,
     parse_prefix,
 )
+from hroa.workload import dump_csv, load_csv
 from oracles import oracle_expand
 
 
@@ -115,146 +118,34 @@ def test_expand_matches_oracle_and_cardinality(p, extra):
     assert all(_in_subtree(p, q) for q in got)
 
 
-def _parse_via_ipaddress(text: str, strict: bool) -> Prefix:
-    """parse_prefix as it reads every text without its inet_pton fast path."""
-    if "/" not in text:
-        raise PrefixFormatError(f"missing /len in {text!r}")
-    try:
-        net = ipaddress.ip_network(text.strip(), strict=strict)
-    except ValueError as exc:
-        raise PrefixFormatError(str(exc)) from None
-    if "%" in text:
-        raise PrefixFormatError(f"scope id not allowed in {text.strip()!r}")
-    return Prefix(V4 if net.version == 4 else V6, int(net.network_address), net.prefixlen)
+def _load_with_a_counting_parse_row(text):
+    """load_csv of text, each row that reaches _parse_row replaced by one AS 0 row.
 
+    Returns the workload and the line numbers _parse_row was called with, so
+    it tells apart the rows load_csv read inline from the rest.
+    """
+    reached = []
 
-def _outcome(parse, text, strict):
-    try:
-        return parse(text, strict)
-    except PrefixFormatError as exc:
-        return f"PrefixFormatError: {exc}"
+    def stand_in(row, lineno, asns):
+        reached.append(lineno)
+        return 0, AddressBlock(Prefix(V4, 0, 0), 0)
 
-
-# octet and length spellings around the plain form: leading zeros, signs,
-# separators, inner spaces, full-width digits, out-of-range values, empty
-_ODD_NUMBERS = ["0", "00", "010", "08", "+1", "-0", "-1", "1_0", " 1", "1 ", "\uff11",
-                "1\uff10", "256", "999", "1000", "", "0x1"]
-_NUMBER = st.one_of(st.integers(0, 300).map(str), st.sampled_from(_ODD_NUMBERS))
-_LENGTH = st.one_of(
-    st.integers(0, 40).map(str),
-    st.sampled_from(["08", "008", "+8", "\uff18", "", "255.0.0.0", "255.255.255.0",
-                     "0.255.255.255", "255.0.255.0", "33", "-1", "1e1"]),
-)
-_V4_TEXT = st.builds(
-    lambda octets, length, sep, pad: pad + ".".join(octets) + sep + length + pad,
-    st.lists(_NUMBER, min_size=3, max_size=5),
-    _LENGTH,
-    st.sampled_from(["/", "/", "/", "//", " /"]),
-    st.sampled_from(["", "", " ", "\t", "\n", "\u3000"]),
-)
-# v6 spellings around the plain form: hex groups of 1-4 digits in mixed case
-# with now and then one odd group (empty, 5 digits, not hex), "::" at the
-# start, in the middle, at the end or twice, too many or too few groups, an
-# embedded v4 tail, a scope id
-_HEXTET = st.builds(lambda value, digits, upper: f"{value:0{digits}{'X' if upper else 'x'}}",
-                    st.integers(0, 0xFFFF), st.integers(1, 4), st.booleans())
-_ODD_HEXTET = st.one_of(st.text(alphabet="0123456789abcdefABCDEF", max_size=5),
-                        st.sampled_from(["g", "0x1", "1_0", " 1", "\uff11"]))
-_V6_LENGTH = st.one_of(
-    st.integers(0, 128).map(str),
-    st.sampled_from(["032", "+32", "129", "\uff18", "", "-0", "3_2", " 32", "ffff::"]),
-)
-
-
-@st.composite
-def _v6_texts(draw):
-    shape = draw(st.sampled_from(["none", "start", "middle", "middle", "end", "twice"]))
-    fits = 8 if shape == "none" else draw(st.integers(0, 7))  # the right group count
-    count = draw(st.one_of(st.just(fits), st.integers(0, 10)))
-    groups = draw(st.lists(_HEXTET, min_size=count, max_size=count))
-    if groups and draw(st.integers(0, 3)) == 0:
-        groups[draw(st.integers(0, count - 1))] = draw(_ODD_HEXTET)
-    cuts = {
-        "none": [], "start": [0], "end": [count],
-        "middle": [draw(st.integers(0, count))],
-        "twice": sorted(draw(st.lists(st.integers(0, count), min_size=2, max_size=2))),
-    }[shape]
-    parts, at = [], 0
-    for cut in cuts:
-        parts.append(":".join(groups[at:cut]))
-        at = cut
-    addr = "::".join(parts + [":".join(groups[at:])])
-    addr += draw(st.sampled_from(["", "", "", "", ":10.0.0.1", ":1.2.3", ":"]))
-    addr += draw(st.sampled_from(["", "", "", "", "%eth0", "%"]))
-    length = draw(_V6_LENGTH)
-    pad = draw(st.sampled_from(["", "", " ", "\n", "\u3000"]))
-    return pad + addr + draw(st.sampled_from(["/", "/", "/", "//"])) + length + pad
-
-
-_OTHER_TEXT = st.one_of(
-    st.sampled_from(["2001:db8::/32", "2001:db8::1/32", "::/0", "::ffff:10.0.0.0/104",
-                     "::ffff:10.0.0.0/96", "10.0.0.0", "10.0.0.0/8/8", "/8", "1.2.3.4/32"]),
-    st.text(max_size=24),
-)
-
-
-@settings(max_examples=1500, deadline=None)
-@given(st.one_of(_V4_TEXT, _v6_texts(), _OTHER_TEXT), st.booleans())
-@example("10.0.0.0/08", True)
-@example("10.0.0.0/255.0.0.0", True)
-@example("10.0.0.0/0.255.255.255", False)
-@example(" 10.0.0.1/8\n", False)
-@example("010.0.0.0/8", True)
-@example("\uff11.0.0.0/8", False)
-@example("10.0.0.256/32", False)
-@example("10.0.0.0/33", False)
-@example("2001:db8::1/32", False)
-@example("10.0.0.1/8", True)
-@example("2001:DB8:0:0:0:0:0:1/128", True)
-@example("2001:db8::1/32", True)
-@example("1:2:3:4:5:6:7::/112", True)
-@example("::1:2:3:4:5:6:7/128", True)
-@example("1:2:3:4:5:6:7:8::/128", True)
-@example("1::2::3/64", True)
-@example("::ffff:10.0.0.0/104", False)
-@example("fe80::1%eth0/64", False)
-@example("2001:db8::/032", True)
-@example("2001:db8::/+32", True)
-@example("2001:db8::/129", True)
-@example("2001:db8::/\uff18", True)
-@example("00000::/8", True)
-@example(" 2001:db8::/32\n", True)
-@example("1.2.3.4\x00/8", True)
-@example("1.2.3.4\x00/8", False)
-@example("1.2.3.\ud800/8", True)
-@example("1.2.3.\ud800/8", False)
-@example("1.2.3/8", True)
-@example("1.2.3/8", False)
-@example("0x1.2.3.4/8", True)
-@example("0x1.2.3.4/8", False)
-@example("1.2.3.4./8", True)
-@example("1.2.3.4./8", False)
-@example("1.2.3.04/8", True)
-@example("1.2.3.04/8", False)
-@example("::ffff:1.2.3.4/128", True)
-@example("::1.2.3.4/128", True)
-@example("1:2:3:4:5:6:1.2.3.4/128", True)
-@example("1:2:3:4::5:6:7:8/128", True)
-@example("::ffff:01.2.3.4/128", True)
-@example("::%1/0", True)
-@example("00001::/16", True)
-def test_parse_fast_path_agrees_with_ipaddress(text, strict):
-    assert _outcome(parse_prefix, text, strict) == _outcome(_parse_via_ipaddress, text, strict)
+    with patch.object(workload, "_parse_row", stand_in):
+        return load_csv(io.StringIO(text)), reached
 
 
 def test_v4_fast_path_takes_exactly_four_canonical_octets():
-    # every string of up to 7 characters over digits, dots and one non-digit
-    for size in range(8):
-        for chars in product("019.x", repeat=size):
-            addr = "".join(chars)
-            octets = addr.split(".")
-            canonical = len(octets) == 4 and all(o in _DECIMAL for o in octets)
-            assert (_parse_fast(addr + "/8", False, V4) is not None) == canonical, addr
+    # load_csv reads a row inline exactly when its address is four canonical
+    # octets; /32 leaves no host bits.  Every string of up to 7 characters over
+    # digits, dots and one non-digit, one row each
+    addrs = ["".join(chars) for size in range(8) for chars in product("019.x", repeat=size)]
+    w, reached = _load_with_a_counting_parse_row(
+        "".join(f"1,{addr}/32,32\n" for addr in addrs))
+    canonical = [len(a.split(".")) == 4 and all(o in _DECIMAL for o in a.split(".")) for a in addrs]
+    assert reached == [lineno for lineno, c in enumerate(canonical, start=1) if not c]
+    assert w.entries[1] == {AddressBlock(parse_prefix(f"{a}/32"), 32)
+                            for a, c in zip(addrs, canonical) if c}
+    _assert_as_checked(block.prefix for block in w.entries[1])
 
 
 @st.composite
@@ -367,7 +258,7 @@ _MAPPED = _prefixes((V4,)).map(lambda q: Prefix(V6, 0xFFFF << 32 | q.bits, 96 + 
     st.tuples(_MAPPED, st.just("mapped")),
 ), st.booleans())
 def test_v6_fast_path_takes_compressed_and_exploded_spellings(case, upper):
-    # the differential test above means something only if the fast path runs
+    # load_csv reads each of these rows inline, to the prefix it spells
     p, spelling = case
     if spelling == "mapped":
         text = f"::ffff:{ipaddress.IPv4Address(p.bits & 0xFFFFFFFF)}/{p.prefixlen}"
@@ -375,15 +266,37 @@ def test_v6_fast_path_takes_compressed_and_exploded_spellings(case, upper):
         net = ipaddress.IPv6Network((p.bits, p.prefixlen))
         text = net.exploded if spelling == "exploded" else str(net)
     text = text.upper() if upper else text
-    fast = _parse_fast(text, True, V6)
-    assert fast == p
-    _assert_as_checked([fast])
+    w, reached = _load_with_a_counting_parse_row(f"1,{text},{p.prefixlen}\n")
+    assert reached == []
+    [block] = w.entries[1]
+    assert block == (p, p.prefixlen)
+    _assert_as_checked([block.prefix])
+    _same_value(block, AddressBlock(p, p.prefixlen))
 
 
 @pytest.mark.parametrize(
     "text", ["1:2:3:4::5:6:7:8/128", "::ffff:01.2.3.4/128", "::%1/0", "00001::/16"])
 def test_v6_fast_path_leaves_odd_spellings_to_ipaddress(text):
-    assert _parse_fast(text, False, V6) is None
+    # as the first row and after a known AS text, the row goes to _parse_row,
+    # whose parse_prefix reads it with ipaddress
+    length = text.rsplit("/", 1)[1]
+    for csv_text, lineno in ((f"1,{text},{length}\n", 1), (f"1,::/0,0\n1,{text},{length}\n", 2)):
+        assert _load_with_a_counting_parse_row(csv_text)[1] == [lineno]
+
+
+@given(st.lists(st.tuples(st.integers(0, (1 << 32) - 1), _blocks()), min_size=1, max_size=20))
+def test_dump_csv_rows_are_all_read_inline(rows):
+    # load_csv(dump_csv(rows)) sends no v4 or v6 row through _parse_row
+    w, reached = _load_with_a_counting_parse_row(dump_csv(rows))
+    assert reached == []
+    want = {}
+    for asn, block in rows:
+        want.setdefault(asn, set()).add(block)
+    assert w.entries == want
+    for blocks in w.entries.values():
+        for block in blocks:
+            _same_value(block, AddressBlock(*block))
+            _same_value(block.prefix, Prefix(*block.prefix))
 
 
 @given(st.lists(st.one_of(_prefixes(), _blocks()), min_size=1, max_size=10))

@@ -1,5 +1,7 @@
+import errno
 import gc
 import math
+import os
 import socket
 import threading
 import time
@@ -210,6 +212,34 @@ def test_close_ends_accept_thread_and_frees_server():
     assert threading.active_count() <= baseline
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_a_failed_accept_does_not_end_the_accept_loop(monkeypatch):
+    # as when the process runs out of file descriptors: the next accept succeeds
+    class FailsFirstAccept(socket.socket):
+        failed = False
+
+        def accept(self):
+            if not self.failed:
+                self.failed = True
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return super().accept()
+
+    listeners = []
+    create_server = socket.create_server
+
+    def create_failing_server(*args, **kwargs):
+        listeners.append(FailsFirstAccept(fileno=create_server(*args, **kwargs).detach()))
+        return listeners[-1]
+
+    monkeypatch.setattr(socket, "create_server", create_failing_server)
+    snap = _snapshot()
+    with RtrServer(snap, "hroa") as server:
+        monkeypatch.undo()
+        got, report = fetch(server.endpoint, timeout=5)
+    assert [sock.failed for sock in listeners] == [True]
+    assert got == snap.authorized_map() and report.pdu_count == 1
+    assert not server._accept_thread.is_alive()
 
 
 def test_custom_config_round_trip():

@@ -225,17 +225,62 @@ def _reference_load(text):
     return w
 
 
+# v4 address spellings around the plain form: octets with leading zeros, signs,
+# separators, inner spaces, full-width digits, out-of-range values, empty
+_ODD_NUMBERS = ["0", "00", "010", "08", "+1", "-0", "-1", "1_0", " 1", "1 ", "\uff11",
+                "1\uff10", "256", "999", "1000", "", "0x1"]
+_NUMBER = st.one_of(st.integers(0, 300).map(str), st.sampled_from(_ODD_NUMBERS))
+_V4_ADDRESS = st.lists(_NUMBER, min_size=3, max_size=5).map(".".join)
+# v6 spellings around the plain form: hex groups of 1-4 digits in mixed case
+# with now and then one odd group (empty, 5 digits, not hex), "::" at the
+# start, in the middle, at the end or twice, too many or too few groups, an
+# embedded v4 tail, a scope id
+_HEXTET = st.builds(lambda value, digits, upper: f"{value:0{digits}{'X' if upper else 'x'}}",
+                    st.integers(0, 0xFFFF), st.integers(1, 4), st.booleans())
+_ODD_HEXTET = st.one_of(st.text(alphabet="0123456789abcdefABCDEF", max_size=5),
+                        st.sampled_from(["g", "0x1", "1_0", " 1", "\uff11"]))
+
+
+@st.composite
+def _v6_addresses(draw):
+    shape = draw(st.sampled_from(["none", "start", "middle", "middle", "end", "twice"]))
+    fits = 8 if shape == "none" else draw(st.integers(0, 7))  # the right group count
+    count = draw(st.one_of(st.just(fits), st.integers(0, 10)))
+    groups = draw(st.lists(_HEXTET, min_size=count, max_size=count))
+    if groups and draw(st.integers(0, 3)) == 0:
+        groups[draw(st.integers(0, count - 1))] = draw(_ODD_HEXTET)
+    cuts = {
+        "none": [], "start": [0], "end": [count],
+        "middle": [draw(st.integers(0, count))],
+        "twice": sorted(draw(st.lists(st.integers(0, count), min_size=2, max_size=2))),
+    }[shape]
+    parts, at = [], 0
+    for cut in cuts:
+        parts.append(":".join(groups[at:cut]))
+        at = cut
+    addr = "::".join(parts + [":".join(groups[at:])])
+    addr += draw(st.sampled_from(["", "", "", "", ":10.0.0.1", ":1.2.3", ":"]))
+    return addr + draw(st.sampled_from(["", "", "", "", "%eth0", "%"]))
+
+
 @st.composite
 def _prefix_and_max(draw):
     """A prefix and a max_length column: mostly canonical, with or without host bits."""
     max_text = draw(st.one_of(st.integers(0, 130).map(str),
                               st.sampled_from(["", " 9", "+9", "09", "x", "-1", "\uff19"])))
-    if draw(st.integers(0, 9)) == 0:
+    odd = draw(st.integers(0, 9))
+    if odd == 0:
         return draw(st.sampled_from(
             ["10.0.0.0/08", "10.0.0.0/255.0.0.0", " 10.0.0.0/8", "10.0.0.0/8 ", "10.0.0.0",
              "10.0.0.0/33", "1.2.3/8", "01.2.3.4/32", "2001:DB8:0::/32", "::ffff:10.0.0.0/104",
              "2001:db8::1.2.3.4/126", "fe80::1%eth0/64", "::/129", "2001:db8::/+32", "",
              "10.0.0.0/8/9", "10.0.0.0/\uff18", "10.0.0.\x00/8", "\ud800/8"])), max_text
+    if odd == 1:
+        # an address spelling at full length: no host bits keep it from the inline
+        # read, so load_csv takes it there exactly when inet_pton does
+        addr, width = draw(st.one_of(_V4_ADDRESS.map(lambda a: (a, 32)),
+                                     _v6_addresses().map(lambda a: (a, 128))))
+        return f"{addr}/{width}", str(width)
     family = draw(st.sampled_from([V4, V6]))
     width = 32 if family == V4 else 128
     plen = draw(st.one_of(st.integers(0, width), st.sampled_from([0, width - 1, width])))
@@ -302,6 +347,56 @@ def _load_outcome(load, text):
 @example("1,10.0.0.0/8,8\n1,10.0.0.0/08,8\n")
 @example("1,10.0.0.0/8,8\n1,10.0.0.0/16,8\n")
 @example("1,10.0.0.0/8,8\r\n1,10.0.0.0/9,9\r\n1,10.0.0.0/9,\r\n")
+# first rows, which the ingest loop reads inline too once it has read the AS
+# text: host bits, an empty or lenient max_length, an AS number out of range,
+# one column, and header-like first lines
+@example("1,10.0.0.1/8,8\n")
+@example("1,10.0.0.0/8,\n1,10.0.0.0/9,9\n")
+@example("1,10.0.0.0/8, 9\n")
+@example("4294967296,10.0.0.0/8,8\n")
+@example("1\n1,10.0.0.0/8,8\n")
+@example("asn,10.0.0.0/8,8\n1,10.0.0.0/8,8\n")
+@example("AS,prefix,max_length\nAS,10.0.0.0/8,8\n")
+@example("# asn,prefix\n\n,,\nx,10.0.0.0/8,8\n1,10.0.0.0/8,8\n")
+# prefix spellings at each edge of inet_pton and ipaddress, as first rows
+@example("1,10.0.0.0/08,8\n")
+@example("1,10.0.0.0/ 8,8\n")
+@example("1,10.0.0.0/+8,8\n")
+@example("1,10.0.0.0/\uff18,8\n")
+@example("1,10.0.0.0/255.0.0.0,8\n")
+@example("1,10.0.0.0/0.255.255.255,8\n")
+@example('1," 10.0.0.1/8\n",8\n')
+@example("1,010.0.0.0/8,8\n")
+@example("1,\uff11.0.0.0/8,8\n")
+@example("1,10.0.0.256/32,32\n")
+@example("1,10.0.0.0/33,33\n")
+@example("1,2001:db8::1/32,32\n")
+@example("1,2001:DB8:0:0:0:0:0:1/128,128\n")
+@example("1,1:2:3:4:5:6:7::/112,112\n")
+@example("1,::1:2:3:4:5:6:7/128,128\n")
+@example("1,1:2:3:4:5:6:7:8::/128,128\n")
+@example("1,1::2::3/64,64\n")
+@example("1,::ffff:10.0.0.0/104,104\n")
+@example("1,fe80::1%eth0/64,64\n")
+@example("1,2001:db8::/032,32\n")
+@example("1,2001:db8::/+32,32\n")
+@example("1,2001:db8::/129,129\n")
+@example("1,2001:db8::/\uff18,8\n")
+@example("1,00000::/8,8\n")
+@example("1, 2001:db8::/32 ,32\n")
+@example("1,1.2.3.4\x00/8,8\n")
+@example("1,1.2.3.\ud800/8,8\n")
+@example("1,1.2.3/8,8\n")
+@example("1,0x1.2.3.4/8,8\n")
+@example("1,1.2.3.4./8,8\n")
+@example("1,1.2.3.04/8,8\n")
+@example("1,::ffff:1.2.3.4/128,128\n")
+@example("1,::1.2.3.4/128,128\n")
+@example("1,1:2:3:4:5:6:1.2.3.4/128,128\n")
+@example("1,1:2:3:4::5:6:7:8/128,128\n")
+@example("1,::ffff:01.2.3.4/128,128\n")
+@example("1,::%1/0,0\n")
+@example("1,00001::/16,16\n")
 def test_load_csv_matches_a_parse_row_reference(text):
     assert _load_outcome(lambda t: load_csv(io.StringIO(t)), text) == _load_outcome(
         _reference_load, text)
