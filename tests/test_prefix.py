@@ -6,7 +6,7 @@ from itertools import product
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hroa import workload
 from hroa.bmcodec import HangingLevels, decode_block, encode_batch
@@ -25,6 +25,7 @@ from hroa.prefix import (
 )
 from hroa.workload import dump_csv, load_csv
 from oracles import oracle_expand
+from spellings import V4_ADDRESS, v6_addresses
 
 
 def test_parse_worked_example():
@@ -116,6 +117,103 @@ def test_expand_matches_oracle_and_cardinality(p, extra):
     assert got == oracle_expand(block)
     assert len(got) == 2 ** (block.height + 1) - 1
     assert all(_in_subtree(p, q) for q in got)
+
+
+def _parse_via_ipaddress(text: str, strict: bool) -> Prefix:
+    """parse_prefix's contract: ipaddress.ip_network plus its two refusals."""
+    if "/" not in text:
+        raise PrefixFormatError(f"missing /len in {text!r}")
+    try:
+        net = ipaddress.ip_network(text.strip(), strict=strict)
+    except ValueError as exc:
+        raise PrefixFormatError(str(exc)) from None
+    if "%" in text:
+        raise PrefixFormatError(f"scope id not allowed in {text.strip()!r}")
+    return Prefix(V4 if net.version == 4 else V6, int(net.network_address), net.prefixlen)
+
+
+def _outcome(parse, text, strict):
+    try:
+        return parse(text, strict)
+    except PrefixFormatError as exc:
+        return f"PrefixFormatError: {exc}"
+
+
+# length spellings around the plain form: leading zeros, signs, full-width
+# digits, netmasks and host masks, out-of-range values, empty
+_LENGTH = st.one_of(
+    st.integers(0, 40).map(str),
+    st.sampled_from(["08", "008", "+8", "\uff18", "", "255.0.0.0", "255.255.255.0",
+                     "0.255.255.255", "255.0.255.0", "33", "-1", "1e1"]),
+)
+_V6_LENGTH = st.one_of(
+    st.integers(0, 128).map(str),
+    st.sampled_from(["032", "+32", "129", "\uff18", "", "-0", "3_2", " 32", "ffff::"]),
+)
+_PAD = st.sampled_from(["", "", " ", "\t", "\n", "\u3000"])
+_PREFIX_TEXT = st.builds(
+    lambda addr, sep, length, pad: pad + addr + sep + length + pad,
+    st.one_of(V4_ADDRESS, v6_addresses()),
+    st.sampled_from(["/", "/", "/", "//", " /"]),
+    st.one_of(_LENGTH, _V6_LENGTH),
+    _PAD,
+)
+_OTHER_TEXT = st.one_of(
+    st.sampled_from(["2001:db8::/32", "2001:db8::1/32", "::/0", "::ffff:10.0.0.0/104",
+                     "::ffff:10.0.0.0/96", "10.0.0.0", "10.0.0.0/8/8", "/8", "1.2.3.4/32"]),
+    st.text(max_size=24),
+)
+
+
+# parse_prefix reads every text as ipaddress does, texts and refusals alike; a
+# fast path put in front of ipaddress has to keep this passing
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(_PREFIX_TEXT, _OTHER_TEXT), st.booleans())
+@example("10.0.0.0/08", True)
+@example("10.0.0.0/255.0.0.0", True)
+@example("10.0.0.0/0.255.255.255", False)
+@example(" 10.0.0.1/8\n", False)
+@example("010.0.0.0/8", True)
+@example("\uff11.0.0.0/8", False)
+@example("10.0.0.256/32", False)
+@example("10.0.0.0/33", False)
+@example("2001:db8::1/32", False)
+@example("10.0.0.1/8", True)
+@example("2001:DB8:0:0:0:0:0:1/128", True)
+@example("2001:db8::1/32", True)
+@example("1:2:3:4:5:6:7::/112", True)
+@example("::1:2:3:4:5:6:7/128", True)
+@example("1:2:3:4:5:6:7:8::/128", True)
+@example("1::2::3/64", True)
+@example("::ffff:10.0.0.0/104", False)
+@example("fe80::1%eth0/64", False)
+@example("2001:db8::/032", True)
+@example("2001:db8::/+32", True)
+@example("2001:db8::/129", True)
+@example("2001:db8::/\uff18", True)
+@example("00000::/8", True)
+@example(" 2001:db8::/32\n", True)
+@example("1.2.3.4\x00/8", True)
+@example("1.2.3.4\x00/8", False)
+@example("1.2.3.\ud800/8", True)
+@example("1.2.3.\ud800/8", False)
+@example("1.2.3/8", True)
+@example("1.2.3/8", False)
+@example("0x1.2.3.4/8", True)
+@example("0x1.2.3.4/8", False)
+@example("1.2.3.4./8", True)
+@example("1.2.3.4./8", False)
+@example("1.2.3.04/8", True)
+@example("1.2.3.04/8", False)
+@example("::ffff:1.2.3.4/128", True)
+@example("::1.2.3.4/128", True)
+@example("1:2:3:4:5:6:1.2.3.4/128", True)
+@example("1:2:3:4::5:6:7:8/128", True)
+@example("::ffff:01.2.3.4/128", True)
+@example("::%1/0", True)
+@example("00001::/16", True)
+def test_parse_fast_path_agrees_with_ipaddress(text, strict):
+    assert _outcome(parse_prefix, text, strict) == _outcome(_parse_via_ipaddress, text, strict)
 
 
 def _load_with_a_counting_parse_row(text):

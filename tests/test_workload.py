@@ -17,6 +17,7 @@ from hroa.workload import (
     load_csv,
     synthetic_scattered,
 )
+from spellings import V4_ADDRESS, v6_addresses
 
 FIG_CSV = """asn,prefix,max_length
 AS7497,202.127.16.0/20,
@@ -225,44 +226,6 @@ def _reference_load(text):
     return w
 
 
-# v4 address spellings around the plain form: octets with leading zeros, signs,
-# separators, inner spaces, full-width digits, out-of-range values, empty
-_ODD_NUMBERS = ["0", "00", "010", "08", "+1", "-0", "-1", "1_0", " 1", "1 ", "\uff11",
-                "1\uff10", "256", "999", "1000", "", "0x1"]
-_NUMBER = st.one_of(st.integers(0, 300).map(str), st.sampled_from(_ODD_NUMBERS))
-_V4_ADDRESS = st.lists(_NUMBER, min_size=3, max_size=5).map(".".join)
-# v6 spellings around the plain form: hex groups of 1-4 digits in mixed case
-# with now and then one odd group (empty, 5 digits, not hex), "::" at the
-# start, in the middle, at the end or twice, too many or too few groups, an
-# embedded v4 tail, a scope id
-_HEXTET = st.builds(lambda value, digits, upper: f"{value:0{digits}{'X' if upper else 'x'}}",
-                    st.integers(0, 0xFFFF), st.integers(1, 4), st.booleans())
-_ODD_HEXTET = st.one_of(st.text(alphabet="0123456789abcdefABCDEF", max_size=5),
-                        st.sampled_from(["g", "0x1", "1_0", " 1", "\uff11"]))
-
-
-@st.composite
-def _v6_addresses(draw):
-    shape = draw(st.sampled_from(["none", "start", "middle", "middle", "end", "twice"]))
-    fits = 8 if shape == "none" else draw(st.integers(0, 7))  # the right group count
-    count = draw(st.one_of(st.just(fits), st.integers(0, 10)))
-    groups = draw(st.lists(_HEXTET, min_size=count, max_size=count))
-    if groups and draw(st.integers(0, 3)) == 0:
-        groups[draw(st.integers(0, count - 1))] = draw(_ODD_HEXTET)
-    cuts = {
-        "none": [], "start": [0], "end": [count],
-        "middle": [draw(st.integers(0, count))],
-        "twice": sorted(draw(st.lists(st.integers(0, count), min_size=2, max_size=2))),
-    }[shape]
-    parts, at = [], 0
-    for cut in cuts:
-        parts.append(":".join(groups[at:cut]))
-        at = cut
-    addr = "::".join(parts + [":".join(groups[at:])])
-    addr += draw(st.sampled_from(["", "", "", "", ":10.0.0.1", ":1.2.3", ":"]))
-    return addr + draw(st.sampled_from(["", "", "", "", "%eth0", "%"]))
-
-
 @st.composite
 def _prefix_and_max(draw):
     """A prefix and a max_length column: mostly canonical, with or without host bits."""
@@ -278,8 +241,8 @@ def _prefix_and_max(draw):
     if odd == 1:
         # an address spelling at full length: no host bits keep it from the inline
         # read, so load_csv takes it there exactly when inet_pton does
-        addr, width = draw(st.one_of(_V4_ADDRESS.map(lambda a: (a, 32)),
-                                     _v6_addresses().map(lambda a: (a, 128))))
+        addr, width = draw(st.one_of(V4_ADDRESS.map(lambda a: (a, 32)),
+                                     v6_addresses().map(lambda a: (a, 128))))
         return f"{addr}/{width}", str(width)
     family = draw(st.sampled_from([V4, V6]))
     width = 32 if family == V4 else 128
