@@ -22,8 +22,6 @@ from .prefix import V4, V6, WIDTH, AddressBlock, ExpansionCapError, PrefixFormat
 from .workload import Workload, dump_csv, load_csv
 
 _FAMILY_NAMES = {"v4": V4, "v6": V6}
-# schemes that ship minimal blocks, so their snapshots are always recompressed
-_MINIMAL_SCHEMES = ("mroa", "sroa")
 
 
 def _err(msg: str) -> None:
@@ -104,7 +102,8 @@ def _snapshot(args, workload: Workload, cfg: HybridConfig) -> sync.CacheSnapshot
         cfg,
         session_id=getattr(args, "session_id", None),
         serial=getattr(args, "serial", 1),
-        recompress=args.recompress or args.scheme in _MINIMAL_SCHEMES,
+        # mroa ships minimal blocks; sroa ships prefixes, which recompressing leaves alone
+        recompress=args.recompress or args.scheme == "mroa",
     )
 
 

@@ -8,14 +8,14 @@ emulate a slow link.  The cache keeps no serial history, so it answers a
 Serial Query with Cache Reset and keeps the connection open for the Reset
 Query that follows (RFC 8210).  It ends the connection without a reply on a
 router's Error Report, and with an Error Report on anything else: code 4
-(Unsupported Protocol Version) for another version, code 5 (Unsupported PDU
-Type) for another type, or code 0 (Corrupt Data) for bytes that do not frame.
-Each connection takes PDUs from one receive buffer with ``wire.deserialize``:
-every PDU before a bad one is served, and an echo is the bytes the router sent.
-``fetch`` handles prefix PDUs first, in a branch of their own, and hands
-sub-tree PDUs to ``decode_payload_pdu``; both look ``expand`` and
-``decode_block`` up here at each call, where perfbench's tracer wraps them.
-It refuses a Cache Response, payload PDU or End of Data of another version.
+(Unsupported Protocol Version) for a PDU ``wire`` refuses as another version,
+code 5 (Unsupported PDU Type) for another type, or code 0 (Corrupt Data) for
+bytes that do not frame.  Each connection takes PDUs from one receive buffer
+with ``wire.deserialize``: every PDU before a bad one is served, and an echo
+is the bytes the router sent.  ``fetch`` handles prefix PDUs first, in a
+branch of their own, and hands sub-tree PDUs to ``decode_payload_pdu``; both
+look ``expand`` and ``decode_block`` up here at each call, where perfbench's
+tracer wraps them.  Neither reads a protocol version: ``wire`` refuses others.
 """
 
 from __future__ import annotations
@@ -115,17 +115,17 @@ def payload_pdus(snapshot: CacheSnapshot, scheme: str) -> list[wire.RtrPdu]:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     new_prefix_pdu, new_subtree_pdu = wire._new_prefix_pdu, wire._new_subtree_pdu
-    announce, version = wire.ANNOUNCE, wire.DEFAULT_VERSION
+    announce = wire.ANNOUNCE
     pdus: list[wire.RtrPdu] = []
     for asn, blocks in sorted(snapshot.blocks.items()):
         if scheme == "sroa":
-            pdus += [new_prefix_pdu((announce, p, p.prefixlen, asn, version))
+            pdus += [new_prefix_pdu((announce, p, p.prefixlen, asn))
                      for p in sorted(expand_all(blocks))]
             continue
         ml, bm = (blocks, ()) if scheme in ("troa", "mroa") else snapshot.payloads[asn]
-        pdus += [new_prefix_pdu((announce, p, max_length, asn, version)) for p, max_length in ml]
+        pdus += [new_prefix_pdu((announce, p, max_length, asn)) for p, max_length in ml]
         if scheme == "hroa":
-            pdus += [new_subtree_pdu((fam, sid, bitmap, asn, version)) for fam, sid, bitmap in bm]
+            pdus += [new_subtree_pdu((fam, sid, bitmap, asn)) for fam, sid, bitmap in bm]
         elif scheme == "ahroa":
             for fam in (V4, V6):
                 pairs = sorted([(sid, bitmap) for family, sid, bitmap in bm if family == fam])
@@ -287,17 +287,17 @@ class RtrServer:
                             pdu, used = wire.deserialize(pending)
                         except wire.TruncatedPdu:
                             break  # wait for the rest
+                        except wire.UnsupportedVersion as exc:  # RFC 8210 section 7
+                            text = f"only protocol version {wire.DEFAULT_VERSION} is supported"
+                            echo = bytes(pending[:exc.length])  # the PDU as the router sent it
+                            conn.sendall(_error_report(_UNSUPPORTED_VERSION, text, echo))
+                            return
                         except wire.FramingError as exc:
                             conn.sendall(_error_report(_CORRUPT_DATA, str(exc)))
                             return
                         kind = type(pdu)
                         if kind is wire.ErrorReport:
                             return  # never answered with another report (RFC 8210 5.11)
-                        if pdu.version != wire.DEFAULT_VERSION:  # RFC 8210 section 7
-                            echo = bytes(pending[:used])  # the PDU as the router sent it
-                            text = f"only protocol version {wire.DEFAULT_VERSION} is supported"
-                            conn.sendall(_error_report(_UNSUPPORTED_VERSION, text, echo))
-                            return
                         if kind is wire.ResetQuery:
                             t0 = time.perf_counter()
                             self._send(conn, self._response)
@@ -354,13 +354,11 @@ def decode_payload_pdu(
 ) -> tuple[int, tuple[AddressBlock, ...], AbstractSet[Prefix]]:
     """One payload PDU's AS, its maxLength blocks and its bitmap-decoded prefixes.
 
-    Raises wire.FramingError on a PDU of another protocol version than
-    ``wire.DEFAULT_VERSION``, on a withdrawal, on a sub-tree block the
+    Raises wire.FramingError on a withdrawal, on a sub-tree block the
     hanging-level profile cannot decode, and on a PDU that is no payload.
     """
     kind = type(pdu)
     if kind is wire.PrefixPdu:
-        _check_version(pdu, wire.FramingError)
         if not pdu.flags & 1:
             raise wire.FramingError("withdrawal PDU in an authorization payload")
         # wire's prefix builder checked prefixlen <= max_length <= width
@@ -371,7 +369,6 @@ def decode_payload_pdu(
         pairs = pdu.blocks
     else:
         raise wire.FramingError(f"unexpected PDU {kind.__name__} in payload")
-    _check_version(pdu, wire.FramingError)
     family = pdu.family
     levels = cfg.hanging[family]
     out: AbstractSet[Prefix] = _NO_PREFIXES
@@ -391,13 +388,6 @@ def decode_payload_pdu(
     return pdu.asn, (), out
 
 
-def _check_version(pdu: wire.RtrPdu, error: type[Exception] = ProtocolError) -> None:
-    """Refuse a PDU of another protocol version; no reader here downgrades or reads it."""
-    if pdu.version != wire.DEFAULT_VERSION:
-        raise error(f"{type(pdu).__name__} of protocol version {pdu.version}; "
-                    f"only version {wire.DEFAULT_VERSION} is supported")
-
-
 def fetch(
     endpoint: tuple[str, int],
     cfg: HybridConfig | None = None,
@@ -405,11 +395,11 @@ def fetch(
 ) -> tuple[dict[int, set[Prefix]], SyncReport]:
     """Run one reset-query sync; returns (asn -> prefixes, transfer report).
 
-    ``timeout`` bounds the whole sync, from connect to End of Data.  A Cache
-    Response, payload PDU or End of Data of another protocol version than
-    ``wire.DEFAULT_VERSION`` raises ProtocolError.  Each AS's first decoded
-    set, fresh from ``expand`` or ``decode_block``, becomes its map entry
-    uncopied; later sets merge into it.
+    ``timeout`` bounds the whole sync, from connect to End of Data.  A PDU
+    that ``wire`` refuses as another protocol version raises ProtocolError
+    with ``wire``'s text.  Each AS's first decoded set, fresh from ``expand``
+    or ``decode_block``, becomes its map entry uncopied; later sets merge
+    into it.
     """
     cfg = cfg or HybridConfig()
     report = SyncReport()
@@ -426,7 +416,6 @@ def fetch(
     # hot names as locals; expand and decode_block stay module lookups at each
     # call, where the benchmark's tracer wraps them
     prefix_pdu, new_block, out_get = wire.PrefixPdu, _new_block, out.get
-    own_version = wire.DEFAULT_VERSION
     t0 = time.perf_counter()
     try:
         with conn:
@@ -448,6 +437,8 @@ def fetch(
                 report.total_bytes += len(data)
                 try:
                     pdus = reader.feed(data)
+                except wire.UnsupportedVersion as exc:
+                    raise ProtocolError(str(exc)) from None
                 except wire.FramingError as exc:
                     raise ProtocolError(f"unparseable PDU: {exc}") from None
                 for pdu in pdus:
@@ -455,9 +446,8 @@ def fetch(
                     # a payload PDU sets (asn, prefixes) and falls through to the merge below
                     if kind is prefix_pdu and got_cache_response:
                         # checked by wire's prefix builder
-                        flags, prefix, max_length, asn, version = pdu
-                        if not flags & 1 or version != own_version:
-                            _check_version(pdu)
+                        flags, prefix, max_length, asn = pdu
+                        if not flags & 1:
                             raise ProtocolError("withdrawal PDU in an authorization payload")
                         prefixes = expand(new_block((prefix, max_length)))
                     elif got_cache_response and kind in _PAYLOAD_TYPES:
@@ -470,12 +460,10 @@ def fetch(
                     elif not got_cache_response:
                         if kind is not wire.CacheResponse:
                             raise ProtocolError(f"expected cache response, got {kind.__name__}")
-                        _check_version(pdu)
                         got_cache_response = True
                         report.session_id = pdu.session_id
                         continue
                     elif kind is wire.EndOfData:
-                        _check_version(pdu)
                         if pdu.session_id != report.session_id:
                             raise ProtocolError("session id changed mid-response")
                         report.serial = pdu.serial

@@ -2,7 +2,7 @@
 
 Every PDU opens with the same 8-byte header:
 
-    byte 0    protocol version (default 1)
+    byte 0    protocol version: 1 (``DEFAULT_VERSION``) is written and read
     byte 1    PDU type
     bytes 2-3 type-specific 16-bit field (session id, error code, or zero)
     bytes 4-7 total PDU length in bytes, header included
@@ -28,7 +28,11 @@ sub-tree needs 2^h bits, so the 32-bit bitmap caps sub-trees at
 
 Every PDU is a named tuple, so it equals, hashes and sorts like the plain
 tuple of its fields.  Constructors check nothing: ``serialize`` checks each
-field it packs and raises FramingError for one that does not fit.
+field it packs and raises FramingError for one that does not fit.  No PDU
+holds a version: every header is written at ``DEFAULT_VERSION``, and
+``deserialize`` raises UnsupportedVersion, after its framing and field
+checks, for any PDU but an Error Report of another version (RFC 8210,
+section 7).
 
 Every fixed layout (types 2, 3, 4, 6, 7, 12, 13) has one precompiled
 ``struct.Struct`` covering header and body: ``Layout.prefix_struct`` and
@@ -37,11 +41,11 @@ rest.  A v4 address or id is one 32-bit int field; a v6 one is 16 bytes, as
 struct has no 128-bit code.  ``serialize_each`` (behind ``serialize``) packs a
 fixed PDU with one call.  A payload type (4, 6, 12, 13) is read by a second
 Struct of the same size built from the same body format,
-``Layout.prefix_read`` or ``Layout.subtree_read``: it reads the version and
-the body and skips the rest of the header, whose type and length are checked
-before it runs.  ``deserialize`` checks one PDU's header and unpacks it in
-place from the caller's buffer.  ``PduReader.feed`` finds a run of payload
-PDUs with their type's compiled pattern, which checks the type byte and length
+``Layout.prefix_read`` or ``Layout.subtree_read``: it reads the body and
+skips the header, whose version, type and length are checked before it runs.
+``deserialize`` checks one PDU's header and unpacks it in place from the
+caller's buffer.  ``PduReader.feed`` finds a run of payload PDUs with their
+type's compiled pattern, which checks the version byte, type byte and length
 field of each whole PDU, at most ``_RUN_PDUS`` PDUs a match.  One
 ``iter_unpack`` over a copy of just the matched bytes reads them, so what it
 copies stays linear in the stream however short its runs are.  A PDU the
@@ -76,9 +80,6 @@ MAX_PDU_LEN = 65535
 ANNOUNCE = 1  # flags byte of an announcing prefix PDU
 
 _HDR_FMT = ">BBHI"  # version, type, 16-bit field, length
-# a header as the payload parser reads it: the version; the type and length
-# are checked before, the 16-bit field not at all
-_READ_HDR_FMT = ">B7x"
 _HDR = struct.Struct(_HDR_FMT)
 _END_OF_DATA = struct.Struct(_HDR_FMT + "IIII")  # serial, refresh, retry, expire
 _U32 = struct.Struct(">I")
@@ -116,9 +117,10 @@ class Layout:
         subtree_body = addr + "II"  # id, bitmap, asn
         self.prefix_struct = struct.Struct(_HDR_FMT + prefix_body)
         self.subtree_struct = struct.Struct(_HDR_FMT + subtree_body)
-        # the parser's: the same bytes, read as the version and the body
-        self.prefix_read = struct.Struct(_READ_HDR_FMT + prefix_body)
-        self.subtree_read = struct.Struct(_READ_HDR_FMT + subtree_body)
+        # the parser's: the same bytes, the header skipped; its version, type and
+        # length are checked before, its 16-bit field never
+        self.prefix_read = struct.Struct(">8x" + prefix_body)
+        self.subtree_read = struct.Struct(">8x" + subtree_body)
         self.pair_struct = struct.Struct(">" + addr + "I")  # one (id, bitmap) pair
         self.prefix_len = self.prefix_struct.size
         self.subtree_len = self.subtree_struct.size
@@ -143,6 +145,14 @@ class FramingError(ValueError):
     """
 
 
+class UnsupportedVersion(FramingError):
+    """A well-framed PDU of another protocol version; ``length`` is its length."""
+
+    def __init__(self, message: str, length: int):
+        super().__init__(message)
+        self.length = length
+
+
 class TruncatedPdu(Exception):
     """More bytes are needed; ``required`` is the full PDU length."""
 
@@ -151,41 +161,36 @@ class TruncatedPdu(Exception):
         self.required = required
 
 
-class ResetQuery(namedtuple("ResetQuery", "version", defaults=(DEFAULT_VERSION,))):
+class ResetQuery(namedtuple("ResetQuery", "")):
     __slots__ = ()
 
 
-class CacheResponse(namedtuple("CacheResponse", "session_id version",
-                               defaults=(DEFAULT_VERSION,))):
+class CacheResponse(namedtuple("CacheResponse", "session_id")):
     __slots__ = ()
 
 
-class PrefixPdu(namedtuple("PrefixPdu", "flags prefix max_length asn version",
-                           defaults=(DEFAULT_VERSION,))):
+class PrefixPdu(namedtuple("PrefixPdu", "flags prefix max_length asn")):
     """Types 4 and 6: one VRP with an announce/withdraw flags byte (bit 0 set: announce)."""
 
     __slots__ = ()
 
 
-class EndOfData(namedtuple("EndOfData", "session_id serial refresh retry expire version",
-                           defaults=(3600, 600, 7200, DEFAULT_VERSION))):
+class EndOfData(namedtuple("EndOfData", "session_id serial refresh retry expire",
+                           defaults=(3600, 600, 7200))):
     __slots__ = ()
 
 
-class ErrorReport(namedtuple("ErrorReport", "error_code echoed text version",
-                             defaults=(b"", "", DEFAULT_VERSION))):
+class ErrorReport(namedtuple("ErrorReport", "error_code echoed text", defaults=(b"", ""))):
     __slots__ = ()
 
 
-class SubTreePdu(namedtuple("SubTreePdu", "family subtree_id bitmap asn version",
-                            defaults=(DEFAULT_VERSION,))):
+class SubTreePdu(namedtuple("SubTreePdu", "family subtree_id bitmap asn")):
     """Types 12 and 13: one sub-tree block for one AS."""
 
     __slots__ = ()
 
 
-class SubTreeAggPdu(namedtuple("SubTreeAggPdu", "family asn blocks version",
-                               defaults=(DEFAULT_VERSION,))):
+class SubTreeAggPdu(namedtuple("SubTreeAggPdu", "family asn blocks")):
     """Types 14 and 15: every sub-tree block of one AS, one family.
 
     ``blocks`` holds (id, bitmap) pairs, ascending id.
@@ -194,7 +199,7 @@ class SubTreeAggPdu(namedtuple("SubTreeAggPdu", "family asn blocks version",
     __slots__ = ()
 
 
-class UnknownPdu(namedtuple("UnknownPdu", "version pdu_type raw")):
+class UnknownPdu(namedtuple("UnknownPdu", "pdu_type raw")):
     """Any type this codec does not understand, kept byte-for-byte."""
 
     __slots__ = ()
@@ -241,20 +246,20 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
     try:
         for pdu in pdus:
             if isinstance(pdu, PrefixPdu):
-                flags, (family, bits, plen), max_length, asn, version = pdu
+                flags, (family, bits, plen), max_length, asn = pdu
                 lay = LAYOUT[family]
                 if not plen <= max_length <= WIDTH[family]:
                     raise FramingError(f"max_length {max_length} out of range")
                 if not 0 <= asn < 1 << 32:
                     _check_u32(asn, "asn")
                 append(lay.prefix_struct.pack(
-                    version, lay.prefix_type, 0, lay.prefix_len,
+                    DEFAULT_VERSION, lay.prefix_type, 0, lay.prefix_len,
                     flags, plen, max_length,
                     bits if family == V4 else bits.to_bytes(lay.addr_bytes, "big"), asn,
                 ))
 
             elif isinstance(pdu, SubTreePdu):
-                family, sid, bitmap, asn, version = pdu
+                family, sid, bitmap, asn = pdu
                 lay = LAYOUT[family]
                 if not 1 <= sid < 1 << (8 * lay.addr_bytes):
                     raise FramingError(f"sub-tree id {sid} out of range")
@@ -262,19 +267,19 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
                     _check_u32(bitmap, "bitmap")
                     _check_u32(asn, "asn")
                 append(lay.subtree_struct.pack(
-                    version, lay.subtree_type, 0, lay.subtree_len,
+                    DEFAULT_VERSION, lay.subtree_type, 0, lay.subtree_len,
                     sid if family == V4 else sid.to_bytes(lay.addr_bytes, "big"), bitmap, asn,
                 ))
 
             elif isinstance(pdu, SubTreeAggPdu):
-                family, asn, blocks, version = pdu
+                family, asn, blocks = pdu
                 lay = LAYOUT[family]
                 if not blocks:
                     raise FramingError("aggregated PDU with no blocks")
                 total = lay.agg_len(len(blocks))
                 if total > MAX_PDU_LEN:
                     raise FramingError(f"aggregated PDU of {total} bytes exceeds cap")
-                head = _HDR.pack(version, lay.agg_type, 0, total)
+                head = _HDR.pack(DEFAULT_VERSION, lay.agg_type, 0, total)
                 asn_field = _U32.pack(_check_u32(asn, "asn"))
                 ids, bitmaps = zip(*blocks)
                 top = 1 << (8 * lay.addr_bytes)
@@ -290,17 +295,17 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
                 append(b"".join((head, asn_field, *map(lay.pair_struct.pack, ids, bitmaps))))
 
             elif isinstance(pdu, ResetQuery):
-                append(_HDR.pack(pdu.version, PDU_RESET_QUERY, 0, HEADER_BYTES))
+                append(_HDR.pack(DEFAULT_VERSION, PDU_RESET_QUERY, 0, HEADER_BYTES))
 
             elif isinstance(pdu, CacheResponse):
                 append(_HDR.pack(
-                    pdu.version, PDU_CACHE_RESPONSE, _check_u16(pdu.session_id, "session"),
+                    DEFAULT_VERSION, PDU_CACHE_RESPONSE, _check_u16(pdu.session_id, "session"),
                     HEADER_BYTES,
                 ))
 
             elif isinstance(pdu, EndOfData):
                 append(_END_OF_DATA.pack(
-                    pdu.version, PDU_END_OF_DATA, _check_u16(pdu.session_id, "session"),
+                    DEFAULT_VERSION, PDU_END_OF_DATA, _check_u16(pdu.session_id, "session"),
                     _END_OF_DATA.size,
                     _check_u32(pdu.serial, "serial"),
                     _check_u32(pdu.refresh, "refresh"),
@@ -314,7 +319,8 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
                 if total > MAX_PDU_LEN:
                     raise FramingError(f"error report of {total} bytes exceeds cap")
                 append(
-                    _HDR.pack(pdu.version, PDU_ERROR_REPORT, _check_u16(pdu.error_code, "code"), total)
+                    _HDR.pack(DEFAULT_VERSION, PDU_ERROR_REPORT,
+                              _check_u16(pdu.error_code, "code"), total)
                     + _U32.pack(len(pdu.echoed))
                     + pdu.echoed
                     + _U32.pack(len(text))
@@ -335,7 +341,7 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
 #
 # Each fixed type maps to the Struct it is read with and a builder that takes
 # the tuple the Struct unpacks.  A payload type is read by its Layout's read
-# struct, (version, *body); its builder checks the fields with plain ints, then
+# struct, the body alone; its builder checks the fields with plain ints, then
 # builds the PDU (and its Prefix) with the unchecked tuple builders below.
 
 _new_prefix_pdu = partial(tuple.__new__, PrefixPdu)
@@ -348,12 +354,12 @@ def _prefix_builder(lay: Layout):
     host = _HOST_MASK[family]
 
     def build(fields: tuple) -> PrefixPdu:
-        version, flags, plen, maxlen, bits, asn = fields
+        flags, plen, maxlen, bits, asn = fields
         if v6:
             bits = int.from_bytes(bits, "big")
         # host[plen] is read only once plen <= width holds
         if plen <= maxlen <= width and not bits & host[plen]:
-            return _new_prefix_pdu((flags, _new_prefix((family, bits, plen)), maxlen, asn, version))
+            return _new_prefix_pdu((flags, _new_prefix((family, bits, plen)), maxlen, asn))
         # Prefix's checks and texts, in its order; an unpacked address cannot overflow its width
         if plen > width:
             raise FramingError(f"prefixlen {plen} out of range for v{family}")
@@ -369,20 +375,20 @@ def _subtree_builder(lay: Layout):
     family, v6 = lay.family, lay.addr_bytes != 4
 
     def build(fields: tuple) -> SubTreePdu:
-        version, sid, bitmap, asn = fields
+        sid, bitmap, asn = fields
         if v6:
             sid = int.from_bytes(sid, "big")
         if sid < 1:
             raise FramingError("zero sub-tree id")
-        return _new_subtree_pdu((family, sid, bitmap, asn, version))
+        return _new_subtree_pdu((family, sid, bitmap, asn))
 
     return build
 
 
 def _run_match(ptype: int, size: int):
-    """The match of a run of whole PDUs of this type and length, at any version and 16-bit field."""
-    head = re.escape(bytes((ptype,))), re.escape(size.to_bytes(4, "big")), size - HEADER_BYTES
-    return re.compile(b"(?:.%s..%s.{%d})+" % head, re.DOTALL).match
+    """The match of a run of whole PDUs of this type and length, version 1, any 16-bit field."""
+    head = re.escape(bytes((DEFAULT_VERSION, ptype))), re.escape(size.to_bytes(4, "big"))
+    return re.compile(b"(?:%s..%s.{%d})+" % (*head, size - HEADER_BYTES), re.DOTALL).match
 
 
 # the payload types a response carries in long runs, which feed reads a run at a
@@ -396,16 +402,16 @@ _RUNS = {
     )
 }
 _FIXED = {
-    PDU_RESET_QUERY: (_HDR, lambda f: ResetQuery(f[0])),
-    PDU_CACHE_RESPONSE: (_HDR, lambda f: CacheResponse(f[2], f[0])),
-    PDU_END_OF_DATA: (_END_OF_DATA, lambda f: EndOfData(f[2], *f[4:], f[0])),
+    PDU_RESET_QUERY: (_HDR, lambda f: ResetQuery()),
+    PDU_CACHE_RESPONSE: (_HDR, lambda f: CacheResponse(f[2])),
+    PDU_END_OF_DATA: (_END_OF_DATA, lambda f: EndOfData(f[2], *f[4:])),
     **{ptype: (read, build) for ptype, (_, read, build) in _RUNS.items()},
 }
 # the most PDUs one match spans, which bounds the state re keeps for its repeats
 _RUN_PDUS = 64
 
 
-def _parse_agg(lay: Layout, version: int, buf, at: int, length: int) -> SubTreeAggPdu:
+def _parse_agg(lay: Layout, buf, at: int, length: int) -> SubTreeAggPdu:
     if length < lay.agg_len(1) or (length - PAYLOAD_OVERHEAD) % lay.pair_bytes:
         raise FramingError(f"bad aggregated PDU length {length}")
     (asn,) = _U32.unpack_from(buf, at + HEADER_BYTES)
@@ -416,10 +422,10 @@ def _parse_agg(lay: Layout, version: int, buf, at: int, length: int) -> SubTreeA
         blocks = tuple((int.from_bytes(sid, "big"), bitmap) for sid, bitmap in pairs)
     if any(sid < 1 for sid, _ in blocks):
         raise FramingError("zero sub-tree id in aggregate")
-    return SubTreeAggPdu(lay.family, asn, blocks, version=version)
+    return SubTreeAggPdu(lay.family, asn, blocks)
 
 
-def _parse_error_report(version: int, code: int, buf, at: int, length: int) -> ErrorReport:
+def _parse_error_report(code: int, buf, at: int, length: int) -> ErrorReport:
     if length < ERROR_REPORT_OVERHEAD:
         raise FramingError("error report too short")
     body = bytes(buf[at + HEADER_BYTES : at + length])
@@ -434,16 +440,17 @@ def _parse_error_report(version: int, code: int, buf, at: int, length: int) -> E
         text = body[8 + elen :].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FramingError(f"error text not utf-8: {exc}") from None
-    return ErrorReport(code, echoed, text, version=version)
+    return ErrorReport(code, echoed, text)
 
 
 def deserialize(buf: bytes | bytearray | memoryview, offset: int = 0) -> tuple[RtrPdu, int]:
     """Parse one PDU at ``offset``; returns (pdu, bytes consumed).
 
-    Raises TruncatedPdu when the buffer holds only part of a PDU and
-    FramingError when the bytes cannot be valid.  Every header check lives
-    here.  A fixed layout unpacks straight from ``buf`` with its Struct; only
-    variable-length PDUs copy bytes out.
+    Raises TruncatedPdu when the buffer holds only part of a PDU,
+    FramingError when the bytes cannot be valid, and after those checks
+    UnsupportedVersion when a PDU but an Error Report is not of version 1.
+    Every header check lives here.  A fixed layout unpacks straight from
+    ``buf`` with its Struct; only variable-length PDUs copy bytes out.
     """
     avail = len(buf) - offset
     if avail < HEADER_BYTES:
@@ -460,13 +467,17 @@ def deserialize(buf: bytes | bytearray | memoryview, offset: int = 0) -> tuple[R
         layout, build = fixed
         if length != layout.size:
             raise FramingError(f"type {ptype} PDU must be {layout.size} bytes, got {length}")
-        return build(layout.unpack_from(buf, offset)), length
-    lay = _AGG_TYPES.get(ptype)
-    if lay is not None:
-        return _parse_agg(lay, version, buf, offset, length), length
-    if ptype == PDU_ERROR_REPORT:
-        return _parse_error_report(version, field16, buf, offset, length), length
-    return UnknownPdu(version, ptype, bytes(buf[offset : offset + length])), length
+        pdu = build(layout.unpack_from(buf, offset))
+    elif ptype in _AGG_TYPES:
+        pdu = _parse_agg(_AGG_TYPES[ptype], buf, offset, length)
+    elif ptype == PDU_ERROR_REPORT:
+        return _parse_error_report(field16, buf, offset, length), length
+    else:
+        pdu = UnknownPdu(ptype, bytes(buf[offset : offset + length]))
+    if version != DEFAULT_VERSION:  # RFC 8210 section 7
+        raise UnsupportedVersion(f"{type(pdu).__name__} of protocol version {version}; "
+                                 f"only version {DEFAULT_VERSION} is supported", length)
+    return pdu, length
 
 
 class PduReader:
@@ -478,11 +489,11 @@ class PduReader:
     def feed(self, data: bytes) -> list[RtrPdu]:
         """Buffer a chunk; return every PDU it completed.
 
-        A run of payload PDUs of one type and length is found by its type's
-        pattern, at most ``_RUN_PDUS`` PDUs a match, and unpacked with its read
-        struct and mapped through its type's builder; every other PDU goes
-        through ``deserialize``.  A malformed PDU raises FramingError, and the
-        reader is spent.
+        A run of version-1 payload PDUs of one type and length is found by its
+        type's pattern, at most ``_RUN_PDUS`` PDUs a match, and unpacked with
+        its read struct and mapped through its type's builder; every other PDU
+        goes through ``deserialize``.  A malformed PDU, or one of another
+        version, raises FramingError, and the reader is spent.
         """
         buf = self._buf
         buf.extend(data)

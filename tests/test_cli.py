@@ -121,32 +121,40 @@ def test_decode_rejects_invalid_payload(pdu, tmp_path, capsys):
     assert out == ""
 
 
-def _payload_pdus(family, text):
-    """One prefix, one sub-tree and one aggregate PDU of text's single prefix, version 1."""
+def _one_prefix_files(family, text):
+    """PDU files of text's single prefix, version 1: kind -> (the file, the class of its first PDU).
+
+    One prefix, one sub-tree and one aggregate PDU, and a captured response:
+    Cache Response, the prefix PDU, End of Data.
+    """
     prefix = parse_prefix(text)
     [block] = encode_batch(HangingLevels.default(family), [prefix])
-    return {
+    pdus = {
         "prefix": wire.PrefixPdu(1, prefix, prefix.prefixlen, 64500),
         "subtree": wire.SubTreePdu(family, block.id, block.bitmap, 64500),
         "aggregate": wire.SubTreeAggPdu(family, 64500, ((block.id, block.bitmap),)),
     }
+    files = {kind: (wire.serialize(pdu), type(pdu).__name__) for kind, pdu in pdus.items()}
+    capture = (wire.CacheResponse(7), pdus["prefix"], wire.EndOfData(7, 1))
+    files["capture"] = (b"".join(wire.serialize_each(capture)), "CacheResponse")
+    return files
 
 
 @pytest.mark.parametrize("version", [0, 7])
-@pytest.mark.parametrize("kind", ["prefix", "subtree", "aggregate"])
+@pytest.mark.parametrize("kind", ["prefix", "subtree", "aggregate", "capture"])
 @pytest.mark.parametrize("family,text", [(V4, "10.0.0.0/8"), (V6, "2001:db8::/32")],
                          ids=["v4", "v6"])
 def test_decode_refuses_another_protocol_version(family, text, kind, version, tmp_path, capsys):
-    pdu = _payload_pdus(family, text)[kind]
+    raw, first = _one_prefix_files(family, text)[kind]
     pdufile = tmp_path / "one.pdus"
-    pdufile.write_bytes(wire.serialize(pdu))
+    pdufile.write_bytes(raw)
     assert _run(capsys, ["decode", str(pdufile)]) == (0, f"asn,prefix,max_length\n64500,{text},"
                                                           f"{text.rsplit('/', 1)[1]}\n")
-    pdufile.write_bytes(wire.serialize(pdu._replace(version=version)))
+    pdufile.write_bytes(bytes((version,)) + raw[1:])
     assert main(["decode", str(pdufile)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"hroa: bad PDU data: {type(pdu).__name__} of protocol version "
+    assert captured.err == (f"hroa: bad PDU data: {first} of protocol version "
                             f"{version}; only version 1 is supported\n")
 
 

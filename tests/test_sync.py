@@ -273,16 +273,27 @@ def test_sequential_fetches_share_one_server():
             assert got == snap.authorized_map()
 
 
-def _exchange(server: RtrServer, raw: bytes) -> list:
-    """Send raw bytes on a new connection; the PDUs the server sends until it hangs up."""
+def _exchange_raw(server: RtrServer, raw: bytes) -> bytes:
+    """Send raw bytes on a new connection; the bytes the server sends until it hangs up."""
+    got = bytearray()
     with socket.create_connection(server.endpoint, timeout=5) as conn:
         conn.sendall(raw)
-        reader = wire.PduReader()
-        pdus = []
         while data := conn.recv(65536):
-            pdus.extend(reader.feed(data))
+            got += data
+    return bytes(got)
+
+
+def _exchange(server: RtrServer, raw: bytes) -> list:
+    """Send raw bytes on a new connection; the PDUs the server sends until it hangs up."""
+    reader = wire.PduReader()
+    pdus = reader.feed(_exchange_raw(server, raw))
     assert reader.pending == 0
     return pdus
+
+
+def _at_version(raw: bytes, version: int) -> bytes:
+    """A serialized PDU with its version byte patched."""
+    return bytes((version,)) + raw[1:]
 
 
 def _wait_for_threads(baseline: int) -> None:
@@ -380,12 +391,11 @@ def test_server_refuses_another_protocol_version():
     with RtrServer(_snapshot(), "hroa") as server:
         baseline = threading.active_count()
         for raw in refused:
-            (report,) = _exchange(server, raw)
-            assert type(report) is wire.ErrorReport
-            assert (report.error_code, report.echoed, report.version) == (4, raw, 1)
-            assert report.text == "only protocol version 1 is supported"
-        report = wire.serialize(wire.ErrorReport(2, b"", "no data", version=0))
-        assert _exchange(server, report) == []
+            # byte for byte: a version-1 report, whatever the query's version
+            assert _exchange_raw(server, raw) == wire.serialize(
+                wire.ErrorReport(4, raw, "only protocol version 1 is supported"))
+        report = _at_version(wire.serialize(wire.ErrorReport(2, b"", "no data")), 0)
+        assert _exchange_raw(server, report) == b""
         _wait_for_threads(baseline)
 
 
@@ -565,7 +575,7 @@ _V1_END = wire.serialize(wire.EndOfData(7, 1))
 # responses with one PDU of protocol version 0: (Cache Response, payload, what fetch raises)
 OTHER_VERSION_RESPONSES = {
     "cache-response": (
-        wire.serialize(wire.CacheResponse(7, version=0)),
+        _at_version(wire.serialize(wire.CacheResponse(7)), 0),
         _V1_PREFIX + _V1_END,
         "CacheResponse of protocol version 0; only version 1 is supported",
     ),
@@ -573,24 +583,24 @@ OTHER_VERSION_RESPONSES = {
     "prefix-mid-payload": (
         None,
         _V1_PREFIX
-        + wire.serialize(wire.PrefixPdu(1, parse_prefix("192.0.3.0/24"), 24, 64500, version=0))
+        + _at_version(wire.serialize(wire.PrefixPdu(1, parse_prefix("192.0.3.0/24"), 24, 64500)), 0)
         + wire.serialize(wire.PrefixPdu(1, parse_prefix("192.0.4.0/24"), 24, 64500))
         + _V1_END,
         "PrefixPdu of protocol version 0; only version 1 is supported",
     ),
     "subtree": (
         None,
-        wire.serialize(wire.SubTreePdu(V4, 0b100101, 2, 64500, version=0)) + _V1_END,
+        _at_version(wire.serialize(wire.SubTreePdu(V4, 0b100101, 2, 64500)), 0) + _V1_END,
         "SubTreePdu of protocol version 0; only version 1 is supported",
     ),
     "aggregate": (
         None,
-        wire.serialize(wire.SubTreeAggPdu(V4, 64500, ((0b100101, 2),), version=0)) + _V1_END,
+        _at_version(wire.serialize(wire.SubTreeAggPdu(V4, 64500, ((0b100101, 2),))), 0) + _V1_END,
         "SubTreeAggPdu of protocol version 0; only version 1 is supported",
     ),
     "end-of-data": (
         None,
-        _V1_PREFIX + wire.serialize(wire.EndOfData(7, 1, version=0)),
+        _V1_PREFIX + _at_version(_V1_END, 0),
         "EndOfData of protocol version 0; only version 1 is supported",
     ),
 }
@@ -670,14 +680,19 @@ def test_oversized_echo_still_gets_an_error_report(monkeypatch):
 def test_fetch_skips_unknown_pdus():
     snap = _snapshot()
     server = RtrServer(snap, "hroa")
-    foreign = wire.serialize(wire.UnknownPdu(1, 77, bytes.fromhex("014d000000000008")))
-    # splice an unknown PDU between cache response and payload
-    patched = server._response[:8] + foreign + server._response[8:]
-    server._response = patched
+    foreign = wire.serialize(wire.UnknownPdu(77, bytes.fromhex("014d000000000008")))
+    response = server._response
     try:
+        # splice an unknown PDU between cache response and payload
+        server._response = response[:8] + foreign + response[8:]
         got, report = fetch(server.endpoint)
         assert got == snap.authorized_map()
         assert report.skipped_unknown == 1
+        # RFC 8210 section 7: an unknown PDU of another version is refused, not skipped
+        server._response = response[:8] + _at_version(foreign, 2) + response[8:]
+        with pytest.raises(ProtocolError, match="^UnknownPdu of protocol version 2; "
+                                                "only version 1 is supported$"):
+            fetch(server.endpoint)
     finally:
         server.close()
 

@@ -24,6 +24,7 @@ from hroa.wire import (
     SubTreePdu,
     TruncatedPdu,
     UnknownPdu,
+    UnsupportedVersion,
     agg_capacity,
     deserialize,
     serialize,
@@ -43,7 +44,7 @@ SAMPLE_PDUS = {
     "ipv6_subtree": SubTreePdu(V6, 1, 2, 1),
     "ipv4_subtree_agg_k2": SubTreeAggPdu(V4, 7497, ((1878000, 2), (1878001, 54))),
     "ipv6_subtree_agg_k1": SubTreeAggPdu(V6, 1, ((1, 2),)),
-    "unknown_type_99": UnknownPdu(1, 0x63, bytes.fromhex("016300000000000cdeadbeef")),
+    "unknown_type_99": UnknownPdu(0x63, bytes.fromhex("016300000000000cdeadbeef")),
 }
 
 
@@ -74,14 +75,28 @@ def test_parsed_pdu_is_the_constructed_value(name):
         assert type(copied) is type(built) and copied == built
 
 
-@pytest.mark.parametrize("name", sorted(set(SAMPLE_PDUS) - {"unknown_type_99"}))
-def test_version_is_a_keyword_defaulting_to_1(name):
+@pytest.mark.parametrize("name", sorted(SAMPLE_PDUS))
+def test_version_byte_is_1_and_others_are_refused(name):
     pdu = SAMPLE_PDUS[name]
-    cls, fields = type(pdu), pdu[:-1]
-    assert pdu.version == 1 and cls(*fields) == pdu
-    other = cls(*fields, version=7)
-    assert other.version == 7 and serialize(other)[0] == 7
-    assert deserialize(serialize(other))[0] == other
+    raw = serialize(pdu)
+    assert "version" not in type(pdu)._fields and raw[0] == 1
+    for version in (0, 2, 255):
+        patched = bytes((version,)) + raw[1:]
+        if isinstance(pdu, ErrorReport):
+            assert deserialize(patched) == (pdu, len(raw))
+            assert PduReader().feed(patched) == [pdu]
+            continue
+        text = (f"{type(pdu).__name__} of protocol version {version}; "
+                "only version 1 is supported")
+        for parse in (deserialize, PduReader().feed):
+            with pytest.raises(UnsupportedVersion, match=f"^{text}$") as exc:
+                parse(patched + raw)
+            assert exc.value.length == len(raw)
+        # framing is checked first: a bad length is plain FramingError at any version
+        short = patched[:4] + (7).to_bytes(4, "big") + patched[8:]
+        with pytest.raises(FramingError, match="below header size") as exc:
+            deserialize(short)
+        assert type(exc.value) is FramingError
 
 
 def test_subtree_pdu_is_20_bytes_with_no_flags_byte():
@@ -243,12 +258,8 @@ def test_serialize_range_checks():
     "pdu",
     [
         PrefixPdu(256, parse_prefix("10.0.0.0/24"), 24, 1),
-        PrefixPdu(1, parse_prefix("10.0.0.0/24"), 24, 1, version=300),
-        SubTreePdu(4, 5, 6, 7, version=-1),
-        ResetQuery(256),
-        EndOfData(1, 2, version=999),
     ],
-    ids=["flags", "prefix-version", "subtree-version", "reset-version", "eod-version"],
+    ids=["flags"],
 )
 def test_serialize_byte_field_out_of_range_is_a_framing_error(pdu):
     with pytest.raises(FramingError, match=f"^{type(pdu).__name__} field out of range: "):
@@ -259,7 +270,7 @@ def test_unknown_type_passes_through():
     raw = bytes.fromhex("017f00990000000b") + b"abc"
     pdu, used = deserialize(raw)
     assert used == 11
-    assert pdu == UnknownPdu(1, 0x7F, raw)
+    assert pdu == UnknownPdu(0x7F, raw)
     assert serialize(pdu) == raw
 
 
@@ -367,7 +378,7 @@ def _arbitrary_pdus(rng, n):
             body = rng.randbytes(rng.randrange(12))
             ptype = rng.choice((5, 8, 9, 11, 97))
             raw = bytes([1, ptype]) + rng.getrandbits(16).to_bytes(2, "big") + (8 + len(body)).to_bytes(4, "big") + body
-            out.append(UnknownPdu(1, ptype, raw))
+            out.append(UnknownPdu(ptype, raw))
     return out
 
 
@@ -512,7 +523,7 @@ def _mutate(raw: bytearray, pdu, how: str, value: int) -> None:
     if isinstance(pdu, SubTreePdu) and how == "zero_id":
         addr = wire.LAYOUT[pdu.family].addr_bytes
         raw[8 : 8 + addr] = bytes(addr)
-    if how == "version":  # not checked: a PDU carries it through
+    if how == "version":  # refused unless 1, once the PDU's own checks pass
         raw[0] = value % 256
     elif how == "field16":  # not checked on payload PDUs
         raw[2:4] = (value % (1 << 16)).to_bytes(2, "big")
@@ -562,9 +573,8 @@ def _fed(blob: bytes, steps: list[int]):
     st.lists(
         st.tuples(
             st.integers(0, 7),  # which PDU, modulo their count
-            st.sampled_from(
-                ("host_bits", "max_length", "prefix_length", "zero_id", "length", "type", "byte")
-            ),
+            st.sampled_from(("host_bits", "max_length", "prefix_length", "zero_id", "length",
+                             "type", "version", "byte")),
             st.integers(0, 1 << 16),
         ),
         min_size=1,
@@ -650,6 +660,10 @@ def test_reader_parses_runs_as_the_deserialize_walk(stream, index, how, value, s
     assert err == walk_err
     if err is None:
         assert got == walked
+    if how == "version" and value % 256 != 1:  # the walk ends at the mutated PDU
+        assert len(walked) == len(before) + index
+        with pytest.raises(UnsupportedVersion):
+            deserialize(blob, bounds[-1])
 
 
 def _run_pdus(kind: str, fam: int, n: int) -> list:
