@@ -267,21 +267,10 @@ def _parse_bandwidth(text: str | None) -> float | None:
         if t.endswith(suffix):
             t, mult = t[: -len(suffix)], scale
             break
-    rate = float(t) * mult
-    if not rate > 0:
-        raise ValueError(f"--bandwidth {text!r}: must be positive")
-    return rate
-
-
-def _check_range(name: str, value: int | None, low: int, high: int) -> None:
-    if value is not None and not low <= value <= high:
-        raise ValueError(f"{name} {value} is outside {low}..{high}")
+    return float(t) * mult
 
 
 def cmd_serve(args) -> int:
-    _check_range("--port", args.port, 0, 0xFFFF)
-    _check_range("--session-id", args.session_id, 0, 0xFFFF)
-    _check_range("--serial", args.serial, 0, 0xFFFFFFFF)
     bandwidth = _parse_bandwidth(args.bandwidth)
     workload = load_csv(args.csv)
     cfg = _build_config(args)
@@ -306,10 +295,6 @@ def cmd_fetch(args) -> int:
     host, _, port = args.endpoint.rpartition(":")
     if not host or not port.isdigit():
         raise ValueError("endpoint must be host:port")
-    _check_range("endpoint port", int(port), 1, 0xFFFF)
-    # 0 would make the socket non-blocking, so connect fails as a transport error
-    if not 0 < args.timeout < math.inf:
-        raise ValueError(f"--timeout {args.timeout} is not a positive number of seconds")
     cfg = HybridConfig(hanging=_build_profile(args))
     got, report = sync.fetch((host, int(port)), cfg, timeout=args.timeout)
     if args.out:
@@ -436,7 +421,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # a file that cannot be read or written
         _err(str(exc))
         return 2
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         _err(str(exc))
         return 1
 

@@ -13,7 +13,6 @@ split itself; ``sync.payload_pdus`` frames the result as PDUs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Mapping
@@ -21,14 +20,7 @@ from typing import Iterable, Mapping
 from . import wire
 from .bmcodec import HangingLevels, SubTreeBlock, encode_batch
 from .mlcodec import compress_minimal
-from .prefix import (
-    DEFAULT_EXPANSION_CAP,
-    V4,
-    V6,
-    AddressBlock,
-    Prefix,
-    expand,
-)
+from .prefix import V4, V6, AddressBlock, Prefix, expand
 
 DEFAULT_HEIGHT_THRESHOLD = 3
 
@@ -52,9 +44,9 @@ def check_wire_fit(hanging: Mapping[int, HangingLevels]) -> None:
 class HybridConfig:
     """Knobs for the hybrid split.
 
-    ``delta_l_threshold`` may be ``math.inf`` (pure bitmap); finite values
-    must stay within ``DEFAULT_EXPANSION_CAP`` since sub-threshold blocks
-    get expanded.
+    ``delta_l_threshold`` is a height >= 0, or ``math.inf`` (pure bitmap).
+    Every block shorter than it is expanded, and ``prefix.expand`` refuses
+    one past its cap, so no threshold needs a cap of its own.
     """
 
     delta_l_threshold: float = DEFAULT_HEIGHT_THRESHOLD
@@ -63,9 +55,6 @@ class HybridConfig:
     def __post_init__(self) -> None:
         if not self.delta_l_threshold >= 0:  # NaN included
             raise ValueError("threshold must be >= 0")
-        if math.isfinite(self.delta_l_threshold):
-            if self.delta_l_threshold > DEFAULT_EXPANSION_CAP:
-                raise ValueError("threshold exceeds the expansion cap")
         for fam in (V4, V6):
             if fam not in self.hanging:
                 raise ValueError(f"no hanging-level profile for v{fam}")

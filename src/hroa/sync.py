@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 import socket
 import threading
@@ -78,6 +79,12 @@ class CacheSnapshot:
     serial: int
     blocks: Mapping[int, tuple[AddressBlock, ...]]
     cfg: HybridConfig
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.session_id <= 0xFFFF:
+            raise ValueError(f"session_id {self.session_id} is outside 0..65535")
+        if not 0 <= self.serial <= 0xFFFFFFFF:
+            raise ValueError(f"serial {self.serial} is outside 0..4294967295")
 
     @classmethod
     def build(
@@ -193,9 +200,10 @@ def _error_report(code: int, text: str, echoed: bytes = b"") -> bytes:
 class RtrServer:
     """Serves one snapshot under one scheme until closed.
 
-    ``bandwidth_bps`` paces each connection on its own; None or 0 sends
-    at full speed.  A rate at which one chunk would wait longer than
-    ``threading.TIMEOUT_MAX`` is refused.
+    ``bandwidth_bps`` paces each connection on its own; None sends at
+    full speed.  A rate that is not positive, or at which one chunk would
+    wait longer than ``threading.TIMEOUT_MAX``, is refused.  A ``host``
+    with a ``:`` is an IPv6 address.
     """
 
     def __init__(
@@ -208,18 +216,19 @@ class RtrServer:
     ):
         if scheme not in SERVE_SCHEMES:
             raise ValueError(f"serve scheme must be one of {SERVE_SCHEMES}")
-        if bandwidth_bps and not bandwidth_bps > 0:  # negative, or NaN
-            raise ValueError("bandwidth must be positive")
-        if bandwidth_bps and _CHUNK * 8 / bandwidth_bps > threading.TIMEOUT_MAX:
-            raise ValueError(f"bandwidth {bandwidth_bps:g} bps is too low: one {_CHUNK}-byte "
-                             f"chunk would take over {threading.TIMEOUT_MAX:.3g} s")
+        if bandwidth_bps is not None:
+            if not bandwidth_bps > 0:  # zero, negative, or NaN
+                raise ValueError("bandwidth must be positive")
+            if _CHUNK * 8 / bandwidth_bps > threading.TIMEOUT_MAX:
+                raise ValueError(f"bandwidth {bandwidth_bps:g} bps is too low: one {_CHUNK}-byte "
+                                 f"chunk would take over {threading.TIMEOUT_MAX:.3g} s")
         # create_server closes its socket when bind raises OSError, not OverflowError
         if not 0 <= port <= 0xFFFF:
             raise ValueError(f"port {port} is outside 0..65535")
         self.snapshot = snapshot
         self.scheme = scheme
         # bandwidth is bits/sec to match how links are quoted
-        self._rate = bandwidth_bps / 8 if bandwidth_bps else None
+        self._rate = None if bandwidth_bps is None else bandwidth_bps / 8
         pdus = payload_pdus(snapshot, scheme)
         self.payload_pdu_count = len(pdus)
         self._response = b"".join(wire.serialize_each([
@@ -227,7 +236,8 @@ class RtrServer:
             *pdus,
             wire.EndOfData(snapshot.session_id, snapshot.serial),
         ]))
-        self._sock = socket.create_server((host, port), backlog=16)
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._sock = socket.create_server((host, port), family=family, backlog=16)
         self._closed = threading.Event()
         self._conns: set[socket.socket] = set()  # accepted and not yet closed
         self._conns_lock = threading.Lock()
@@ -399,8 +409,14 @@ def fetch(
     that ``wire`` refuses as another protocol version raises ProtocolError
     with ``wire``'s text.  Each AS's first decoded set, fresh from ``expand``
     or ``decode_block``, becomes its map entry uncopied; later sets merge
-    into it.
+    into it.  Raises ValueError, before connecting, on an endpoint port
+    outside 1..65535 or a ``timeout`` that is not a positive finite number.
     """
+    if not 1 <= endpoint[1] <= 0xFFFF:
+        raise ValueError(f"port {endpoint[1]} is outside 1..65535")
+    # settimeout takes 0 as non-blocking and overflows on inf
+    if not 0 < timeout < math.inf:
+        raise ValueError(f"timeout {timeout} is not a positive number of seconds")
     cfg = cfg or HybridConfig()
     report = SyncReport()
     out: dict[int, set[Prefix]] = {}

@@ -281,15 +281,12 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
                     raise FramingError(f"aggregated PDU of {total} bytes exceeds cap")
                 head = _HDR.pack(DEFAULT_VERSION, lay.agg_type, 0, total)
                 asn_field = _U32.pack(_check_u32(asn, "asn"))
-                ids, bitmaps = zip(*blocks)
                 top = 1 << (8 * lay.addr_bytes)
-                # one range check per aggregate; the walk only words the first error
-                if not (1 <= min(ids) and max(ids) < top
-                        and 0 <= min(bitmaps) and max(bitmaps) < 1 << 32):
-                    for sid, bitmap in blocks:
-                        if not 1 <= sid < top:
-                            raise FramingError(f"sub-tree id {sid} out of range")
-                        _check_u32(bitmap, "bitmap")
+                for sid, bitmap in blocks:  # the first bad pair is named
+                    if not 1 <= sid < top:
+                        raise FramingError(f"sub-tree id {sid} out of range")
+                    _check_u32(bitmap, "bitmap")
+                ids, bitmaps = zip(*blocks)
                 if lay.addr_bytes != 4:
                     ids = [sid.to_bytes(lay.addr_bytes, "big") for sid in ids]
                 append(b"".join((head, asn_field, *map(lay.pair_struct.pack, ids, bitmaps))))

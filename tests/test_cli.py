@@ -560,6 +560,19 @@ def test_block_beyond_the_expansion_cap_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err == TALL_ERR
 
 
+@pytest.mark.parametrize(
+    "csv", sorted(p.name for p in (Path(__file__).parent / "data" / "golden").glob("*.csv"))
+)
+def test_delta_l_above_the_cap_encodes_as_inf_does(csv, capsys):
+    # every block of a golden input is shorter than 25, so both expand them all
+    path = str(Path(__file__).parent / "data" / "golden" / csv)
+    runs = []
+    for value in ("25", "inf"):
+        code = main(["encode", path, "--delta-l", value])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+
+
 def test_troa_never_splits_so_a_tall_block_ships_under_any_threshold(tmp_path, capsys):
     path = tmp_path / "tall.csv"
     path.write_text(TALL_CSV)
@@ -611,22 +624,22 @@ def test_fetch_timeout_not_positive_and_finite_exits_1_before_connect(timeout, c
         port = listener.getsockname()[1]
         assert main(["fetch", f"127.0.0.1:{port}", "--timeout", timeout]) == 1
     err = capsys.readouterr().err
-    assert err == f"hroa: --timeout {float(timeout)} is not a positive number of seconds\n"
+    assert err == f"hroa: timeout {float(timeout)} is not a positive number of seconds\n"
 
 
 def test_fetch_port_out_of_range_exits_1(capsys):
     assert main(["fetch", "127.0.0.1:99999"]) == 1
-    assert capsys.readouterr().err == "hroa: endpoint port 99999 is outside 1..65535\n"
+    assert capsys.readouterr().err == "hroa: port 99999 is outside 1..65535\n"
 
 
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--port", "70000"], "--port 70000 is outside 0..65535"),
-        (["--session-id", "70000"], "--session-id 70000 is outside 0..65535"),
-        (["--serial", "-1"], "--serial -1 is outside 0..4294967295"),
-        (["--bandwidth", "0"], "--bandwidth '0': must be positive"),
-        (["--bandwidth", "0mbps"], "--bandwidth '0mbps': must be positive"),
+        (["--port", "70000"], "port 70000 is outside 0..65535"),
+        (["--session-id", "70000"], "session_id 70000 is outside 0..65535"),
+        (["--serial", "-1"], "serial -1 is outside 0..4294967295"),
+        (["--bandwidth", "0"], "bandwidth must be positive"),
+        (["--bandwidth", "0mbps"], "bandwidth must be positive"),
         (["--bandwidth", "1e-300bps"],
          "bandwidth 1e-300 bps is too low: one 4096-byte chunk would take over 9.22e+09 s"),
     ],
@@ -749,6 +762,15 @@ def test_parse_bandwidth_units():
     assert _parse_bandwidth("12345") == 12345.0
     with pytest.raises(ValueError):
         _parse_bandwidth("fast")
+
+
+def test_a_fault_that_raises_key_error_is_not_an_exit_code(fig_csv, monkeypatch):
+    def fault(args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "cmd_encode", fault)
+    with pytest.raises(KeyError):
+        main(["encode", fig_csv])
 
 
 def test_option_surface():

@@ -48,12 +48,11 @@ def _hroa_round_trip(inputs, cfg=None, **kw):
 def test_config_validation():
     HybridConfig(delta_l_threshold=math.inf)
     HybridConfig(delta_l_threshold=0)
+    HybridConfig(delta_l_threshold=25)  # above the expansion cap: expand refuses a tall block
     with pytest.raises(ValueError):
         HybridConfig(delta_l_threshold=-1)
     with pytest.raises(ValueError):  # nan < 0 is false, but NaN is no threshold
         HybridConfig(delta_l_threshold=math.nan)
-    with pytest.raises(ValueError):
-        HybridConfig(delta_l_threshold=25)
     with pytest.raises(ValueError):
         HybridConfig(hanging={V4: HangingLevels.default(V4)})
     # each profile filed under the other family's key

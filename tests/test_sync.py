@@ -146,6 +146,56 @@ def test_server_refuses_a_port_out_of_range(monkeypatch, port):
     assert all(s.fileno() == -1 for s in made)
 
 
+@pytest.mark.parametrize(
+    "session_id, serial, message",
+    [
+        (0x10000, 1, "session_id 65536 is outside 0..65535"),
+        (-1, 1, "session_id -1 is outside 0..65535"),
+        (1, 1 << 32, "serial 4294967296 is outside 0..4294967295"),
+        (1, -1, "serial -1 is outside 0..4294967295"),
+    ],
+)
+def test_snapshot_refuses_a_session_or_serial_the_wire_cannot_carry(session_id, serial, message):
+    with pytest.raises(ValueError) as info:
+        CacheSnapshot.build(FIG_INPUT, session_id=session_id, serial=serial)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        CacheSnapshot(session_id, serial, {}, HybridConfig())
+    assert str(info.value) == message
+
+
+def test_fetch_refuses_a_port_out_of_range_before_connecting(monkeypatch):
+    calls = []
+    monkeypatch.setattr(socket, "create_connection", lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match=r"^port 70000 is outside 1\.\.65535$"):
+        fetch(("127.0.0.1", 70000))
+    assert calls == []
+
+
+@pytest.mark.parametrize("timeout", [0, -1, math.nan, math.inf])
+def test_fetch_refuses_a_timeout_that_is_not_positive_and_finite(monkeypatch, timeout):
+    calls = []
+    monkeypatch.setattr(socket, "create_connection", lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError) as info:
+        fetch(("127.0.0.1", 4464), timeout=timeout)
+    assert str(info.value) == f"timeout {timeout} is not a positive number of seconds"
+    assert calls == []
+
+
+def test_server_on_an_ipv6_host_serves_a_fetch():
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError as exc:
+        pytest.skip(f"cannot bind ::1: {exc}")
+    snap = _snapshot()
+    with RtrServer(snap, "ahroa", host="::1") as server:
+        host, port = server.endpoint
+        assert host == "::1"
+        got, _ = fetch((host, port))
+    assert got == snap.authorized_map()
+
+
 def test_loopback_fetch_all_schemes():
     snap = _snapshot()
     want = snap.authorized_map()
@@ -725,7 +775,7 @@ def test_bandwidth_shaping_slows_fetch():
         assert elapsed > fast.elapsed
 
 
-@pytest.mark.parametrize("rate", [-1.0, math.nan])
+@pytest.mark.parametrize("rate", [0, -1.0, math.nan])  # None, not 0, means unlimited
 def test_bad_bandwidth_is_refused(rate):
     with pytest.raises(ValueError, match="bandwidth must be positive"):
         RtrServer(_snapshot(), "hroa", bandwidth_bps=rate)
@@ -752,13 +802,6 @@ def test_close_ends_a_paced_send():
         while threading.active_count() > baseline and time.monotonic() < deadline:
             time.sleep(0.01)
         assert threading.active_count() <= baseline
-
-
-def test_zero_bandwidth_is_unlimited():
-    snap = _snapshot()
-    with RtrServer(snap, "hroa", bandwidth_bps=0) as server:
-        got, _ = fetch(server.endpoint)
-    assert got == snap.authorized_map()
 
 
 def test_close_ends_live_connections():
