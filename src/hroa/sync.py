@@ -12,10 +12,10 @@ router's Error Report, and with an Error Report on anything else: code 4
 code 5 (Unsupported PDU Type) for another type, or code 0 (Corrupt Data) for
 bytes that do not frame.  Each connection takes PDUs from one receive buffer
 with ``wire.deserialize``: every PDU before a bad one is served, and an echo
-is the bytes the router sent.  ``fetch`` handles prefix PDUs first, in a
-branch of their own, and hands sub-tree PDUs to ``decode_payload_pdu``; both
-look ``expand`` and ``decode_block`` up here at each call, where perfbench's
-tracer wraps them.  Neither reads a protocol version: ``wire`` refuses others.
+is the bytes the router sent.  ``fetch`` folds a prefix run from its bytes,
+one ``expand`` per PDU, and hands sub-tree PDUs to ``decode_payload_pdu``;
+both look ``expand`` and ``decode_block`` up here at each call, where perfbench
+wraps them.  Neither reads a protocol version: ``wire`` refuses others.
 """
 
 from __future__ import annotations
@@ -36,14 +36,15 @@ from .bmcodec import HangingLevels, SubTreeBlock, _new_subtree_block, decode_blo
 from .hybrid import HybridConfig, canonical_blocks, check_wire_fit, expand_all
 from .hybrid import hybrid_encode  # perfbench/tracing.py wraps it at this name
 from .mlcodec import compress_minimal  # noqa: F401  perfbench/tracing.py wraps it at this name
-from .prefix import V4, V6, AddressBlock, Prefix, _new_block, expand
+from .prefix import V4, V6, WIDTH, _HOST_MASK, AddressBlock, Prefix, _new_block, _new_prefix, expand
 from .workload import Workload
 
 log = logging.getLogger("hroa.sync")
 
 SCHEMES = ("sroa", "troa", "mroa", "hroa", "ahroa")
 SERVE_SCHEMES = ("mroa", "hroa", "ahroa")
-_PAYLOAD_TYPES = (wire.PrefixPdu, wire.SubTreePdu, wire.SubTreeAggPdu)
+_SUBTREE_TYPES = (wire.SubTreePdu, wire.SubTreeAggPdu)
+_PAYLOAD_TYPES = (wire.PrefixPdu, *_SUBTREE_TYPES)
 _CHUNK = 4096  # bytes a paced send hands to the socket at a time
 _ACCEPT_RETRY_S = 0.05  # the pause after a failed accept() that close() did not cause
 
@@ -407,9 +408,10 @@ def fetch(
 
     ``timeout`` bounds the whole sync, from connect to End of Data.  A PDU
     that ``wire`` refuses as another protocol version raises ProtocolError
-    with ``wire``'s text.  Each AS's first decoded set, fresh from ``expand``
-    or ``decode_block``, becomes its map entry uncopied; later sets merge
-    into it.  Raises ValueError, before connecting, on an endpoint port
+    with ``wire``'s text; a prefix run's PDU that ``wire``'s prefix builder
+    refuses, with the builder's.  Each AS's first decoded set, fresh from
+    ``expand`` or ``decode_block``, becomes its map entry uncopied; later sets
+    merge into it.  Raises ValueError, before connecting, on an endpoint port
     outside 1..65535 or a ``timeout`` that is not a positive finite number.
     """
     if not 1 <= endpoint[1] <= 0xFFFF:
@@ -425,13 +427,13 @@ def fetch(
         conn = socket.create_connection(endpoint, timeout=timeout)
     except OSError as exc:
         raise TransportError(f"connect {endpoint}: {exc}") from None
-    reader = wire.PduReader()
+    reader = wire.PduReader(prefix_runs=True)
     payloads = 0
     got_cache_response = False
     done = False
     # hot names as locals; expand and decode_block stay module lookups at each
     # call, where the benchmark's tracer wraps them
-    prefix_pdu, new_block, out_get = wire.PrefixPdu, _new_block, out.get
+    new_block, new_prefix, adopt = _new_block, _new_prefix, out.setdefault
     t0 = time.perf_counter()
     try:
         with conn:
@@ -459,26 +461,43 @@ def fetch(
                     raise ProtocolError(f"unparseable PDU: {exc}") from None
                 for pdu in pdus:
                     kind = type(pdu)
-                    # a payload PDU sets (asn, prefixes) and falls through to the merge below
-                    if kind is prefix_pdu and got_cache_response:
-                        # checked by wire's prefix builder
-                        flags, prefix, max_length, asn = pdu
-                        if not flags & 1:
-                            raise ProtocolError("withdrawal PDU in an authorization payload")
-                        prefixes = expand(new_block((prefix, max_length)))
-                    elif got_cache_response and kind in _PAYLOAD_TYPES:
+                    if kind is wire.PrefixRun and got_cache_response:
+                        lay, raw = pdu
+                        family, width, v6 = lay.family, WIDTH[lay.family], lay.addr_bytes != 4
+                        host = _HOST_MASK[family]
+                        for fields in lay.prefix_read.iter_unpack(raw):
+                            flags, plen, maxlen, bits, asn = fields
+                            if v6:
+                                bits = int.from_bytes(bits, "big")
+                            if not (plen <= maxlen <= width and not bits & host[plen]):
+                                try:  # the builder raises the text of the check that failed
+                                    wire._prefix_builder(lay)(fields)
+                                except wire.FramingError as exc:
+                                    raise ProtocolError(f"unparseable PDU: {exc}") from None
+                            if not flags & 1:
+                                raise ProtocolError("withdrawal PDU in an authorization payload")
+                            prefixes = expand(new_block((new_prefix((family, bits, plen)), maxlen)))
+                            acc = adopt(asn, prefixes)
+                            if acc is not prefixes:
+                                acc |= prefixes
+                        payloads += len(raw) // lay.prefix_len
+                    elif got_cache_response and kind in _SUBTREE_TYPES:
                         try:
                             asn, _, prefixes = decode_payload_pdu(pdu, cfg)
                         except wire.FramingError as exc:
                             raise ProtocolError(str(exc)) from None
+                        payloads += 1
+                        acc = adopt(asn, prefixes)
+                        if acc is not prefixes:
+                            acc |= prefixes
                     elif kind is wire.ErrorReport:
                         raise CacheErrorReport(pdu)
                     elif not got_cache_response:
                         if kind is not wire.CacheResponse:
-                            raise ProtocolError(f"expected cache response, got {kind.__name__}")
+                            got = wire.PrefixPdu if kind is wire.PrefixRun else kind
+                            raise ProtocolError(f"expected cache response, got {got.__name__}")
                         got_cache_response = True
                         report.session_id = pdu.session_id
-                        continue
                     elif kind is wire.EndOfData:
                         if pdu.session_id != report.session_id:
                             raise ProtocolError("session id changed mid-response")
@@ -487,15 +506,8 @@ def fetch(
                         break
                     elif kind is wire.UnknownPdu:
                         report.skipped_unknown += 1
-                        continue
                     else:
                         raise ProtocolError(f"unexpected PDU {kind.__name__} in payload")
-                    payloads += 1
-                    acc = out_get(asn)
-                    if acc is None:
-                        out[asn] = prefixes
-                    else:
-                        acc |= prefixes
     finally:
         report.elapsed = time.perf_counter() - t0
     report.pdu_count = payloads

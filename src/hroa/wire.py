@@ -52,7 +52,8 @@ copies stays linear in the stream however short its runs are.  A PDU the
 pattern does not match, or a partial tail, goes to ``deserialize``.
 Both hand each unpacked tuple to the one builder of its type, which checks
 the fields as ints and builds the PDU and its ``Prefix`` with unchecked tuple
-builders.
+builders.  ``PduReader(prefix_runs=True)``, which ``sync.fetch`` reads with,
+hands out a prefix run's copy unread, as one ``PrefixRun``.
 
 Types 1 (serial query) and 8 (cache reset) have codes here for the cache
 server, and parse as ``UnknownPdu``.
@@ -398,6 +399,8 @@ _RUNS = {
         (lay.subtree_type, lay.subtree_read, _subtree_builder(lay)),
     )
 }
+_PREFIX_LAYOUT = {lay.prefix_type: lay for lay in LAYOUT.values()}
+PrefixRun = namedtuple("PrefixRun", "layout raw")  # a prefix run's Layout and bytes, unchecked
 _FIXED = {
     PDU_RESET_QUERY: (_HDR, lambda f: ResetQuery()),
     PDU_CACHE_RESPONSE: (_HDR, lambda f: CacheResponse(f[2])),
@@ -480,22 +483,24 @@ def deserialize(buf: bytes | bytearray | memoryview, offset: int = 0) -> tuple[R
 class PduReader:
     """Incremental reassembler: feed arbitrary chunks, get whole PDUs out."""
 
-    def __init__(self) -> None:
+    def __init__(self, prefix_runs: bool = False) -> None:
         self._buf = bytearray()
+        self._whole = _PREFIX_LAYOUT if prefix_runs else {}  # run types handed out whole
 
-    def feed(self, data: bytes) -> list[RtrPdu]:
+    def feed(self, data: bytes) -> list[RtrPdu | PrefixRun]:
         """Buffer a chunk; return every PDU it completed.
 
         A run of version-1 payload PDUs of one type and length is found by its
         type's pattern, at most ``_RUN_PDUS`` PDUs a match, and unpacked with
-        its read struct and mapped through its type's builder; every other PDU
-        goes through ``deserialize``.  A malformed PDU, or one of another
-        version, raises FramingError, and the reader is spent.
+        its read struct and mapped through its type's builder, or with
+        ``prefix_runs`` a prefix run is one ``PrefixRun``, its fields unchecked;
+        every other PDU goes through ``deserialize``.  A malformed PDU, or one
+        of another version, raises FramingError, and the reader is spent.
         """
         buf = self._buf
         buf.extend(data)
         end = len(buf)
-        out: list[RtrPdu] = []
+        out: list[RtrPdu | PrefixRun] = []
         at = 0
         try:
             while at < end:
@@ -503,8 +508,10 @@ class PduReader:
                 if run is not None:
                     match, read, build = run
                     m = match(buf, at, at + _RUN_PDUS * read.size)
-                    if m:  # one unpack of a copy of just the run: no export of buf outlives it
-                        out.extend(map(build, read.iter_unpack(buf[at : m.end()])))
+                    if m:  # one copy of just the run: no export of buf outlives it
+                        raw, lay = buf[at : m.end()], self._whole.get(buf[at + 1])
+                        out.extend(map(build, read.iter_unpack(raw)) if lay is None
+                                   else (PrefixRun(lay, raw),))
                         at = m.end()
                         continue
                 # a PDU of another type or length, or a partial tail

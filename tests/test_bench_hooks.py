@@ -59,17 +59,19 @@ SYNC_CASES = {
 )
 def test_fetch_calls_traced_entry_points(monkeypatch, scheme, layers):
     # the tracer wraps these at the names fetch looks up; a fast path that
-    # inlined one would leave its wrapper uncalled
+    # inlined one would leave its wrapper uncalled, or change its per-sync count
+    import socket
+
     from hroa import sync, wire
     from hroa.prefix import AddressBlock, parse_prefix
 
     main = threading.get_ident()
-    called = set()
+    calls = Counter()
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
-            if threading.get_ident() == main:  # the server thread feeds too
-                called.add(name)
+            if threading.get_ident() == main:  # the server thread feeds and receives too
+                calls[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
@@ -77,13 +79,20 @@ def test_fetch_calls_traced_entry_points(monkeypatch, scheme, layers):
     rows = [AddressBlock(parse_prefix(p), ml) for p, ml in SYNC_CASES[scheme]]
     snap = sync.CacheSnapshot.build({64500: rows}, session_id=1)
     want = snap.authorized_map()  # before the wrappers go in: it calls sync.expand too
+    pdus = sync.payload_pdus(snap, scheme)
+    monkeypatch.setattr(socket.socket, "recv", counting("recv", socket.socket.recv))
     monkeypatch.setattr(wire.PduReader, "feed", counting("wire.PduReader.feed", wire.PduReader.feed))
     monkeypatch.setattr(sync, "expand", counting("sync.expand", sync.expand))
     monkeypatch.setattr(sync, "decode_block", counting("sync.decode_block", sync.decode_block))
     with sync.RtrServer(snap, scheme) as server:
         got, _ = sync.fetch(server.endpoint)
     assert got == want
-    assert called == layers
+    assert set(calls) - {"recv"} == layers
+    # one feed per received chunk, one expand per prefix PDU, one decode per sub-tree block
+    assert calls["wire.PduReader.feed"] == calls["recv"] >= 1
+    assert calls["sync.expand"] == sum(type(pdu) is wire.PrefixPdu for pdu in pdus)
+    assert calls["sync.decode_block"] == sum(
+        len(pdu.blocks) for pdu in pdus if type(pdu) is wire.SubTreeAggPdu)
 
 
 # the publish side: a header, a comment, a blank line, a duplicate row and a

@@ -476,29 +476,6 @@ def test_fetch_connect_failure():
         fetch(("127.0.0.1", port), timeout=2)
 
 
-def test_fetch_requires_cache_response_first():
-    srv = socket.socket()
-    srv.bind(("127.0.0.1", 0))
-    srv.listen(1)
-
-    import threading
-
-    def misbehave():
-        conn, _ = srv.accept()
-        with conn:
-            conn.recv(4096)
-            conn.sendall(wire.serialize(wire.EndOfData(1, 1)))
-
-    t = threading.Thread(target=misbehave, daemon=True)
-    t.start()
-    try:
-        with pytest.raises(ProtocolError):
-            fetch(srv.getsockname(), timeout=5)
-    finally:
-        srv.close()
-        t.join(timeout=5)
-
-
 @pytest.fixture
 def raw_cache():
     """A scripted cache: each accepted connection gets ``head``, then ``payload``.
@@ -667,6 +644,72 @@ def test_fetch_refuses_another_protocol_version(raw_cache, capsys, case):
     assert str(exc.value) == message
     assert main(["fetch", f"{host}:{port}", "--timeout", "5"]) == 3
     assert capsys.readouterr().err == f"hroa: {message}\n"
+
+
+# a good prefix PDU of each family, which the faults below patch one byte of
+_GOOD_PREFIX = {
+    V4: wire.serialize(wire.PrefixPdu(1, parse_prefix("192.0.2.0/24"), 24, 64500)),
+    V6: wire.serialize(wire.PrefixPdu(1, parse_prefix("2001:db8::/32"), 32, 64500)),
+}
+
+# (family, byte offset, new value, what fetch raises); a prefix PDU holds its
+# flags at byte 8, prefixlen at 9, max_length at 10 and its address from 12
+PREFIX_FAULTS = {
+    "v4-host-bits": (V4, 15, 1, "unparseable PDU: host bits set below /24"),
+    "v4-prefixlen-past-width": (V4, 9, 33, "unparseable PDU: prefixlen 33 out of range for v4"),
+    "v4-max-length-below-prefixlen": (V4, 10, 23, "unparseable PDU: max_length 23 out of range"),
+    "v4-max-length-past-width": (V4, 10, 33, "unparseable PDU: max_length 33 out of range"),
+    "v4-withdrawal": (V4, 8, 0, "withdrawal PDU in an authorization payload"),
+    "v6-host-bits": (V6, 27, 1, "unparseable PDU: host bits set below /32"),
+    "v6-prefixlen-past-width": (V6, 9, 129, "unparseable PDU: prefixlen 129 out of range for v6"),
+    "v6-max-length-below-prefixlen": (V6, 10, 31, "unparseable PDU: max_length 31 out of range"),
+    "v6-max-length-past-width": (V6, 10, 129, "unparseable PDU: max_length 129 out of range"),
+    "v6-withdrawal": (V6, 8, 0, "withdrawal PDU in an authorization payload"),
+}
+
+# where the bad PDU sits: (good PDUs of its family before it, good PDUs after it);
+# the last puts it first in the second match of a run
+PREFIX_FAULT_PLACES = {"first": (0, 0), "mid-run": (3, 2), "past-the-run-bound": (64, 1)}
+
+
+@pytest.mark.parametrize("place", sorted(PREFIX_FAULT_PLACES))
+@pytest.mark.parametrize("fault", sorted(PREFIX_FAULTS))
+def test_fetch_rejects_a_bad_prefix_pdu_anywhere_in_a_run(raw_cache, capsys, fault, place):
+    from hroa.cli import main
+
+    assert wire._RUN_PDUS == 64
+    family, at, value, message = PREFIX_FAULTS[fault]
+    good = _GOOD_PREFIX[family]
+    bad = good[:at] + bytes((value,)) + good[at + 1 :]
+    before, after = PREFIX_FAULT_PLACES[place]
+    host, port = raw_cache(good * before + bad + good * after + _V1_END, connections=2)
+    with pytest.raises(SyncError) as exc:
+        fetch((host, port), timeout=5)
+    assert (type(exc.value), str(exc.value)) == (ProtocolError, message)
+    assert main(["fetch", f"{host}:{port}", "--timeout", "5"]) == 3
+    assert capsys.readouterr().err == f"hroa: {message}\n"
+
+
+# what a cache sends in place of its Cache Response, and the type fetch names
+BEFORE_CACHE_RESPONSE = {
+    "prefix-run": (_GOOD_PREFIX[V4] * 3 + _GOOD_PREFIX[V6], "PrefixPdu"),
+    "subtree": (wire.serialize(wire.SubTreePdu(V4, 0b100101, 2, 64500)), "SubTreePdu"),
+    "aggregate": (wire.serialize(wire.SubTreeAggPdu(V4, 64500, ((0b100101, 2),))), "SubTreeAggPdu"),
+    "end-of-data": (b"", "EndOfData"),
+}
+
+
+def test_fetch_requires_cache_response_first(raw_cache, capsys):
+    from hroa.cli import main
+
+    for payload, kind in BEFORE_CACHE_RESPONSE.values():
+        message = f"expected cache response, got {kind}"
+        host, port = raw_cache(payload + _V1_END, connections=2, head=b"")
+        with pytest.raises(SyncError) as exc:
+            fetch((host, port), timeout=5)
+        assert (type(exc.value), str(exc.value)) == (ProtocolError, message)
+        assert main(["fetch", f"{host}:{port}", "--timeout", "5"]) == 3
+        assert capsys.readouterr().err == f"hroa: {message}\n"
 
 
 def test_fetch_timeout_bounds_the_whole_sync(capsys):
