@@ -22,8 +22,7 @@ bitmap decoding, the roots of minimal compression that no input object
 supplies, the wire parser's prefix PDUs (``wire._prefix_builder`` checks the
 prefix length and host bits as ints first, the host bits against
 ``_HOST_MASK`` too), the blocks ``sync.decode_payload_pdu`` makes of them,
-and the prefixes and blocks ``sync.fetch`` makes straight from a prefix
-run's fields after the same checks, inline.
+and those ``sync.ClientSession`` makes of a prefix run's fields, checked alike.
 Other tuple-backed values follow the same rule: ``encode_batch`` and
 ``sync.decode_payload_pdu`` build their sub-tree blocks with
 ``bmcodec._new_subtree_block`` (each bitmap has a node bit, and

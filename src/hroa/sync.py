@@ -1,21 +1,10 @@
 """Reset-query synchronization: cache server and fetch client.
 
-The only flow spoken here is the full snapshot: client sends Reset Query,
-cache answers Cache Response, every payload PDU of the selected scheme, then
-End of Data.  Payload bytes are pre-serialized once per (snapshot, scheme)
-so concurrent clients share one blob, optionally paced per connection to
-emulate a slow link.  The cache keeps no serial history, so it answers a
-Serial Query with Cache Reset and keeps the connection open for the Reset
-Query that follows (RFC 8210).  It ends the connection without a reply on a
-router's Error Report, and with an Error Report on anything else: code 4
-(Unsupported Protocol Version) for a PDU ``wire`` refuses as another version,
-code 5 (Unsupported PDU Type) for another type, or code 0 (Corrupt Data) for
-bytes that do not frame.  Each connection takes PDUs from one receive buffer
-with ``wire.deserialize``: every PDU before a bad one is served, and an echo
-is the bytes the router sent.  ``fetch`` folds a prefix run from its bytes,
-one ``expand`` per PDU, and hands sub-tree PDUs to ``decode_payload_pdu``;
-both look ``expand`` and ``decode_block`` up here at each call, where perfbench
-wraps them.  Neither reads a protocol version: ``wire`` refuses others.
+The only flow spoken here is the full snapshot: Reset Query, answered by
+Cache Response, every payload PDU of the scheme and End of Data.
+``ServerSession`` and ``ClientSession`` make every protocol decision, without
+I/O.  ``RtrServer``, which serializes one response per snapshot and scheme and
+paces each connection on its own, and ``fetch`` only move the bytes.
 """
 
 from __future__ import annotations
@@ -186,16 +175,52 @@ class SyncReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-# RFC 8210 error codes the server sends
-_CORRUPT_DATA = 0
-_UNSUPPORTED_VERSION = 4
-_UNSUPPORTED_PDU_TYPE = 5
-
-
-def _error_report(code: int, text: str, echoed: bytes = b"") -> bytes:
+def _error_report(code: int, text: str, echoed: bytes | bytearray = b"") -> bytes:
     """An error report, its echoed PDU cut short to fit the length cap."""
     room = wire.MAX_PDU_LEN - wire.ERROR_REPORT_OVERHEAD - len(text.encode("utf-8"))
-    return wire.serialize(wire.ErrorReport(code, echoed[:room], text))
+    return wire.serialize(wire.ErrorReport(code, bytes(echoed[:room]), text))
+
+
+class ServerSession:
+    """One cache connection's replies, without I/O.
+
+    ``receive`` takes the router's next bytes; returns the replies, in order,
+    and whether to close after them.  Every PDU before a bad one is answered:
+    a Reset Query with ``response`` itself, a Serial Query with Cache Reset
+    (no serial history is kept), a router's Error Report by closing, any other
+    PDU by an Error Report that echoes it: code 4 if ``wire`` refuses its
+    version, else 5.  Bytes that do not frame get code 0 (Corrupt Data).
+    """
+
+    def __init__(self, response: bytes):
+        self.response = response
+        self._pending = bytearray()  # the received bytes, from the first PDU not yet answered
+
+    def receive(self, data: bytes) -> tuple[list[bytes], bool]:
+        pending = self._pending
+        pending += data
+        replies: list[bytes] = []
+        while True:
+            try:
+                pdu, used = wire.deserialize(pending)
+            except wire.TruncatedPdu:
+                return replies, False  # wait for the rest
+            except wire.UnsupportedVersion as exc:  # RFC 8210 section 7
+                text = f"only protocol version {wire.DEFAULT_VERSION} is supported"
+                return [*replies, _error_report(4, text, pending[:exc.length])], True
+            except wire.FramingError as exc:
+                return [*replies, _error_report(0, str(exc))], True
+            kind = type(pdu)
+            if kind is wire.ResetQuery:
+                replies.append(self.response)
+            elif kind is wire.UnknownPdu and pdu.pdu_type == wire.PDU_SERIAL_QUERY:
+                replies.append(wire._CACHE_RESET)
+            else:
+                if kind is not wire.ErrorReport:  # never answered with another (RFC 8210 5.11)
+                    text = "only reset query and serial query are supported"
+                    replies.append(_error_report(5, text, pending[:used]))
+                return replies, True
+            del pending[:used]
 
 
 class RtrServer:
@@ -226,17 +251,14 @@ class RtrServer:
         # create_server closes its socket when bind raises OSError, not OverflowError
         if not 0 <= port <= 0xFFFF:
             raise ValueError(f"port {port} is outside 0..65535")
-        self.snapshot = snapshot
-        self.scheme = scheme
+        self.snapshot, self.scheme = snapshot, scheme
         # bandwidth is bits/sec to match how links are quoted
         self._rate = None if bandwidth_bps is None else bandwidth_bps / 8
         pdus = payload_pdus(snapshot, scheme)
         self.payload_pdu_count = len(pdus)
-        self._response = b"".join(wire.serialize_each([
-            wire.CacheResponse(snapshot.session_id),
-            *pdus,
-            wire.EndOfData(snapshot.session_id, snapshot.serial),
-        ]))
+        sid = snapshot.session_id
+        self._response = b"".join(wire.serialize_each(
+            [wire.CacheResponse(sid), *pdus, wire.EndOfData(sid, snapshot.serial)]))
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         self._sock = socket.create_server((host, port), family=family, backlog=16)
         self._closed = threading.Event()
@@ -268,68 +290,34 @@ class RtrServer:
                 self._conns.add(conn)
             threading.Thread(target=self._serve_conn, args=(conn, peer), daemon=True).start()
 
-    def _send(self, conn: socket.socket, blob: bytes) -> None:
-        """Send the blob; paced, no chunk leaves sooner than its end offset / rate s after the start.
-
-        A paced send stops when the server closes.
-        """
+    def _send(self, conn: socket.socket, blob: bytes, peer) -> None:
+        """Send the response, paced: no chunk leaves before its end offset / rate s; log it."""
+        t0 = time.perf_counter()
         if not self._rate:
             conn.sendall(blob)
-            return
-        view = memoryview(blob)
-        start = time.monotonic()
-        for at in range(0, len(blob), _CHUNK):
-            delay = start + min(at + _CHUNK, len(blob)) / self._rate - time.monotonic()
-            if delay > 0 and self._closed.wait(delay):
-                return
-            conn.sendall(view[at : at + _CHUNK])
+        else:
+            view, start = memoryview(blob), time.monotonic()
+            for at in range(0, len(blob), _CHUNK):
+                delay = start + min(at + _CHUNK, len(blob)) / self._rate - time.monotonic()
+                if delay > 0 and self._closed.wait(delay):
+                    break
+                conn.sendall(view[at : at + _CHUNK])
+        log.info("served %s pdus=%d bytes=%d micros=%d peer=%s", self.scheme,
+                 self.payload_pdu_count, len(blob), int((time.perf_counter() - t0) * 1e6), peer)
 
     def _serve_conn(self, conn: socket.socket, peer) -> None:
-        pending = bytearray()  # the received bytes, from the first PDU not yet served
+        session = ServerSession(self._response)
         try:
             with conn:
-                while not self._closed.is_set():
-                    data = conn.recv(4096)
-                    if not data:
-                        return
-                    pending += data
-                    while True:
-                        try:
-                            pdu, used = wire.deserialize(pending)
-                        except wire.TruncatedPdu:
-                            break  # wait for the rest
-                        except wire.UnsupportedVersion as exc:  # RFC 8210 section 7
-                            text = f"only protocol version {wire.DEFAULT_VERSION} is supported"
-                            echo = bytes(pending[:exc.length])  # the PDU as the router sent it
-                            conn.sendall(_error_report(_UNSUPPORTED_VERSION, text, echo))
-                            return
-                        except wire.FramingError as exc:
-                            conn.sendall(_error_report(_CORRUPT_DATA, str(exc)))
-                            return
-                        kind = type(pdu)
-                        if kind is wire.ErrorReport:
-                            return  # never answered with another report (RFC 8210 5.11)
-                        if kind is wire.ResetQuery:
-                            t0 = time.perf_counter()
-                            self._send(conn, self._response)
-                            log.info(
-                                "served %s pdus=%d bytes=%d micros=%d peer=%s",
-                                self.scheme,
-                                self.payload_pdu_count,
-                                len(self._response),
-                                int((time.perf_counter() - t0) * 1e6),
-                                peer,
-                            )
-                        elif kind is wire.UnknownPdu and pdu.pdu_type == wire.PDU_SERIAL_QUERY:
-                            conn.sendall(wire._CACHE_RESET)  # the router goes on with a Reset Query
+                while not self._closed.is_set() and (data := conn.recv(4096)):
+                    replies, close = session.receive(data)
+                    for reply in replies:
+                        if reply is session.response:
+                            self._send(conn, reply, peer)
                         else:
-                            conn.sendall(_error_report(
-                                _UNSUPPORTED_PDU_TYPE,
-                                "only reset query and serial query are supported",
-                                bytes(pending[:used]),  # the PDU as the router sent it
-                            ))
-                            return
-                        del pending[:used]
+                            conn.sendall(reply)
+                    if close:
+                        return
         except OSError:
             return
         finally:
@@ -399,6 +387,91 @@ def decode_payload_pdu(
     return pdu.asn, (), out
 
 
+class ClientSession:
+    """One router's reset-query sync, without I/O: the per-AS ``map`` and ``report``.
+
+    ``receive`` takes the cache's next bytes; returns True once End of Data
+    has arrived.  A prefix run folds from its bytes, one ``expand`` per PDU,
+    each AS's first set kept uncopied.  Past ``deadline`` (``time.monotonic``),
+    End of Data or a maxLength PDU of height above 0 raises TransportError.
+    """
+
+    def __init__(self, cfg: HybridConfig, deadline: float):
+        self.cfg, self.deadline = cfg, deadline
+        self.map: dict[int, set[Prefix]] = {}
+        self.report = SyncReport()
+        self._reader = wire.PduReader(prefix_runs=True)
+        self._got_cache_response = False
+
+    def receive(self, data: bytes) -> bool:
+        report = self.report
+        report.total_bytes += len(data)
+        try:
+            pdus = self._reader.feed(data)
+        except wire.UnsupportedVersion as exc:
+            raise ProtocolError(str(exc)) from None
+        except wire.FramingError as exc:
+            raise ProtocolError(f"unparseable PDU: {exc}") from None
+        # hot names as locals; expand and decode_block stay sync lookups, which the tracer wraps
+        new_block, new_prefix, adopt = _new_block, _new_prefix, self.map.setdefault
+        got_cache_response, deadline = self._got_cache_response, self.deadline
+        for pdu in pdus:
+            kind = type(pdu)
+            if kind is wire.PrefixRun and got_cache_response:
+                lay, raw = pdu
+                family, width, v6 = lay.family, WIDTH[lay.family], lay.addr_bytes != 4
+                host = _HOST_MASK[family]
+                for fields in lay.prefix_read.iter_unpack(raw):
+                    flags, plen, maxlen, bits, asn = fields
+                    if v6:
+                        bits = int.from_bytes(bits, "big")
+                    if not (plen == maxlen <= width and not bits & host[plen]):
+                        if not (plen <= maxlen <= width and not bits & host[plen]):
+                            try:  # the builder raises the text of the check that failed
+                                wire._prefix_builder(lay)(fields)
+                            except wire.FramingError as exc:
+                                raise ProtocolError(f"unparseable PDU: {exc}") from None
+                        if time.monotonic() > deadline:  # a taller block: expand costs more
+                            raise TransportError("recv: timed out")
+                    if not flags & 1:
+                        raise ProtocolError("withdrawal PDU in an authorization payload")
+                    prefixes = expand(new_block((new_prefix((family, bits, plen)), maxlen)))
+                    acc = adopt(asn, prefixes)
+                    if acc is not prefixes:
+                        acc |= prefixes
+                report.pdu_count += len(raw) // lay.prefix_len
+            elif got_cache_response and kind in _SUBTREE_TYPES:
+                try:
+                    asn, _, prefixes = decode_payload_pdu(pdu, self.cfg)
+                except wire.FramingError as exc:
+                    raise ProtocolError(str(exc)) from None
+                report.pdu_count += 1
+                acc = adopt(asn, prefixes)
+                if acc is not prefixes:
+                    acc |= prefixes
+            elif kind is wire.ErrorReport:
+                raise CacheErrorReport(pdu)
+            elif not got_cache_response:
+                if kind is not wire.CacheResponse:
+                    got = wire.PrefixPdu if kind is wire.PrefixRun else kind
+                    raise ProtocolError(f"expected cache response, got {got.__name__}")
+                got_cache_response = self._got_cache_response = True
+                report.session_id = pdu.session_id
+            elif kind is wire.EndOfData:
+                if pdu.session_id != report.session_id:
+                    raise ProtocolError("session id changed mid-response")
+                if time.monotonic() > deadline:  # the last taller block ran past it
+                    raise TransportError("recv: timed out")
+                report.serial = pdu.serial
+                report.decode_count = sum(len(s) for s in self.map.values())
+                return True
+            elif kind is wire.UnknownPdu:
+                report.skipped_unknown += 1
+            else:
+                raise ProtocolError(f"unexpected PDU {kind.__name__} in payload")
+        return False
+
+
 def fetch(
     endpoint: tuple[str, int],
     cfg: HybridConfig | None = None,
@@ -406,110 +479,37 @@ def fetch(
 ) -> tuple[dict[int, set[Prefix]], SyncReport]:
     """Run one reset-query sync; returns (asn -> prefixes, transfer report).
 
-    ``timeout`` bounds the whole sync, from connect to End of Data.  A PDU
-    that ``wire`` refuses as another protocol version raises ProtocolError
-    with ``wire``'s text; a prefix run's PDU that ``wire``'s prefix builder
-    refuses, with the builder's.  Each AS's first decoded set, fresh from
-    ``expand`` or ``decode_block``, becomes its map entry uncopied; later sets
-    merge into it.  Raises ValueError, before connecting, on an endpoint port
-    outside 1..65535 or a ``timeout`` that is not a positive finite number.
+    ``timeout`` bounds the whole sync, decoding included.  A port outside
+    1..65535, or a ``timeout`` not positive and finite, raises ValueError.
     """
     if not 1 <= endpoint[1] <= 0xFFFF:
         raise ValueError(f"port {endpoint[1]} is outside 1..65535")
     # settimeout takes 0 as non-blocking and overflows on inf
     if not 0 < timeout < math.inf:
         raise ValueError(f"timeout {timeout} is not a positive number of seconds")
-    cfg = cfg or HybridConfig()
-    report = SyncReport()
-    out: dict[int, set[Prefix]] = {}
-    deadline = time.monotonic() + timeout
+    session = ClientSession(cfg or HybridConfig(), time.monotonic() + timeout)
     try:
         conn = socket.create_connection(endpoint, timeout=timeout)
     except OSError as exc:
         raise TransportError(f"connect {endpoint}: {exc}") from None
-    reader = wire.PduReader(prefix_runs=True)
-    payloads = 0
-    got_cache_response = False
-    done = False
-    # hot names as locals; expand and decode_block stay module lookups at each
-    # call, where the benchmark's tracer wraps them
-    new_block, new_prefix, adopt = _new_block, _new_prefix, out.setdefault
     t0 = time.perf_counter()
-    try:
-        with conn:
+    with conn:
+        try:
+            conn.sendall(wire.serialize(wire.ResetQuery()))
+        except OSError as exc:
+            raise TransportError(f"send: {exc}") from None
+        done = False
+        while not done:
             try:
-                conn.sendall(wire.serialize(wire.ResetQuery()))
+                left = session.deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError("timed out")  # as a recv past the deadline words it
+                conn.settimeout(left)
+                data = conn.recv(65536)
             except OSError as exc:
-                raise TransportError(f"send: {exc}") from None
-            while not done:
-                try:
-                    left = deadline - time.monotonic()
-                    if left <= 0:
-                        raise TimeoutError("timed out")  # as a recv past the deadline words it
-                    conn.settimeout(left)
-                    data = conn.recv(65536)
-                except OSError as exc:
-                    raise TransportError(f"recv: {exc}") from None
-                if not data:
-                    raise TransportError("connection closed before end of data")
-                report.total_bytes += len(data)
-                try:
-                    pdus = reader.feed(data)
-                except wire.UnsupportedVersion as exc:
-                    raise ProtocolError(str(exc)) from None
-                except wire.FramingError as exc:
-                    raise ProtocolError(f"unparseable PDU: {exc}") from None
-                for pdu in pdus:
-                    kind = type(pdu)
-                    if kind is wire.PrefixRun and got_cache_response:
-                        lay, raw = pdu
-                        family, width, v6 = lay.family, WIDTH[lay.family], lay.addr_bytes != 4
-                        host = _HOST_MASK[family]
-                        for fields in lay.prefix_read.iter_unpack(raw):
-                            flags, plen, maxlen, bits, asn = fields
-                            if v6:
-                                bits = int.from_bytes(bits, "big")
-                            if not (plen <= maxlen <= width and not bits & host[plen]):
-                                try:  # the builder raises the text of the check that failed
-                                    wire._prefix_builder(lay)(fields)
-                                except wire.FramingError as exc:
-                                    raise ProtocolError(f"unparseable PDU: {exc}") from None
-                            if not flags & 1:
-                                raise ProtocolError("withdrawal PDU in an authorization payload")
-                            prefixes = expand(new_block((new_prefix((family, bits, plen)), maxlen)))
-                            acc = adopt(asn, prefixes)
-                            if acc is not prefixes:
-                                acc |= prefixes
-                        payloads += len(raw) // lay.prefix_len
-                    elif got_cache_response and kind in _SUBTREE_TYPES:
-                        try:
-                            asn, _, prefixes = decode_payload_pdu(pdu, cfg)
-                        except wire.FramingError as exc:
-                            raise ProtocolError(str(exc)) from None
-                        payloads += 1
-                        acc = adopt(asn, prefixes)
-                        if acc is not prefixes:
-                            acc |= prefixes
-                    elif kind is wire.ErrorReport:
-                        raise CacheErrorReport(pdu)
-                    elif not got_cache_response:
-                        if kind is not wire.CacheResponse:
-                            got = wire.PrefixPdu if kind is wire.PrefixRun else kind
-                            raise ProtocolError(f"expected cache response, got {got.__name__}")
-                        got_cache_response = True
-                        report.session_id = pdu.session_id
-                    elif kind is wire.EndOfData:
-                        if pdu.session_id != report.session_id:
-                            raise ProtocolError("session id changed mid-response")
-                        report.serial = pdu.serial
-                        done = True
-                        break
-                    elif kind is wire.UnknownPdu:
-                        report.skipped_unknown += 1
-                    else:
-                        raise ProtocolError(f"unexpected PDU {kind.__name__} in payload")
-    finally:
-        report.elapsed = time.perf_counter() - t0
-    report.pdu_count = payloads
-    report.decode_count = sum(len(s) for s in out.values())
-    return out, report
+                raise TransportError(f"recv: {exc}") from None
+            if not data:
+                raise TransportError("connection closed before end of data")
+            done = session.receive(data)
+    session.report.elapsed = time.perf_counter() - t0
+    return session.map, session.report

@@ -52,8 +52,8 @@ copies stays linear in the stream however short its runs are.  A PDU the
 pattern does not match, or a partial tail, goes to ``deserialize``.
 Both hand each unpacked tuple to the one builder of its type, which checks
 the fields as ints and builds the PDU and its ``Prefix`` with unchecked tuple
-builders.  ``PduReader(prefix_runs=True)``, which ``sync.fetch`` reads with,
-hands out a prefix run's copy unread, as one ``PrefixRun``.
+builders.  ``PduReader(prefix_runs=True)``, which ``sync.ClientSession``
+reads with, hands out a prefix run's copy unread, as one ``PrefixRun``.
 
 Types 1 (serial query) and 8 (cache reset) have codes here for the cache
 server, and parse as ``UnknownPdu``.

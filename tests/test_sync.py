@@ -949,3 +949,205 @@ def test_report_json_round_trips():
         "session_id",
         "skipped_unknown",
     }
+
+
+def test_fetch_timeout_bounds_decoding_too(raw_cache, capsys):
+    from hroa.cli import main
+
+    # each PDU expands to 131,071 prefixes; eight of them take about a second
+    # to decode, all of it after the last recv
+    tall = wire.serialize(wire.PrefixPdu(1, parse_prefix("2001:db8::/32"), 48, 64500))
+    host, port = raw_cache(tall * 8 + _V1_END, connections=2)
+    t0 = time.monotonic()
+    with pytest.raises(TransportError) as exc:
+        fetch((host, port), timeout=0.3)
+    assert time.monotonic() - t0 < 1
+    assert str(exc.value) == "recv: timed out"
+    assert main(["fetch", f"{host}:{port}", "--timeout", "0.3"]) == 3
+    assert capsys.readouterr().err == "hroa: recv: timed out\n"
+
+
+# -- the sessions alone: no socket, no thread ---------------------------------
+
+
+def _byte_by_byte(raw: bytes) -> list[bytes]:
+    return [raw[at : at + 1] for at in range(len(raw))]
+
+
+def _chunks(raw: bytes, cuts) -> list[bytes]:
+    """``raw`` cut at each offset in ``cuts``."""
+    bounds = sorted(cuts)
+    return [raw[a:b] for a, b in zip([0, *bounds], [*bounds, len(raw)])]
+
+
+_RESPONSE = bytes(64)  # what a Reset Query gets; the session never reads it
+_RESET_QUERY = wire.serialize(wire.ResetQuery())
+_SERIAL_QUERY = bytes.fromhex("010112340000000c00000029")  # version 1, session 0x1234, serial 41
+_CACHE_RESET = bytes.fromhex("0108000000000008")
+_ROUTER_ERROR = wire.serialize(wire.ErrorReport(2, b"", "no data"))
+_SHORT_PDU = bytes.fromhex("0102000000000004")  # its length, 4, is below the header size
+
+
+def _serve(chunks) -> tuple[bytes, bool]:
+    """The replies a ServerSession sends to the chunks, joined, and whether it closes.
+
+    No chunk is fed after the session decides to close.
+    """
+    session = sync.ServerSession(_RESPONSE)
+    replies, close = [], False
+    for chunk in chunks:
+        got, close = session.receive(chunk)
+        replies += got
+        if close:
+            break
+    return b"".join(replies), close
+
+
+def _server_cases() -> dict:
+    """What a router sends, the reply bytes it gets and whether the cache then closes."""
+    cases = {
+        "serial-query": (_SERIAL_QUERY, _CACHE_RESET, False),
+        "serial-and-reset-query": (_SERIAL_QUERY + _RESET_QUERY, _CACHE_RESET + _RESPONSE, False),
+        "error-report": (_ROUTER_ERROR, b"", True),
+        "error-report-v0": (_at_version(_ROUTER_ERROR, 0), b"", True),
+        "reset-query-then-short-pdu": (
+            _RESET_QUERY + _SHORT_PDU,
+            _RESPONSE + wire.serialize(wire.ErrorReport(0, b"", "PDU length 4 below header size")),
+            True,
+        ),
+    }
+    version_text = "only protocol version 1 is supported"
+    for name, raw in {
+        "reset-query-v0": bytes.fromhex("0002000000000008"),
+        "reset-query-v2": bytes.fromhex("0202000000000008"),
+        "reset-query-v7": bytes.fromhex("0702000000000008"),
+        "serial-query-v2": bytes.fromhex("020112340000000c00000029"),
+    }.items():
+        cases[name] = (raw, wire.serialize(wire.ErrorReport(4, raw, version_text)), True)
+    type_text = "only reset query and serial query are supported"
+    for name, raw in {
+        "cache-response": wire.serialize(wire.CacheResponse(1)),
+        "prefix": wire.serialize(wire.PrefixPdu(1, parse_prefix("192.0.2.0/24"), 24, 64500)),
+        "unknown-type": bytes.fromhex("016300000000000cdeadbeef"),
+        "prefix-reserved-bytes": bytes.fromhex("0104123400000014" "01181807" "c0000200" "0000fbf4"),
+    }.items():
+        cases[name] = (raw, wire.serialize(wire.ErrorReport(5, raw, type_text)), True)
+    return cases
+
+
+SERVER_CASES = _server_cases()
+
+
+@pytest.mark.parametrize("case", sorted(SERVER_CASES))
+def test_server_session_replies_alike_byte_by_byte_and_in_one_chunk(case):
+    raw, reply, close = SERVER_CASES[case]
+    assert _serve([raw]) == _serve(_byte_by_byte(raw)) == (reply, close)
+
+
+def test_server_session_answers_a_reset_query_with_the_response_itself():
+    session = sync.ServerSession(_RESPONSE)
+    replies, close = session.receive(_RESET_QUERY)
+    assert not close and len(replies) == 1 and replies[0] is _RESPONSE
+
+
+_QUERY_STREAM_PDUS = (
+    _RESET_QUERY, _SERIAL_QUERY, _ROUTER_ERROR, _SHORT_PDU,
+    _at_version(_RESET_QUERY, 2), wire.serialize(wire.CacheResponse(1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_QUERY_STREAM_PDUS), max_size=8), st.data())
+def test_server_session_replies_the_same_however_the_stream_is_split(pdus, data):
+    raw = b"".join(pdus)
+    cuts = data.draw(st.lists(st.integers(0, len(raw)), max_size=12))
+    assert _serve(_chunks(raw, cuts)) == _serve([raw])
+
+
+def _client_faults() -> dict:
+    """Every scripted response above that fetch refuses, and what it raises."""
+    head = wire.serialize(wire.CacheResponse(7))
+    cases = {}
+    for name, (payload, message) in BAD_PAYLOADS.items():
+        cases["bad-payload-" + name] = (head + payload, ProtocolError, message)
+    for name, (payload, error, message) in BROKEN_RESPONSES.items():
+        if payload:  # a hang-up is the socket's to see
+            cases["broken-" + name] = (head + payload, error, message)
+    for name, (other_head, payload, message) in OTHER_VERSION_RESPONSES.items():
+        cases["version-" + name] = ((other_head or head) + payload, ProtocolError, message)
+    for fault, (family, at, value, message) in PREFIX_FAULTS.items():
+        good = _GOOD_PREFIX[family]
+        bad = good[:at] + bytes((value,)) + good[at + 1 :]
+        for place, (before, after) in PREFIX_FAULT_PLACES.items():
+            raw = head + good * before + bad + good * after + _V1_END
+            cases[f"prefix-{fault}-{place}"] = (raw, ProtocolError, message)
+    for name, (payload, kind) in BEFORE_CACHE_RESPONSE.items():
+        message = f"expected cache response, got {kind}"
+        cases["first-" + name] = (payload + _V1_END, ProtocolError, message)
+    return cases
+
+
+CLIENT_FAULTS = _client_faults()
+
+
+@pytest.mark.parametrize("case", sorted(CLIENT_FAULTS))
+def test_client_session_refuses_alike_byte_by_byte_and_in_one_chunk(case):
+    raw, error, message = CLIENT_FAULTS[case]
+    for chunks in ([raw], _byte_by_byte(raw)):
+        session = sync.ClientSession(HybridConfig(), math.inf)
+        with pytest.raises(SyncError) as exc:
+            for chunk in chunks:
+                session.receive(chunk)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+def test_client_session_checks_its_deadline_before_each_taller_prefix_pdu_and_at_the_end():
+    head = wire.serialize(wire.CacheResponse(7))
+    flat = wire.serialize(wire.PrefixPdu(1, parse_prefix("192.0.2.0/24"), 24, 64500))
+    tall = wire.serialize(wire.PrefixPdu(1, parse_prefix("198.51.100.0/24"), 25, 64500))
+    session = sync.ClientSession(HybridConfig(), time.monotonic())
+    # a height-0 PDU costs no more than parsing it, so it reads no clock
+    assert session.receive(head + flat) is False
+    with pytest.raises(TransportError, match="^recv: timed out$"):
+        session.receive(tall)
+    assert session.map == {64500: {parse_prefix("192.0.2.0/24")}}  # the tall block unexpanded
+    # nor does a sync that decoded in time end past its deadline
+    with pytest.raises(TransportError, match="^recv: timed out$"):
+        sync.ClientSession(HybridConfig(), time.monotonic()).receive(head + flat + _V1_END)
+
+
+def _response(snap: CacheSnapshot, scheme: str) -> tuple[bytes, int]:
+    """The reset response RtrServer serves of the snapshot, and its payload PDU count."""
+    pdus = payload_pdus(snap, scheme)
+    raw = b"".join(wire.serialize_each([
+        wire.CacheResponse(snap.session_id), *pdus, wire.EndOfData(snap.session_id, snap.serial),
+    ]))
+    return raw, len(pdus)
+
+
+@st.composite
+def _long_run_inputs(draw):
+    """``_dual_stack_blocks``, one AS with up to two run matches' worth of v4 /24s more."""
+    inputs = draw(_dual_stack_blocks())
+    asn = draw(st.sampled_from(sorted(inputs)))
+    count = draw(st.integers(0, 2 * wire._RUN_PDUS + 1))
+    # every other /24, so that no two are siblings: each stays one block
+    inputs[asn] = [*inputs[asn], *(AddressBlock(Prefix(V4, 0x0A000000 | i << 9, 24), 24)
+                                   for i in range(count))]
+    return inputs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_long_run_inputs(), st.sampled_from(sync.SERVE_SCHEMES), st.data())
+def test_client_session_folds_any_split_like_the_per_pdu_decoder(inputs, scheme, data):
+    snap = _snapshot(inputs)
+    raw, pdu_count = _response(snap, scheme)
+    cuts = data.draw(st.lists(st.integers(1, len(raw) - 1), max_size=12, unique=True))
+    session = sync.ClientSession(snap.cfg, math.inf)
+    done = [session.receive(chunk) for chunk in _chunks(raw, cuts)]
+    assert done == [False] * len(cuts) + [True]
+    want = snap.authorized_map()
+    assert session.map == want == _reference_fold(raw, snap.cfg)
+    report = session.report
+    assert (report.pdu_count, report.total_bytes, report.decode_count) == (
+        pdu_count, len(raw), sum(map(len, want.values())))
