@@ -300,7 +300,7 @@ class RtrServer:
             for at in range(0, len(blob), _CHUNK):
                 delay = start + min(at + _CHUNK, len(blob)) / self._rate - time.monotonic()
                 if delay > 0 and self._closed.wait(delay):
-                    break
+                    return  # cut short by close(): not logged as served
                 conn.sendall(view[at : at + _CHUNK])
         log.info("served %s pdus=%d bytes=%d micros=%d peer=%s", self.scheme,
                  self.payload_pdu_count, len(blob), int((time.perf_counter() - t0) * 1e6), peer)

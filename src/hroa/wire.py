@@ -46,10 +46,10 @@ skips the header, whose version, type and length are checked before it runs.
 ``deserialize`` checks one PDU's header and unpacks it in place from the
 caller's buffer.  ``PduReader.feed`` finds a run of payload PDUs with their
 type's compiled pattern, which checks the version byte, type byte and length
-field of each whole PDU, at most ``_RUN_PDUS`` PDUs a match.  One
-``iter_unpack`` over a copy of just the matched bytes reads them, so what it
-copies stays linear in the stream however short its runs are.  A PDU the
-pattern does not match, or a partial tail, goes to ``deserialize``.
+field of each whole PDU; a possessive repeat keeps no state per PDU, so one
+match spans a run.  ``iter_unpack`` reads a copy of just the matched bytes, so
+what feed copies stays linear however short the runs.  A PDU the pattern does
+not match, or a partial tail, goes to ``deserialize``.
 Both hand each unpacked tuple to the one builder of its type, which checks
 the fields as ints and builds the PDU and its ``Prefix`` with unchecked tuple
 builders.  ``PduReader(prefix_runs=True)``, which ``sync.ClientSession``
@@ -330,7 +330,7 @@ def serialize_each(pdus: Iterable[RtrPdu]) -> list[bytes]:
 
             else:
                 raise TypeError(f"not a PDU: {pdu!r}")
-    except struct.error as exc:  # a byte field out of range; wider ones are checked above
+    except (struct.error, OverflowError, KeyError) as exc:  # a byte field, v6 address or family
         raise FramingError(f"{type(pdu).__name__} field out of range: {exc}") from None
     return out
 
@@ -386,7 +386,7 @@ def _subtree_builder(lay: Layout):
 def _run_match(ptype: int, size: int):
     """The match of a run of whole PDUs of this type and length, version 1, any 16-bit field."""
     head = re.escape(bytes((DEFAULT_VERSION, ptype))), re.escape(size.to_bytes(4, "big"))
-    return re.compile(b"(?:%s..%s.{%d})+" % (*head, size - HEADER_BYTES), re.DOTALL).match
+    return re.compile(b"(?:%s..%s.{%d})++" % (*head, size - HEADER_BYTES), re.DOTALL).match
 
 
 # the payload types a response carries in long runs, which feed reads a run at a
@@ -407,8 +407,6 @@ _FIXED = {
     PDU_END_OF_DATA: (_END_OF_DATA, lambda f: EndOfData(f[2], *f[4:])),
     **{ptype: (read, build) for ptype, (_, read, build) in _RUNS.items()},
 }
-# the most PDUs one match spans, which bounds the state re keeps for its repeats
-_RUN_PDUS = 64
 
 
 def _parse_agg(lay: Layout, buf, at: int, length: int) -> SubTreeAggPdu:
@@ -449,8 +447,9 @@ def deserialize(buf: bytes | bytearray | memoryview, offset: int = 0) -> tuple[R
     Raises TruncatedPdu when the buffer holds only part of a PDU,
     FramingError when the bytes cannot be valid, and after those checks
     UnsupportedVersion when a PDU but an Error Report is not of version 1.
-    Every header check lives here.  A fixed layout unpacks straight from
-    ``buf`` with its Struct; only variable-length PDUs copy bytes out.
+    Every header check but those of ``PduReader.feed``'s run pattern is here.
+    A fixed layout unpacks straight from ``buf`` with its Struct; only
+    variable-length PDUs copy bytes out.
     """
     avail = len(buf) - offset
     if avail < HEADER_BYTES:
@@ -490,12 +489,12 @@ class PduReader:
     def feed(self, data: bytes) -> list[RtrPdu | PrefixRun]:
         """Buffer a chunk; return every PDU it completed.
 
-        A run of version-1 payload PDUs of one type and length is found by its
-        type's pattern, at most ``_RUN_PDUS`` PDUs a match, and unpacked with
-        its read struct and mapped through its type's builder, or with
-        ``prefix_runs`` a prefix run is one ``PrefixRun``, its fields unchecked;
-        every other PDU goes through ``deserialize``.  A malformed PDU, or one
-        of another version, raises FramingError, and the reader is spent.
+        A run of version-1 payload PDUs of one type and length is one match of
+        its type's pattern, unpacked with its read struct and mapped through
+        its type's builder, or with ``prefix_runs`` a prefix run is one
+        ``PrefixRun``, its fields unchecked; every other PDU goes through
+        ``deserialize``.  A malformed PDU, or one of another version, raises
+        FramingError, and the reader is spent.
         """
         buf = self._buf
         buf.extend(data)
@@ -507,7 +506,7 @@ class PduReader:
                 run = _RUNS.get(buf[at + 1]) if end - at >= HEADER_BYTES else None
                 if run is not None:
                     match, read, build = run
-                    m = match(buf, at, at + _RUN_PDUS * read.size)
+                    m = match(buf, at)
                     if m:  # one copy of just the run: no export of buf outlives it
                         raw, lay = buf[at : m.end()], self._whole.get(buf[at + 1])
                         out.extend(map(build, read.iter_unpack(raw)) if lay is None

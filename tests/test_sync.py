@@ -6,6 +6,7 @@ import socket
 import threading
 import time
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -667,9 +668,8 @@ PREFIX_FAULTS = {
     "v6-withdrawal": (V6, 8, 0, "withdrawal PDU in an authorization payload"),
 }
 
-# where the bad PDU sits: (good PDUs of its family before it, good PDUs after it);
-# the last puts it first in the second match of a run
-PREFIX_FAULT_PLACES = {"first": (0, 0), "mid-run": (3, 2), "past-the-run-bound": (64, 1)}
+# where the bad PDU sits: (good PDUs of its family before it, good PDUs after it)
+PREFIX_FAULT_PLACES = {"first": (0, 0), "mid-run": (3, 2), "deep-in-a-run": (64, 1)}
 
 
 @pytest.mark.parametrize("place", sorted(PREFIX_FAULT_PLACES))
@@ -677,7 +677,6 @@ PREFIX_FAULT_PLACES = {"first": (0, 0), "mid-run": (3, 2), "past-the-run-bound":
 def test_fetch_rejects_a_bad_prefix_pdu_anywhere_in_a_run(raw_cache, capsys, fault, place):
     from hroa.cli import main
 
-    assert wire._RUN_PDUS == 64
     family, at, value, message = PREFIX_FAULTS[fault]
     good = _GOOD_PREFIX[family]
     bad = good[:at] + bytes((value,)) + good[at + 1 :]
@@ -845,6 +844,23 @@ def test_close_ends_a_paced_send():
         while threading.active_count() > baseline and time.monotonic() < deadline:
             time.sleep(0.01)
         assert threading.active_count() <= baseline
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_a_paced_send_is_logged_as_served_only_when_it_all_left(caplog, closed):
+    with RtrServer(_snapshot(synthetic_scattered(128, seed=1)), "mroa",
+                   bandwidth_bps=8000 if closed else 1e9) as server:
+        if closed:  # close() came before the first chunk was due
+            server._closed.set()
+        sent = bytearray()
+        with caplog.at_level("INFO", logger="hroa.sync"):
+            server._send(SimpleNamespace(sendall=sent.extend), server._response, ("peer", 1))
+    served = [r.getMessage() for r in caplog.records if r.getMessage().startswith("served ")]
+    if closed:
+        assert (sent, served) == (b"", [])
+    else:
+        assert sent == server._response
+        assert served[0].startswith(f"served mroa pdus=128 bytes={len(sent)} ")
 
 
 def test_close_ends_live_connections():
@@ -1127,10 +1143,10 @@ def _response(snap: CacheSnapshot, scheme: str) -> tuple[bytes, int]:
 
 @st.composite
 def _long_run_inputs(draw):
-    """``_dual_stack_blocks``, one AS with up to two run matches' worth of v4 /24s more."""
+    """``_dual_stack_blocks``, one AS with up to 129 v4 /24s more: one long run under mroa."""
     inputs = draw(_dual_stack_blocks())
     asn = draw(st.sampled_from(sorted(inputs)))
-    count = draw(st.integers(0, 2 * wire._RUN_PDUS + 1))
+    count = draw(st.integers(0, 129))
     # every other /24, so that no two are siblings: each stays one block
     inputs[asn] = [*inputs[asn], *(AddressBlock(Prefix(V4, 0x0A000000 | i << 9, 24), 24)
                                    for i in range(count))]

@@ -4,6 +4,7 @@ import json
 import pickle
 import random
 import struct
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,25 @@ def test_serialize_byte_field_out_of_range_is_a_framing_error(pdu):
         serialize(pdu)
 
 
+# constructors check nothing, so a prefix may be any (family, bits, prefixlen) tuple
+@pytest.mark.parametrize(
+    "pdu",
+    [
+        PrefixPdu(1, (5, 0, 0), 0, 1),
+        SubTreePdu(5, 1, 2, 1),
+        SubTreeAggPdu(5, 1, ((1, 2),)),
+        PrefixPdu(1, (V6, 1 << 128, 0), 0, 1),
+        PrefixPdu(1, (V6, -1, 0), 0, 1),
+        PrefixPdu(1, (V4, 1 << 32, 0), 0, 1),
+    ],
+    ids=["prefix-family", "subtree-family", "agg-family", "v6-address-past-width",
+         "v6-address-negative", "v4-address-past-width"],
+)
+def test_serialize_bad_family_or_address_is_a_framing_error(pdu):
+    with pytest.raises(FramingError, match=f"^{type(pdu).__name__} field out of range: "):
+        serialize(pdu)
+
+
 def test_unknown_type_passes_through():
     raw = bytes.fromhex("017f00990000000b") + b"abc"
     pdu, used = deserialize(raw)
@@ -341,6 +361,23 @@ def test_reader_feeds_a_long_alternating_stream_in_one_call():
     reader = PduReader()
     assert reader.feed(blob) == pdus
     assert reader.pending == 0
+
+
+def test_reader_hands_out_a_whole_run_in_one_piece():
+    # 50,000 v4 prefix PDUs, 1,000,000 B, in one chunk: one match, one PrefixRun, and
+    # no more traced memory than the buffer and one copy of the run (the re state of a
+    # greedy repeat, which grows with each PDU, would take it past 7x)
+    raw = serialize(PrefixPdu(1, parse_prefix("192.0.2.0/24"), 24, 64500)) * 50_000
+    assert len(raw) == 1_000_000
+    reader = PduReader(prefix_runs=True)
+    tracemalloc.start()
+    try:
+        out = reader.feed(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == [wire.PrefixRun(wire.LAYOUT[V4], raw)]
+    assert peak < 2.05 * len(raw)
 
 
 def _arbitrary_pdus(rng, n):
@@ -686,10 +723,8 @@ def _run_pdus(kind: str, fam: int, n: int) -> list:
 @pytest.mark.parametrize("fam", [V4, V6])
 @pytest.mark.parametrize("index", [63, 64, 65])
 @pytest.mark.parametrize("how", ["length", "same_size_type", "other_size_type"])
-def test_reader_breaks_a_run_at_the_match_bound_as_the_walk(kind, fam, index, how):
-    # a run of 130 PDUs spans more than two matches of _RUN_PDUS (64); the
-    # PDU just before, at or just after the first bound is broken
-    assert wire._RUN_PDUS == 64
+def test_reader_breaks_a_long_run_deep_inside_as_the_walk(kind, fam, index, how):
+    # a run of 130 PDUs, broken 63 to 65 PDUs in: far from either end
     lay, other = wire.LAYOUT[fam], wire.LAYOUT[V6 if fam == V4 else V4]
     raws = [bytearray(serialize(p)) for p in _run_pdus(kind, fam, 130)]
     raw = raws[index]
